@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys as _sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -109,15 +108,6 @@ def _outdir(config: RunConfig) -> Path:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _worker_cap() -> int:
-    # sweeps run sequentially; the env var is honored as a cap for forward
-    # compatibility with parallel reductions
-    try:
-        return max(1, int(os.environ.get("LTV_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def run(config: RunConfig) -> int:
@@ -383,7 +373,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    _worker_cap()
     return run(config_from_args(args))
 
 

@@ -79,38 +79,30 @@ def admissibility_constant(p: Propagator) -> float:
     """Smallest M with int_s^tau ||C(t) U(t,s) x||^2 dt <= M^2 ||x||^2 for all x, s.
 
     Realized as the max over grid nodes s of sqrt(lambda_max) of the windowed
-    observability Gramian int_s^tau U(t,s)* C(t)* C(t) U(t,s) dt.
+    observability Gramian Q_s = int_s^tau U(t,s)* C(t)* C(t) U(t,s) dt, each
+    window integrated by the trapezoid rule on nodes s..N whatever the grid's
+    own rule (windows generally have odd panel counts, so Simpson does not
+    apply). All windows come from one backward pass over the step matrices,
+    the Gramian recursion with d_s = t_{s+1} - t_s and Q_N = 0:
+
+        Q_s = (d_s/2) C_s* C_s + Phi_s* (Q_{s+1} + (d_s/2) C_{s+1}* C_{s+1}) Phi_s.
     """
     nodes = p.grid.nodes
-    N = p.steps
     C = p.sys.C
-    CC = [C(t) for t in nodes]
+    Q = np.zeros((p.sys.n, p.sys.n))
+    C_next = C(nodes[-1])
+    CtC_next = C_next.T @ C_next
     best = 0.0
-    for s in range(N + 1):
-        if s == N:
-            break  # zero-length window
-        w = _window_weights(nodes, s)
-        Q = np.zeros((p.sys.n, p.sys.n))
-        acc = np.eye(p.sys.n)  # U(t_i, t_s)
-        for i in range(s, N + 1):
-            if w[i - s] != 0.0:
-                CU = CC[i] @ acc
-                Q += w[i - s] * (CU.T @ CU)
-            if i < N:
-                acc = p.step_transitions[i] @ acc
-        lam = float(np.linalg.eigvalsh(0.5 * (Q + Q.T))[-1])
-        best = max(best, lam)
+    for s in range(p.steps - 1, -1, -1):
+        half = (nodes[s + 1] - nodes[s]) / 2
+        Cs = C(nodes[s])
+        CtC = Cs.T @ Cs
+        phi = p.step_transitions[s]
+        Q = half * CtC + phi.T @ (Q + half * CtC_next) @ phi
+        Q = 0.5 * (Q + Q.T)
+        best = max(best, float(np.linalg.eigvalsh(Q)[-1]))
+        CtC_next = CtC
     return float(np.sqrt(max(best, 0.0)))
-
-
-def _window_weights(nodes: np.ndarray, s: int) -> np.ndarray:
-    # trapezoid weights on [t_s, tau]; windows generally have odd panel
-    # counts so Simpson is not attempted here
-    d = np.diff(nodes[s:])
-    w = np.zeros(nodes.size - s)
-    w[:-1] += d / 2
-    w[1:] += d / 2
-    return w
 
 
 def null_controllability_test(p: Propagator, rank_tol: float = COERCIVITY_TOL,
@@ -124,7 +116,12 @@ def null_controllability_test(p: Propagator, rank_tol: float = COERCIVITY_TOL,
     verdicts report c = +inf.
     """
     W = ctrl_gramian_quadrature(p).W
-    K = p.transitions_to_end()[0]  # U(tau, 0)
+    return _range_inclusion(W, p.transitions_to_end()[0], rank_tol, inclusion_tol)
+
+
+def _range_inclusion(W: np.ndarray, K: np.ndarray, rank_tol: float,
+                     inclusion_tol: float) -> tuple[bool, float]:
+    """The test of null_controllability_test for a given W_tau and K = U(tau,0)."""
     lam, V = np.linalg.eigh(W)
     lam_max = float(lam[-1])
     mask = lam > rank_tol * max(lam_max, 0.0)
@@ -151,7 +148,7 @@ def exact_controllability_test(sys: LtvSystem, propagator: Propagator | None = N
     controllable, lam_min = coercivity_check(gram, tol)
     delta = float(np.sqrt(max(lam_min, 0.0)))
     adm = admissibility_constant(p)
-    null_ok, c = null_controllability_test(p, rank_tol=tol)
+    null_ok, c = _range_inclusion(gram.W, p.transitions_to_end()[0], tol, RANGE_INCLUSION_TOL)
     return DualityReport(
         controllable=controllable,
         lambda_min_W=lam_min,

@@ -146,17 +146,25 @@ def nonautonomous_hautus_margin(sys: LtvSystem, p: Propagator, lam: complex, x,
     return boundary + M * integral - delta * xnorm
 
 
-def _hautus_integral(sys: LtvSystem, lam: complex, X: np.ndarray) -> np.ndarray:
-    """Columnwise quadrature of int_0^tau ||(lambda I + A(s)) x|| e^{-Re(lambda) s} ds."""
+def _hautus_integral(sys: LtvSystem, lam, X: np.ndarray) -> np.ndarray:
+    """Columnwise quadrature of int_0^tau ||(lambda I + A(s)) x|| e^{-Re(lambda) s} ds.
+
+    lam is one frequency (result shape (columns,)) or an array of them
+    (result shape (lambdas, columns)); A(s) X is formed once per node and
+    shared by every lambda.
+    """
+    lams = np.atleast_1d(np.asarray(lam, dtype=complex))
     nodes = sys.grid.nodes
     w = sys.grid.weights()
-    out = np.zeros(X.shape[1])
+    out = np.zeros((lams.size, X.shape[1]))
     for i, t in enumerate(nodes):
         if w[i] == 0.0:
             continue
-        shifted = lam * X + sys.A(t) @ X
-        out += w[i] * np.exp(-lam.real * t) * np.linalg.norm(shifted, axis=0)
-    return out
+        AX = sys.A(t) @ X
+        for a, lam_a in enumerate(lams):
+            shifted = lam_a * X + AX
+            out[a] += w[i] * np.exp(-lam_a.real * t) * np.linalg.norm(shifted, axis=0)
+    return out.reshape(np.shape(lam) + (X.shape[1],))
 
 
 def hautus_sweep(sys: LtvSystem, grid: HautusGrid,
@@ -171,11 +179,11 @@ def hautus_sweep(sys: LtvSystem, grid: HautusGrid,
     constant_C = sys.C.kind == "constant"
     C0 = sys.C(0.0)
     X = grid.test_vectors.T  # n x count
+    integrals = _hautus_integral(sys, grid.lambdas, X)
     margins = np.empty((grid.lambdas.size, X.shape[1]))
     for a, lam in enumerate(grid.lambdas):
         boundary = np.linalg.norm(C0 @ X, axis=0) / np.sqrt(2 * lam.real)
-        integral = _hautus_integral(sys, complex(lam), X)
-        margins[a] = boundary + M * integral - delta * np.linalg.norm(X, axis=0)
+        margins[a] = boundary + M * integrals[a] - delta * np.linalg.norm(X, axis=0)
     flat = int(np.argmin(margins))
     ia, ix = divmod(flat, X.shape[1])
     return HautusReport(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .duality import input_map_adjoint, null_controllability_test
+from .duality import RANGE_INCLUSION_TOL, _range_inclusion, input_map_adjoint
 from .gramian import COERCIVITY_TOL, GramianResult, coercivity_check, ctrl_gramian_quadrature
 from .propagate import Propagator
 from .sysmodel import ControlSignal, l2_norm
@@ -90,10 +90,11 @@ def null_control(p: Propagator, x0, rank_tol: float = COERCIVITY_TOL) -> Synthes
     """
     x0 = np.asarray(x0, dtype=float).reshape(p.sys.n)
     gram = ctrl_gramian_quadrature(p)
-    d = -(p.transitions_to_end()[0] @ x0)
+    K = p.transitions_to_end()[0]  # U(tau, 0)
+    d = -(K @ x0)
     coercive, _ = coercivity_check(gram, rank_tol)
     if not coercive:
-        feasible, _ = null_controllability_test(p, rank_tol=rank_tol)
+        feasible, _ = _range_inclusion(gram.W, K, rank_tol, RANGE_INCLUSION_TOL)
         if not feasible:
             raise NotNullControllableError(
                 "range of U(tau,0) is not contained in the range of W_tau^{1/2}"

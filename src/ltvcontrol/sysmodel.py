@@ -313,6 +313,11 @@ def _parse_coeff(obj, name: str, rows: int, cols: int, grid: TimeGrid) -> CoeffM
         raise SpecFormatError(name, str(exc)) from None
 
 
+def _is_number(value, types) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not numbers here
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def parse_system(spec_text: str, quadrature: str | None = None) -> LtvSystem:
     """Parse and validate a JSON system spec document.
 
@@ -330,17 +335,17 @@ def parse_system(spec_text: str, quadrature: str | None = None) -> LtvSystem:
     dims = {}
     for key in ("n", "m", "p"):
         value = doc.get(key)
-        if not isinstance(value, int) or value < 1:
+        if not _is_number(value, int) or value < 1:
             raise SpecFormatError(key, "must be a positive integer")
         dims[key] = value
     if dims["n"] > MAX_STATE_DIM:
         raise SpecFormatError("n", f"state dimension capped at {MAX_STATE_DIM}")
 
     tau = doc.get("tau")
-    if not isinstance(tau, (int, float)) or not np.isfinite(tau) or tau <= 0:
+    if not _is_number(tau, (int, float)) or not np.isfinite(tau) or tau <= 0:
         raise SpecFormatError("tau", "horizon must be a finite positive number")
     steps = doc.get("steps")
-    if not isinstance(steps, int) or steps < 2:
+    if not _is_number(steps, int) or steps < 2:
         raise SpecFormatError("steps", "must be an integer >= 2")
 
     rule = quadrature or doc.get("quadrature", "trapezoid")

@@ -45,3 +45,30 @@ def poly_eval_naive(coeffs: np.ndarray, t: float) -> np.ndarray:
     for k, c in enumerate(coeffs):
         out = out + c * t**k
     return out
+
+
+def admissibility_oracle(p) -> float:
+    """M by building every windowed observability Gramian from scratch, O(N^2).
+
+    For each start node s, Q_s = sum_i w_i U(t_i, t_s)* C(t_i)* C(t_i) U(t_i, t_s)
+    with trapezoid weights on nodes s..N; M = sqrt(max_s lambda_max(Q_s)).
+    """
+    nodes = p.grid.nodes
+    N = p.steps
+    n = p.sys.n
+    CC = [p.sys.C(t) for t in nodes]
+    best = 0.0
+    for s in range(N):
+        d = np.diff(nodes[s:])
+        w = np.zeros(nodes.size - s)
+        w[:-1] += d / 2
+        w[1:] += d / 2
+        Q = np.zeros((n, n))
+        acc = np.eye(n)  # U(t_i, t_s)
+        for i in range(s, N + 1):
+            CU = CC[i] @ acc
+            Q += w[i - s] * (CU.T @ CU)
+            if i < N:
+                acc = p.step_transitions[i] @ acc
+        best = max(best, float(np.linalg.eigvalsh(0.5 * (Q + Q.T))[-1]))
+    return float(np.sqrt(max(best, 0.0)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ltvcontrol import (
+    CoeffMatrixFn,
     ControlSignal,
     Propagator,
     adjoint_identity_residual,
@@ -17,7 +18,7 @@ from ltvcontrol import (
     null_controllability_test,
 )
 from conftest import make_system, random_poly_system, scalar_system
-from oracles import kalman_rank
+from oracles import admissibility_oracle, kalman_rank
 
 
 def random_constant_system(rng, n, deficient=False):
@@ -194,6 +195,26 @@ class TestAdmissibility:
                     for i in range(s, 51)
                 )
                 assert energy <= (M**2) * (x @ x) * (1 + 1e-9)
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 20])
+    @pytest.mark.parametrize("quadrature", ["trapezoid", "simpson"])
+    def test_recursion_matches_oracle(self, rng, n, quadrature):
+        # A and C both vary in time, so each window sees its own C(t_i)
+        for steps in (2, 3, 17, 200):
+            for uniform in (True, False):
+                if quadrature == "simpson" and not uniform:
+                    continue  # Simpson needs a uniform grid
+                nodes = None
+                if not uniform:
+                    nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, steps))])
+                    nodes /= nodes[-1]
+                A = CoeffMatrixFn.poly(rng.uniform(-0.5, 0.5, size=(3, n, n)))
+                C = CoeffMatrixFn.poly(rng.uniform(-1, 1, size=(2, max(1, n // 2), n)))
+                sys = make_system(A, np.eye(n)[:, :1], C, steps=steps,
+                                  quadrature=quadrature, nodes=nodes)
+                p = Propagator(sys)
+                expect = admissibility_oracle(p)
+                assert admissibility_constant(p) == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 class TestNullControllability:

@@ -168,6 +168,18 @@ class TestHautusSweep:
         report = hautus_sweep(sys, grid)
         assert report.min_margin == report.margins.min()
 
+    @pytest.mark.parametrize("quadrature", ["trapezoid", "simpson"])
+    def test_sweep_matches_pointwise_margin(self, rng, quadrature):
+        sys = random_dissipative_system(rng, n=3, steps=60, quadrature=quadrature)
+        p = Propagator(sys)
+        grid = default_hautus_grid(3, seed=4, n_vectors=8)
+        report = hautus_sweep(sys, grid, propagator=p)
+        for a, lam in enumerate(grid.lambdas):
+            for ix, x in enumerate(grid.test_vectors):
+                expect = nonautonomous_hautus_margin(sys, p, lam, x, report.delta,
+                                                     report.admissibility_M)
+                assert report.margins[a, ix] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
 
 class TestFrozenConstants:
     def test_integrator_constant(self):

@@ -157,6 +157,15 @@ class TestParseSystem:
             parse_system(json.dumps(doc))
         assert exc.value.field_path == "tau"
 
+    @pytest.mark.parametrize("field", ["n", "m", "p", "steps", "tau"])
+    def test_boolean_number_rejected(self, field):
+        # JSON true would otherwise pass as the integer 1
+        doc = json.loads(MINIMAL_SPEC)
+        doc[field] = True
+        with pytest.raises(SpecFormatError) as exc:
+            parse_system(json.dumps(doc))
+        assert exc.value.field_path == field
+
     def test_non_finite_entries(self):
         bad = MINIMAL_SPEC.replace('[[0.0]]', '[[NaN]]')
         with pytest.raises(SpecFormatError):
