@@ -2,9 +2,12 @@
 
 All numeric output is written with shortest round-trip decimal representation
 so two runs with the same config and seed produce byte-identical files.
-Exit codes: 0 success, 1 self-check failure, 2 spec validation error,
-3 infeasibility verdict (NotControllable and friends; the verdict is still
-written).
+Exit codes: 0 success, 1 self-check failure, 2 spec validation error or a
+rejected flag value, 3 infeasibility verdict (NotControllable and friends;
+the verdict is still written).
+
+Each subcommand is one entry of a command table (its flags and one function);
+``main`` loads the spec and writes the report and CSV files for all of them.
 """
 
 from __future__ import annotations
@@ -13,14 +16,13 @@ import argparse
 import json
 import math
 import sys as _sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import duality, gramian, hautus, selfcheck, synth
 from .propagate import Propagator
-from .sysmodel import LtvSystem, SpecFormatError, parse_system
+from .sysmodel import SpecFormatError, parse_system
 
 SCHEMA_VERSION = 1
 
@@ -28,27 +30,6 @@ EXIT_OK = 0
 EXIT_SELFCHECK = 1
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    system_path: str | None = None
-    output_dir: str = "."
-    seed: int = 1
-    quadrature: str | None = None
-    substeps: int = 4
-    method: str = "rk4"
-    coercivity_tol: float = gramian.COERCIVITY_TOL
-    x0: list[float] | None = None
-    target: list[float] | None = None
-    re_bounds: tuple[float, float] = (0.1, 10.0)
-    re_points: int = 7
-    im_values: tuple[float, ...] = (0.0, 1.0, -1.0, 10.0, -10.0)
-    n_vectors: int = 50
-    stride: int = 1
-    tolerance_scale: float = 1.0
-    extra: dict = field(default_factory=dict)
 
 
 def _fmt(x: float) -> str:
@@ -87,73 +68,62 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _system_summary(sys_: LtvSystem) -> dict:
-    return {
-        "n": sys_.n, "m": sys_.m, "p": sys_.p,
-        "tau": sys_.tau, "steps": sys_.grid.steps,
-        "quadrature": sys_.grid.quadrature,
-    }
+def _vector(text: str) -> list[float]:
+    return [float(v) for v in text.replace(",", " ").split()]
 
 
-def _load(config: RunConfig) -> LtvSystem:
-    text = Path(config.system_path).read_text()
-    return parse_system(text, quadrature=config.quadrature)
+def _nonempty_vector(text: str) -> list[float]:
+    values = _vector(text)
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    return values
 
 
-def _propagator(sys_: LtvSystem, config: RunConfig) -> Propagator:
-    return Propagator(sys_, method=config.method, substeps=config.substeps)
+def _positive(convert, what: str):
+    def parse(text: str):
+        value = convert(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be a {what}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in "invalid int value"
+    return parse
 
 
-def _outdir(config: RunConfig) -> Path:
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+_positive_int = _positive(int, "positive integer")
+_positive_float = _positive(float, "finite positive number")
 
 
-def run(config: RunConfig) -> int:
-    """Execute one subcommand; returns the process exit status."""
-    handler = {
-        "check": _run_check,
-        "analyze": _run_analyze,
-        "gramian": _run_gramian,
-        "synthesize": _run_synthesize,
-        "hautus": _run_hautus,
-        "frozen-compare": _run_frozen,
-        "self-check": _run_selfcheck,
-    }[config.command]
-    if config.command not in ("self-check",):
-        try:
-            sys_ = _load(config)
-        except SpecFormatError as exc:
-            print(f"spec validation error: {exc}", file=_sys.stderr)
-            out = _outdir(config)
-            _write_json(out / "report.json", {
-                "command": "check", "valid": False, "error": str(exc),
-            })
-            return EXIT_VALIDATION
-        except OSError as exc:
-            print(f"cannot read spec: {exc}", file=_sys.stderr)
-            return EXIT_VALIDATION
-        return handler(config, sys_)
-    return handler(config)
+_COMMANDS: dict[str, tuple[str, bool, tuple, object]] = {}
 
 
-def _run_check(config: RunConfig, sys_: LtvSystem) -> int:
-    out = _outdir(config)
-    _write_json(out / "report.json", {
-        "command": "check", "valid": True, "system": _system_summary(sys_),
-    })
+def _flag(*names: str, **kwargs):
+    return names, kwargs
+
+
+def _command(name: str, help: str, *flags, spec: bool = True):
+    """Register fn(args, sys_) -> (exit code, report fields or None, {csv: (header, rows)})."""
+    def register(fn):
+        _COMMANDS[name] = (help, spec, flags, fn)
+        return fn
+    return register
+
+
+@_command("check", "validate a system spec")
+def _check(args, sys_):
     print(f"ok: n={sys_.n} m={sys_.m} p={sys_.p} tau={sys_.tau} steps={sys_.grid.steps}")
-    return EXIT_OK
+    return EXIT_OK, {"valid": True}, {}
 
 
-def _run_analyze(config: RunConfig, sys_: LtvSystem) -> int:
-    out = _outdir(config)
-    p = _propagator(sys_, config)
-    report = duality.exact_controllability_test(sys_, propagator=p, tol=config.coercivity_tol)
-    _write_json(out / "report.json", {
-        "command": "analyze",
-        "system": _system_summary(sys_),
+@_command("analyze", "duality/controllability report")
+def _analyze(args, sys_):
+    p = Propagator(sys_, method=args.method, substeps=args.substeps)
+    report = duality.exact_controllability_test(sys_, propagator=p, tol=args.coercivity_tol)
+    verdict = "controllable" if report.controllable else "NOT controllable"
+    print(f"{verdict}: lambda_min(W)={report.lambda_min_W:.6g} "
+          f"delta={report.obs_constant_delta:.6g} M={report.admissibility_M:.6g} "
+          f"null={'yes' if report.null_controllable else 'no'}")
+    return EXIT_OK if report.controllable else EXIT_INFEASIBLE, {
         "controllable": report.controllable,
         "lambda_min_W": report.lambda_min_W,
         "obs_constant_delta": report.obs_constant_delta,
@@ -161,22 +131,17 @@ def _run_analyze(config: RunConfig, sys_: LtvSystem) -> int:
         "null_controllable": report.null_controllable,
         "null_inclusion_c": report.null_inclusion_c,
         "coercivity_tol": report.coercivity_tol,
-    })
-    verdict = "controllable" if report.controllable else "NOT controllable"
-    print(f"{verdict}: lambda_min(W)={report.lambda_min_W:.6g} "
-          f"delta={report.obs_constant_delta:.6g} M={report.admissibility_M:.6g} "
-          f"null={'yes' if report.null_controllable else 'no'}")
-    return EXIT_OK if report.controllable else EXIT_INFEASIBLE
+    }, {}
 
 
-def _run_gramian(config: RunConfig, sys_: LtvSystem) -> int:
-    out = _outdir(config)
-    p = _propagator(sys_, config)
-    quad, lyap = gramian.ctrl_gramian_cross(sys_, p, substeps=config.substeps)
+@_command("gramian", "Gramians by both methods")
+def _gramian(args, sys_):
+    p = Propagator(sys_, method=args.method, substeps=args.substeps)
+    quad, lyap = gramian.ctrl_gramian_cross(sys_, p, substeps=args.substeps)
     obs = gramian.obs_gramian(p)
-    _write_json(out / "report.json", {
-        "command": "gramian",
-        "system": _system_summary(sys_),
+    print(f"W eigenvalues in [{quad.lambda_min:.6g}, {quad.lambda_max:.6g}], "
+          f"cross residual {quad.cross_residual:.3g}")
+    return EXIT_OK, {
         "controllability": {
             "quadrature": {"W": quad.W, "eigenvalues": quad.eigenvalues,
                            "lambda_min": quad.lambda_min, "lambda_max": quad.lambda_max},
@@ -186,61 +151,57 @@ def _run_gramian(config: RunConfig, sys_: LtvSystem) -> int:
         "observability": {"Q": obs.W, "eigenvalues": obs.eigenvalues,
                           "lambda_min": obs.lambda_min, "lambda_max": obs.lambda_max},
         "cross_residual": quad.cross_residual,
-    })
-    rows = [(i, lam) for i, lam in enumerate(quad.eigenvalues)]
-    _write_csv(out / "gramian_eigenvalues.csv", ["index", "eigenvalue"], rows)
-    print(f"W eigenvalues in [{quad.lambda_min:.6g}, {quad.lambda_max:.6g}], "
-          f"cross residual {quad.cross_residual:.3g}")
-    return EXIT_OK
+    }, {"gramian_eigenvalues.csv": (["index", "eigenvalue"], enumerate(quad.eigenvalues))}
 
 
-def _run_synthesize(config: RunConfig, sys_: LtvSystem) -> int:
-    out = _outdir(config)
-    p = _propagator(sys_, config)
-    x0 = np.asarray(config.x0 if config.x0 is not None else np.zeros(sys_.n), dtype=float)
-    target = np.asarray(config.target if config.target is not None else np.zeros(sys_.n),
+@_command("synthesize", "minimum-norm steering control",
+          _flag("--x0", type=_vector, default=None, help="initial state, comma separated"),
+          _flag("--target", type=_vector, default=None, help="target state, comma separated"))
+def _synthesize(args, sys_):
+    p = Propagator(sys_, method=args.method, substeps=args.substeps)
+    x0 = np.asarray(args.x0 if args.x0 is not None else np.zeros(sys_.n), dtype=float)
+    target = np.asarray(args.target if args.target is not None else np.zeros(sys_.n),
                         dtype=float)
     if x0.size != sys_.n or target.size != sys_.n:
         print(f"x0/target must have dimension n={sys_.n}", file=_sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_VALIDATION, None, {}
     try:
-        result = synth.min_norm_control(p, x0, target, rank_tol=config.coercivity_tol)
+        result = synth.min_norm_control(p, x0, target, rank_tol=args.coercivity_tol)
     except (synth.NotControllableError, synth.NotNullControllableError) as exc:
-        _write_json(out / "report.json", {
-            "command": "synthesize", "system": _system_summary(sys_),
-            "verdict": type(exc).__name__, "error": str(exc),
-        })
         print(f"infeasible: {exc}", file=_sys.stderr)
-        return EXIT_INFEASIBLE
-    _write_json(out / "report.json", {
-        "command": "synthesize",
-        "system": _system_summary(sys_),
+        return EXIT_INFEASIBLE, {"verdict": type(exc).__name__, "error": str(exc)}, {}
+    print(f"steered with cost {result.cost:.6g}, residual {result.target_residual:.3g}")
+    header = ["t"] + [f"u_{j + 1}" for j in range(sys_.m)]
+    rows = [(t, *result.control.values[i].real) for i, t in enumerate(sys_.grid.nodes)]
+    return EXIT_OK, {
         "target_residual": result.target_residual,
         "cost": result.cost,
         "gramian_cost": result.gramian_cost,
         "condition_estimate": result.condition_estimate,
-    })
-    header = ["t"] + [f"u_{j + 1}" for j in range(sys_.m)]
-    rows = [(t, *result.control.values[i].real)
-            for i, t in enumerate(sys_.grid.nodes)]
-    _write_csv(out / "control.csv", header, [[r[0], *r[1:]] for r in rows])
-    print(f"steered with cost {result.cost:.6g}, residual {result.target_residual:.3g}")
-    return EXIT_OK
+    }, {"control.csv": (header, rows)}
 
 
-def _run_hautus(config: RunConfig, sys_: LtvSystem) -> int:
-    out = _outdir(config)
-    p = _propagator(sys_, config)
+@_command("hautus", "non-autonomous Hautus margin sweep",
+          _flag("--re-min", type=_positive_float, default=0.1),
+          _flag("--re-max", type=_positive_float, default=10.0),
+          _flag("--re-points", type=_positive_int, default=7),
+          _flag("--im", type=_nonempty_vector, default=[0.0, 1.0, -1.0, 10.0, -10.0]),
+          _flag("--vectors", type=_positive_int, default=50, help="random unit test vectors"))
+def _hautus(args, sys_):
+    p = Propagator(sys_, method=args.method, substeps=args.substeps)
     grid = hautus.default_hautus_grid(
-        sys_.n, seed=config.seed, n_vectors=config.n_vectors,
-        re_bounds=config.re_bounds, re_points=config.re_points,
-        im_values=config.im_values,
+        sys_.n, seed=args.seed, n_vectors=args.vectors,
+        re_bounds=(args.re_min, args.re_max), re_points=args.re_points,
+        im_values=tuple(args.im),
     )
     report = hautus.hautus_sweep(sys_, grid, propagator=p)
-    _write_json(out / "report.json", {
-        "command": "hautus",
-        "system": _system_summary(sys_),
-        "seed": config.seed,
+    print(f"min margin {report.min_margin:.6g} at lambda={report.witness_lambda} "
+          f"(delta={report.delta:.6g}, M={report.admissibility_M:.6g})")
+    rows = [(float(lam.real), float(lam.imag), ix, report.margins[a, ix])
+            for a, lam in enumerate(grid.lambdas)
+            for ix in range(grid.test_vectors.shape[0])]
+    return EXIT_OK, {
+        "seed": args.seed,
         "delta": report.delta,
         "admissibility_M": report.admissibility_M,
         "min_margin": report.min_margin,
@@ -249,42 +210,25 @@ def _run_hautus(config: RunConfig, sys_: LtvSystem) -> int:
             "lambda": complex(report.witness_lambda),
             "vector": report.witness_vector,
         },
-    })
-    rows = []
-    for a, lam in enumerate(grid.lambdas):
-        for ix in range(grid.test_vectors.shape[0]):
-            rows.append((float(lam.real), float(lam.imag), ix, report.margins[a, ix]))
-    _write_csv(out / "hautus_margins.csv",
-               ["re_lambda", "im_lambda", "vector_index", "margin"], rows)
-    print(f"min margin {report.min_margin:.6g} at lambda={report.witness_lambda} "
-          f"(delta={report.delta:.6g}, M={report.admissibility_M:.6g})")
-    return EXIT_OK
+    }, {"hautus_margins.csv": (["re_lambda", "im_lambda", "vector_index", "margin"], rows)}
 
 
-def _run_frozen(config: RunConfig, sys_: LtvSystem) -> int:
-    out = _outdir(config)
-    p = _propagator(sys_, config)
-    report = hautus.frozen_vs_ltv_report(sys_, propagator=p, stride=config.stride)
-    _write_json(out / "report.json", {
-        "command": "frozen-compare",
-        "system": _system_summary(sys_),
+@_command("frozen-compare", "frozen-coefficient constants m(s) vs delta",
+          _flag("--stride", type=_positive_int, default=1))
+def _frozen(args, sys_):
+    p = Propagator(sys_, method=args.method, substeps=args.substeps)
+    report = hautus.frozen_vs_ltv_report(sys_, propagator=p, stride=args.stride)
+    print(f"inf_s m(s) = {report.inf_frozen:.6g}, delta = {report.delta_ltv:.6g}")
+    return EXIT_OK, {
         "inf_frozen": report.inf_frozen,
         "delta_ltv": report.delta_ltv,
-    })
-    rows = list(zip(report.s_values, report.m_values))
-    _write_csv(out / "frozen_constants.csv", ["s", "m"], rows)
-    print(f"inf_s m(s) = {report.inf_frozen:.6g}, delta = {report.delta_ltv:.6g}")
-    return EXIT_OK
+    }, {"frozen_constants.csv": (["s", "m"], zip(report.s_values, report.m_values))}
 
 
-def _run_selfcheck(config: RunConfig) -> int:
-    rows = selfcheck.self_check(tolerance_scale=config.tolerance_scale, seed=config.seed)
-    out = _outdir(config)
-    _write_json(out / "report.json", {
-        "command": "self-check",
-        "checks": [{"system": r.system, "check": r.check, "value": r.value,
-                    "tolerance": r.tolerance, "passed": r.passed} for r in rows],
-    })
+@_command("self-check", "run the built-in invariant suite",
+          _flag("--tolerance-scale", type=float, default=1.0), spec=False)
+def _selfcheck(args, sys_):
+    rows = selfcheck.self_check(tolerance_scale=args.tolerance_scale, seed=args.seed)
     width = max((len(f"{r.system}/{r.check}") for r in rows), default=10)
     for r in rows:
         status = "PASS" if r.passed else "FAIL"
@@ -292,12 +236,10 @@ def _run_selfcheck(config: RunConfig) -> int:
     failed = [r for r in rows if not r.passed]
     if failed:
         print(f"{len(failed)} check(s) failed", file=_sys.stderr)
-        return EXIT_SELFCHECK
-    return EXIT_OK
-
-
-def _vector(text: str) -> list[float]:
-    return [float(v) for v in text.replace(",", " ").split()]
+    return EXIT_SELFCHECK if failed else EXIT_OK, {
+        "checks": [{"system": r.system, "check": r.check, "value": r.value,
+                    "tolerance": r.tolerance, "passed": r.passed} for r in rows],
+    }, {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,74 +248,56 @@ def build_parser() -> argparse.ArgumentParser:
         description="Controllability/observability analysis of linear time-varying systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, spec=True):
+    for name, (help_text, spec, flags, fn) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         if spec:
             sp.add_argument("spec", help="system spec JSON file")
+        else:
+            sp.set_defaults(spec=None)
         sp.add_argument("-o", "--output-dir", default=".", help="report directory")
         sp.add_argument("--seed", type=int, default=1)
         sp.add_argument("--quadrature", choices=["trapezoid", "simpson"], default=None)
-        sp.add_argument("--substeps", type=int, default=4)
+        sp.add_argument("--substeps", type=_positive_int, default=4)
         sp.add_argument("--method", choices=["rk4", "midpoint"], default="rk4")
         sp.add_argument("--coercivity-tol", type=float, default=gramian.COERCIVITY_TOL)
-
-    common(sub.add_parser("check", help="validate a system spec"))
-    common(sub.add_parser("analyze", help="duality/controllability report"))
-    common(sub.add_parser("gramian", help="Gramians by both methods"))
-
-    sp = sub.add_parser("synthesize", help="minimum-norm steering control")
-    common(sp)
-    sp.add_argument("--x0", type=_vector, default=None, help="initial state, comma separated")
-    sp.add_argument("--target", type=_vector, default=None, help="target state, comma separated")
-
-    sp = sub.add_parser("hautus", help="non-autonomous Hautus margin sweep")
-    common(sp)
-    sp.add_argument("--re-min", type=float, default=0.1)
-    sp.add_argument("--re-max", type=float, default=10.0)
-    sp.add_argument("--re-points", type=int, default=7)
-    sp.add_argument("--im", type=_vector, default=[0.0, 1.0, -1.0, 10.0, -10.0])
-    sp.add_argument("--vectors", type=int, default=50, help="random unit test vectors")
-
-    sp = sub.add_parser("frozen-compare", help="frozen-coefficient constants m(s) vs delta")
-    common(sp)
-    sp.add_argument("--stride", type=int, default=1)
-
-    sp = sub.add_parser("self-check", help="run the built-in invariant suite")
-    common(sp, spec=False)
-    sp.add_argument("--tolerance-scale", type=float, default=1.0)
-
+        for names, kwargs in flags:
+            sp.add_argument(*names, **kwargs)
+        sp.set_defaults(run=fn)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(
-        command=args.command,
-        system_path=getattr(args, "spec", None),
-        output_dir=args.output_dir,
-        seed=args.seed,
-        quadrature=args.quadrature,
-        substeps=args.substeps,
-        method=args.method,
-        coercivity_tol=args.coercivity_tol,
-    )
-    if args.command == "synthesize":
-        config.x0 = args.x0
-        config.target = args.target
-    elif args.command == "hautus":
-        config.re_bounds = (args.re_min, args.re_max)
-        config.re_points = args.re_points
-        config.im_values = tuple(args.im)
-        config.n_vectors = args.vectors
-    elif args.command == "frozen-compare":
-        config.stride = args.stride
-    elif args.command == "self-check":
-        config.tolerance_scale = args.tolerance_scale
-    return config
-
-
 def main(argv: list[str] | None = None) -> int:
+    """Parse argv, run one subcommand, write its report and CSVs; returns the exit code."""
     args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
+    out = Path(args.output_dir)
+    sys_ = None
+    if args.spec is not None:
+        try:
+            sys_ = parse_system(Path(args.spec).read_text(), quadrature=args.quadrature)
+        except SpecFormatError as exc:
+            print(f"spec validation error: {exc}", file=_sys.stderr)
+            out.mkdir(parents=True, exist_ok=True)
+            _write_json(out / "report.json", {
+                "command": "check", "valid": False, "error": str(exc),
+            })
+            return EXIT_VALIDATION
+        except OSError as exc:
+            print(f"cannot read spec: {exc}", file=_sys.stderr)
+            return EXIT_VALIDATION
+    out.mkdir(parents=True, exist_ok=True)
+    code, fields, tables = args.run(args, sys_)
+    if fields is not None:
+        report = {"command": args.command, **fields}
+        if sys_ is not None:
+            report["system"] = {
+                "n": sys_.n, "m": sys_.m, "p": sys_.p,
+                "tau": sys_.tau, "steps": sys_.grid.steps,
+                "quadrature": sys_.grid.quadrature,
+            }
+        _write_json(out / "report.json", report)
+    for name, (header, rows) in tables.items():
+        _write_csv(out / name, header, rows)
+    return code
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ minimum eigenvalue's square root is the exact-observability constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,8 +34,7 @@ class GramianResult:
     cross_residual: float | None = None
 
 
-def _finalize(W: np.ndarray, kind: str, method: str,
-              cross_residual: float | None = None) -> GramianResult:
+def _finalize(W: np.ndarray, kind: str, method: str) -> GramianResult:
     W = 0.5 * (W + W.conj().T)
     W.setflags(write=False)
     eigs = np.linalg.eigvalsh(W)
@@ -47,7 +46,6 @@ def _finalize(W: np.ndarray, kind: str, method: str,
         eigenvalues=eigs,
         lambda_min=float(eigs[0]),
         lambda_max=float(eigs[-1]),
-        cross_residual=cross_residual,
     )
 
 
@@ -98,9 +96,7 @@ def ctrl_gramian_cross(sys: LtvSystem, p: Propagator | None = None,
     quad = ctrl_gramian_quadrature(p)
     lyap = ctrl_gramian_lyapunov(sys, substeps=substeps)
     res = float(np.linalg.norm(quad.W - lyap.W))
-    quad = _finalize(np.array(quad.W), quad.kind, quad.method, cross_residual=res)
-    lyap = _finalize(np.array(lyap.W), lyap.kind, lyap.method, cross_residual=res)
-    return quad, lyap
+    return replace(quad, cross_residual=res), replace(lyap, cross_residual=res)
 
 
 def obs_gramian(p: Propagator) -> GramianResult:

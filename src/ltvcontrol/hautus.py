@@ -31,7 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from .duality import admissibility_constant
-from .gramian import obs_gramian
+from .gramian import observability_constant
 from .propagate import Propagator
 from .rng import Lcg64
 from .sysmodel import LtvSystem, TimeGrid
@@ -174,7 +174,7 @@ def hautus_sweep(sys: LtvSystem, grid: HautusGrid,
     if grid.half_plane != "right":
         raise ValueError("hautus_sweep needs Re(lambda) > 0 frequencies")
     p = propagator if propagator is not None else Propagator(sys)
-    delta = float(np.sqrt(max(obs_gramian(p).lambda_min, 0.0)))
+    delta = observability_constant(p)
     M = admissibility_constant(p)
     constant_C = sys.C.kind == "constant"
     C0 = sys.C(0.0)
@@ -248,7 +248,7 @@ def frozen_vs_ltv_report(sys: LtvSystem, propagator: Propagator | None = None,
     implication between the frozen and time-varying notions.
     """
     p = propagator if propagator is not None else Propagator(sys)
-    delta = float(np.sqrt(max(obs_gramian(p).lambda_min, 0.0)))
+    delta = observability_constant(p)
     idx = list(range(0, sys.grid.steps + 1, max(stride, 1)))
     if idx[-1] != sys.grid.steps:
         idx.append(sys.grid.steps)

@@ -19,12 +19,10 @@ from .sysmodel import ControlSignal, LtvSystem
 class Propagator:
     """Cached discretized evolution family of one LtvSystem.
 
-    Immutable after construction; all queries are pure. The optional
-    transition memo behaves as an idempotent cache under concurrent insertion.
+    Immutable after construction; all queries are pure.
     """
 
-    def __init__(self, sys: LtvSystem, method: str = "rk4", substeps: int = 4,
-                 memoize: bool = False):
+    def __init__(self, sys: LtvSystem, method: str = "rk4", substeps: int = 4):
         if method not in ("rk4", "midpoint"):
             raise ValueError(f"unknown integrator {method!r}")
         if substeps < 1:
@@ -32,7 +30,6 @@ class Propagator:
         self.sys = sys
         self.method = method
         self.substeps = substeps
-        self._memo: dict[tuple[int, int], np.ndarray] | None = {} if memoize else None
 
         nodes = sys.grid.nodes
         n = sys.n
@@ -78,15 +75,9 @@ class Propagator:
             raise ValueError("backward transition s_idx > t_idx is not defined")
         if s_idx == t_idx:
             return np.eye(self.sys.n)
-        if self._memo is not None:
-            cached = self._memo.get((s_idx, t_idx))
-            if cached is not None:
-                return cached
         out = self.step_transitions[s_idx]
         for i in range(s_idx + 1, t_idx):
             out = self.step_transitions[i] @ out
-        if self._memo is not None:
-            self._memo[(s_idx, t_idx)] = out
         return out
 
     def transitions_to_end(self) -> list[np.ndarray]:
@@ -142,35 +133,6 @@ class Propagator:
         """z(t_i) = U(tau, t_i)* z_tau, the backward adjoint solution."""
         z = np.asarray(z_tau).reshape(self.sys.n)
         return self.transitions_to_end()[t_idx].conj().T @ z
-
-    def growth_bound(self, stride: int = 1) -> tuple[float, float]:
-        """Fit ||U(t_j, t_i)||_2 <= M e^{omega (t_j - t_i)} over grid pairs.
-
-        omega is the least-squares slope of log||U|| against t_j - t_i; M is
-        then minimized so the bound holds with equality at some pair (M >= 1).
-        """
-        nodes = self.grid.nodes
-        idx = list(range(0, self.steps + 1, max(stride, 1)))
-        if idx[-1] != self.steps:
-            idx.append(self.steps)
-        dts, logs = [], []
-        for a, i in enumerate(idx):
-            acc = np.eye(self.sys.n)
-            dts.append(0.0)
-            logs.append(0.0)
-            prev = i
-            for j in idx[a + 1 :]:
-                for kk in range(prev, j):
-                    acc = self.step_transitions[kk] @ acc
-                prev = j
-                dts.append(nodes[j] - nodes[i])
-                logs.append(float(np.log(np.linalg.norm(acc, 2))))
-        dts = np.asarray(dts)
-        logs = np.asarray(logs)
-        design = np.column_stack([dts, np.ones_like(dts)])
-        (omega, _), *_ = np.linalg.lstsq(design, logs, rcond=None)
-        log_m = float(np.max(logs - omega * dts))
-        return max(float(np.exp(log_m)), 1.0), float(omega)
 
 
 def cocycle_defect(p: Propagator, i: int, j: int, k: int) -> float:

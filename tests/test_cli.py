@@ -47,6 +47,12 @@ def scalar_spec(tmp_path):
     return write_spec(tmp_path / "spec.json", [[1.0]], [[1.0]], [[1.0]])
 
 
+@pytest.fixture
+def two_state_spec(tmp_path):
+    return write_spec(tmp_path / "spec2.json", [[0.3, -0.1], [0.2, 0.4]], [[1.0], [0.5]],
+                      [[1.0, 0.0]], steps=20)
+
+
 class TestCheck:
     def test_valid_spec(self, scalar_spec, tmp_path, capsys):
         out = tmp_path / "out"
@@ -210,15 +216,38 @@ class TestDeterminism:
             outputs.append(blob)
         assert outputs[0] == outputs[1]
 
-    def test_seed_changes_hautus_vectors(self, scalar_spec, tmp_path):
+    def test_seed_changes_hautus_vectors(self, two_state_spec, tmp_path):
         docs = []
         for seed in ("1", "2"):
             out = tmp_path / f"seed{seed}"
-            main(["hautus", scalar_spec, "-o", str(out), "--vectors", "3",
-                  "--re-points", "2", "--im", "0", "--seed", seed])
+            assert main(["hautus", two_state_spec, "-o", str(out), "--vectors", "3",
+                         "--re-points", "2", "--im", "0", "--seed", seed]) == EXIT_OK
             docs.append((out / "hautus_margins.csv").read_text())
-        # scalar unit vectors only differ in sign, so compare the report body
-        assert docs[0] == docs[0]
+        assert docs[0] != docs[1]
+
+
+class TestFlagValues:
+    @pytest.mark.parametrize("command, flags", [
+        ("hautus", ["--vectors", "0"]),
+        ("hautus", ["--re-points", "0"]),
+        ("hautus", ["--re-min", "-1"]),
+        ("hautus", ["--re-max", "inf"]),
+        ("hautus", ["--re-min", "nan"]),
+        ("hautus", ["--im="]),
+        ("analyze", ["--substeps", "0"]),
+        ("frozen-compare", ["--stride", "-3"]),
+    ])
+    def test_out_of_range_value_is_a_usage_error(self, command, flags, two_state_spec,
+                                                 tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, two_state_spec, "-o", str(out), *flags])
+        assert exc.value.code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        flag = flags[0].rstrip("=")
+        assert err.splitlines()[-1].startswith(f"ltvctl {command}: error: argument {flag}")
+        assert not out.exists()
 
 
 class TestSchemaConformance:

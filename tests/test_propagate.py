@@ -31,13 +31,6 @@ class TestTransition:
         with pytest.raises(ValueError):
             p.transition(5, 2)
 
-    def test_memoized_matches_direct(self, rng):
-        sys = random_poly_system(rng, n=4, steps=30)
-        plain = Propagator(sys)
-        memo = Propagator(sys, memoize=True)
-        assert np.allclose(memo.transition(3, 20), plain.transition(3, 20), atol=1e-14)
-        assert np.array_equal(memo.transition(3, 20), memo.transition(3, 20))
-
 
 class TestCocycle:
     def test_cocycle_on_random_polynomial_systems(self, rng):
@@ -116,33 +109,3 @@ class TestAdjointState:
                 lhs = (p.transition(i, 50) @ x) @ z
                 rhs = x @ p.adjoint_state(z, i)
                 assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(z)
-
-
-class TestGrowthBound:
-    def test_zero_generator(self):
-        M, omega = Propagator(make_system([[0.0]], [[1.0]], [[1.0]], steps=50)).growth_bound()
-        assert M == pytest.approx(1.0, abs=1e-12)
-        assert omega == pytest.approx(0.0, abs=1e-12)
-
-    def test_scalar_decay_certificate(self):
-        M, omega = Propagator(scalar_system(a=1.0, steps=100)).growth_bound()
-        assert omega == pytest.approx(-1.0, abs=1e-6)
-        assert M == pytest.approx(1.0, abs=1e-6)
-
-    def test_unstable_mode_dominates(self):
-        A = np.diag([1.0, -0.5])
-        M, omega = Propagator(make_system(A, np.eye(2), np.eye(2), steps=100)).growth_bound()
-        assert omega == pytest.approx(0.5, abs=1e-3)
-
-    def test_bound_is_tight(self, rng):
-        p = Propagator(random_poly_system(rng, n=3, steps=50))
-        M, omega = p.growth_bound(stride=5)
-        nodes = p.grid.nodes
-        slack = []
-        for i in range(0, 51, 5):
-            for j in range(i, 51, 5):
-                norm = np.linalg.norm(p.transition(i, j), 2)
-                bound = M * np.exp(omega * (nodes[j] - nodes[i]))
-                assert norm <= bound * (1 + 1e-9)
-                slack.append(bound - norm)
-        assert min(slack) <= 1e-9 * M  # equality attained somewhere
