@@ -3,7 +3,6 @@ x'(t) + A(t) x(t) = B(t) u(t), y(t) = C(t) x(t) on a finite horizon."""
 
 from .duality import (
     DualityReport,
-    adjoint_identity_residual,
     admissibility_constant,
     exact_controllability_test,
     input_map,
@@ -42,7 +41,6 @@ from .synth import (
     SynthesisResult,
     min_norm_control,
     null_control,
-    verify_steering,
 )
 from .sysmodel import (
     CoeffMatrixFn,

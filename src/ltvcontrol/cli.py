@@ -2,9 +2,9 @@
 
 All numeric output is written with shortest round-trip decimal representation
 so two runs with the same config and seed produce byte-identical files.
-Exit codes: 0 success, 1 self-check failure, 2 spec validation error or a
-rejected flag value, 3 infeasibility verdict (NotControllable and friends;
-the verdict is still written).
+Exit codes: 0 success, 1 self-check failure, 2 spec validation error (an
+undecodable spec file included) or a rejected flag value, 3 infeasibility
+verdict (NotControllable and friends; the verdict is still written).
 
 Each subcommand is one entry of a command table (its flags and one function);
 ``main`` loads the spec and writes the report and CSV files for all of them.
@@ -69,7 +69,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _vector(text: str) -> list[float]:
-    return [float(v) for v in text.replace(",", " ").split()]
+    values = [float(v) for v in text.replace(",", " ").split()]
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"needs finite values, got {text!r}")
+    return values
 
 
 def _nonempty_vector(text: str) -> list[float]:
@@ -79,10 +82,10 @@ def _nonempty_vector(text: str) -> list[float]:
     return values
 
 
-def _positive(convert, what: str):
+def _checked(convert, accept, what: str):
     def parse(text: str):
         value = convert(text)
-        if not (math.isfinite(value) and value > 0):
+        if not accept(value):
             raise argparse.ArgumentTypeError(f"must be a {what}, got {text!r}")
         return value
 
@@ -90,8 +93,11 @@ def _positive(convert, what: str):
     return parse
 
 
-_positive_int = _positive(int, "positive integer")
-_positive_float = _positive(float, "finite positive number")
+_positive_int = _checked(int, lambda v: v > 0, "positive integer")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                           "finite positive number")
+_nonnegative_float = _checked(float, lambda v: math.isfinite(v) and v >= 0,
+                              "finite number >= 0")
 
 
 _COMMANDS: dict[str, tuple[str, bool, tuple, object]] = {}
@@ -99,6 +105,13 @@ _COMMANDS: dict[str, tuple[str, bool, tuple, object]] = {}
 
 def _flag(*names: str, **kwargs):
     return names, kwargs
+
+
+# flags of the commands that build a Propagator, and of those that test coercivity
+_STEPPING = (_flag("--substeps", type=_positive_int, default=4),
+             _flag("--method", choices=["rk4", "midpoint"], default="rk4"))
+_COERCIVITY = _flag("--coercivity-tol", type=_nonnegative_float,
+                    default=gramian.COERCIVITY_TOL)
 
 
 def _command(name: str, help: str, *flags, spec: bool = True):
@@ -115,7 +128,7 @@ def _check(args, sys_):
     return EXIT_OK, {"valid": True}, {}
 
 
-@_command("analyze", "duality/controllability report")
+@_command("analyze", "duality/controllability report", *_STEPPING, _COERCIVITY)
 def _analyze(args, sys_):
     p = Propagator(sys_, method=args.method, substeps=args.substeps)
     report = duality.exact_controllability_test(sys_, propagator=p, tol=args.coercivity_tol)
@@ -134,7 +147,7 @@ def _analyze(args, sys_):
     }, {}
 
 
-@_command("gramian", "Gramians by both methods")
+@_command("gramian", "Gramians by both methods", *_STEPPING)
 def _gramian(args, sys_):
     p = Propagator(sys_, method=args.method, substeps=args.substeps)
     quad, lyap = gramian.ctrl_gramian_cross(sys_, p, substeps=args.substeps)
@@ -154,7 +167,7 @@ def _gramian(args, sys_):
     }, {"gramian_eigenvalues.csv": (["index", "eigenvalue"], enumerate(quad.eigenvalues))}
 
 
-@_command("synthesize", "minimum-norm steering control",
+@_command("synthesize", "minimum-norm steering control", *_STEPPING, _COERCIVITY,
           _flag("--x0", type=_vector, default=None, help="initial state, comma separated"),
           _flag("--target", type=_vector, default=None, help="target state, comma separated"))
 def _synthesize(args, sys_):
@@ -181,7 +194,7 @@ def _synthesize(args, sys_):
     }, {"control.csv": (header, rows)}
 
 
-@_command("hautus", "non-autonomous Hautus margin sweep",
+@_command("hautus", "non-autonomous Hautus margin sweep", *_STEPPING,
           _flag("--re-min", type=_positive_float, default=0.1),
           _flag("--re-max", type=_positive_float, default=10.0),
           _flag("--re-points", type=_positive_int, default=7),
@@ -213,7 +226,7 @@ def _hautus(args, sys_):
     }, {"hautus_margins.csv": (["re_lambda", "im_lambda", "vector_index", "margin"], rows)}
 
 
-@_command("frozen-compare", "frozen-coefficient constants m(s) vs delta",
+@_command("frozen-compare", "frozen-coefficient constants m(s) vs delta", *_STEPPING,
           _flag("--stride", type=_positive_int, default=1))
 def _frozen(args, sys_):
     p = Propagator(sys_, method=args.method, substeps=args.substeps)
@@ -226,7 +239,7 @@ def _frozen(args, sys_):
 
 
 @_command("self-check", "run the built-in invariant suite",
-          _flag("--tolerance-scale", type=float, default=1.0), spec=False)
+          _flag("--tolerance-scale", type=_positive_float, default=1.0), spec=False)
 def _selfcheck(args, sys_):
     rows = selfcheck.self_check(tolerance_scale=args.tolerance_scale, seed=args.seed)
     width = max((len(f"{r.system}/{r.check}") for r in rows), default=10)
@@ -256,10 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.set_defaults(spec=None)
         sp.add_argument("-o", "--output-dir", default=".", help="report directory")
         sp.add_argument("--seed", type=int, default=1)
-        sp.add_argument("--quadrature", choices=["trapezoid", "simpson"], default=None)
-        sp.add_argument("--substeps", type=_positive_int, default=4)
-        sp.add_argument("--method", choices=["rk4", "midpoint"], default="rk4")
-        sp.add_argument("--coercivity-tol", type=float, default=gramian.COERCIVITY_TOL)
+        if spec:
+            sp.add_argument("--quadrature", choices=["trapezoid", "simpson"], default=None)
         for names, kwargs in flags:
             sp.add_argument(*names, **kwargs)
         sp.set_defaults(run=fn)
@@ -273,8 +284,9 @@ def main(argv: list[str] | None = None) -> int:
     sys_ = None
     if args.spec is not None:
         try:
-            sys_ = parse_system(Path(args.spec).read_text(), quadrature=args.quadrature)
-        except SpecFormatError as exc:
+            sys_ = parse_system(Path(args.spec).read_text(encoding="utf-8"),
+                                quadrature=args.quadrature)
+        except (SpecFormatError, UnicodeDecodeError) as exc:
             print(f"spec validation error: {exc}", file=_sys.stderr)
             out.mkdir(parents=True, exist_ok=True)
             _write_json(out / "report.json", {

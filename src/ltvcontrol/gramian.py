@@ -26,23 +26,19 @@ COERCIVITY_TOL = 1e-10
 @dataclass(frozen=True)
 class GramianResult:
     W: np.ndarray
-    kind: str                    # "controllability" | "observability"
-    method: str                  # "quadrature" | "lyapunov_ode"
     eigenvalues: np.ndarray      # ascending
     lambda_min: float
     lambda_max: float
     cross_residual: float | None = None
 
 
-def _finalize(W: np.ndarray, kind: str, method: str) -> GramianResult:
+def _finalize(W: np.ndarray) -> GramianResult:
     W = 0.5 * (W + W.conj().T)
     W.setflags(write=False)
     eigs = np.linalg.eigvalsh(W)
     eigs.setflags(write=False)
     return GramianResult(
         W=W,
-        kind=kind,
-        method=method,
         eigenvalues=eigs,
         lambda_min=float(eigs[0]),
         lambda_max=float(eigs[-1]),
@@ -61,7 +57,7 @@ def ctrl_gramian_quadrature(p: Propagator) -> GramianResult:
             continue
         UB = to_end[i] @ B(t)
         W += w[i] * (UB @ UB.T)
-    return _finalize(W, "controllability", "quadrature")
+    return _finalize(W)
 
 
 def ctrl_gramian_lyapunov(sys: LtvSystem, substeps: int = 4) -> GramianResult:
@@ -85,7 +81,7 @@ def ctrl_gramian_lyapunov(sys: LtvSystem, substeps: int = 4) -> GramianResult:
             k4 = rhs(t + h, W + h * k3)
             W = W + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             t += h
-    return _finalize(W, "controllability", "lyapunov_ode")
+    return _finalize(W)
 
 
 def ctrl_gramian_cross(sys: LtvSystem, p: Propagator | None = None,
@@ -111,7 +107,7 @@ def obs_gramian(p: Propagator) -> GramianResult:
             continue
         CU = C(t) @ from_start[i]
         Q += w[i] * (CU.T @ CU)
-    return _finalize(Q, "observability", "quadrature")
+    return _finalize(Q)
 
 
 def observability_constant(p: Propagator) -> float:

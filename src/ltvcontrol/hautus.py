@@ -39,25 +39,18 @@ from .sysmodel import LtvSystem, TimeGrid
 
 @dataclass(frozen=True)
 class HautusGrid:
-    """Complex test frequencies plus unit test vectors, in one half-plane."""
+    """Complex test frequencies with Re(lambda) > 0, plus unit test vectors."""
 
     lambdas: np.ndarray
     test_vectors: np.ndarray     # shape (count, n), unit rows
-    half_plane: str = "right"    # "right" (Re > 0) or "left" (Re < 0)
 
     def __post_init__(self):
         lambdas = np.asarray(self.lambdas, dtype=complex)
         vectors = np.asarray(self.test_vectors)
         object.__setattr__(self, "lambdas", lambdas)
         object.__setattr__(self, "test_vectors", vectors)
-        if self.half_plane == "right":
-            if not np.all(lambdas.real > 0):
-                raise ValueError("all lambdas must satisfy Re(lambda) > 0")
-        elif self.half_plane == "left":
-            if not np.all(lambdas.real < 0):
-                raise ValueError("all lambdas must satisfy Re(lambda) < 0")
-        else:
-            raise ValueError(f"unknown half_plane {self.half_plane!r}")
+        if not np.all(lambdas.real > 0):
+            raise ValueError("all lambdas must satisfy Re(lambda) > 0")
         norms = np.linalg.norm(vectors, axis=1)
         if not np.all(np.abs(norms - 1.0) <= 1e-12):
             raise ValueError("test vectors must have unit norm")
@@ -126,7 +119,7 @@ def russell_weiss_min_margin(G: np.ndarray, C: np.ndarray, s: complex,
 
 # --- non-autonomous functional ----------------------------------------------
 
-def nonautonomous_hautus_margin(sys: LtvSystem, p: Propagator, lam: complex, x,
+def nonautonomous_hautus_margin(sys: LtvSystem, lam: complex, x,
                                 delta: float, M: float) -> float:
     """Signed margin of the non-autonomous inequality at one (lambda, x).
 
@@ -171,8 +164,6 @@ def hautus_sweep(sys: LtvSystem, grid: HautusGrid,
                  propagator: Propagator | None = None) -> HautusReport:
     """Margins over all (lambda, test vector) pairs with internally computed
     delta and M; min_margin >= -1e-9 certifies the necessary condition on the grid."""
-    if grid.half_plane != "right":
-        raise ValueError("hautus_sweep needs Re(lambda) > 0 frequencies")
     p = propagator if propagator is not None else Propagator(sys)
     delta = observability_constant(p)
     M = admissibility_constant(p)

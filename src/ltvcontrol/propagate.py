@@ -29,7 +29,6 @@ class Propagator:
             raise ValueError("substeps must be >= 1")
         self.sys = sys
         self.method = method
-        self.substeps = substeps
 
         nodes = sys.grid.nodes
         n = sys.n
@@ -99,40 +98,28 @@ class Propagator:
             self._from_start = out
         return self._from_start
 
-    def propagate_state(self, x0, u: ControlSignal | None = None,
-                        t_idx: int | None = None) -> np.ndarray:
-        """Variation-of-constants state x(t_k) = U(t_k,0)x0 + int_0^{t_k} U(t_k,s)B(s)u(s) ds.
+    def propagate_state(self, x0, u: ControlSignal | None = None) -> np.ndarray:
+        """Variation-of-constants state x(tau) = U(tau,0)x0 + int_0^tau U(tau,s)B(s)u(s) ds.
 
-        The forcing integral uses the grid quadrature restricted to [0, t_k],
+        The forcing integral is the grid quadrature over the cached U(tau, t_i),
         so it is exactly consistent with the Gramian and input-map quadratures.
         """
-        N = self.steps
-        k = N if t_idx is None else t_idx
-        if not 0 <= k <= N:
-            raise IndexError(f"grid index {k} out of range 0..{N}")
         x0 = np.asarray(x0).reshape(self.sys.n)
+        to_end = self.transitions_to_end()
         if u is None:
-            return self.transitions_from_start()[k] @ x0
+            return to_end[0] @ x0
         if not np.array_equal(u.grid.nodes, self.grid.nodes):
             raise ValueError("control signal grid does not match propagator grid")
         if u.dim != self.sys.m:
             raise ValueError(f"control dimension {u.dim} != m = {self.sys.m}")
-        w = self.grid.prefix_weights(k)
+        w = self.grid.weights()
         nodes = self.grid.nodes
         B = self.sys.B
-        acc = np.eye(self.sys.n)  # U(t_k, t_i), built backward
         forced = np.zeros(self.sys.n, dtype=np.result_type(float, u.values.dtype))
-        for i in range(k, -1, -1):
+        for i in range(self.steps, -1, -1):
             if w[i] != 0.0:
-                forced += w[i] * (acc @ (B(nodes[i]) @ u.values[i]))
-            if i > 0:
-                acc = acc @ self.step_transitions[i - 1]
-        return acc @ x0 + forced
-
-    def adjoint_state(self, z_tau, t_idx: int) -> np.ndarray:
-        """z(t_i) = U(tau, t_i)* z_tau, the backward adjoint solution."""
-        z = np.asarray(z_tau).reshape(self.sys.n)
-        return self.transitions_to_end()[t_idx].conj().T @ z
+                forced += w[i] * (to_end[i] @ (B(nodes[i]) @ u.values[i]))
+        return to_end[0] @ x0 + forced
 
 
 def cocycle_defect(p: Propagator, i: int, j: int, k: int) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import adjoint_identity_residual
+from .duality import key_identity_residual
 from .gramian import ctrl_gramian_cross
 from .propagate import Propagator, cocycle_defect
 from .rng import Lcg64
@@ -81,7 +81,7 @@ def self_check(systems: list[tuple[str, LtvSystem]] | None = None,
         z = np.array([gen.normal() for _ in range(sys.n)])
         rows.append(_row(
             name, "adjoint_identity",
-            adjoint_identity_residual(p, u, z),
+            key_identity_residual(p, u, z),
             1e-8 * tolerance_scale,
         ))
 

@@ -107,7 +107,7 @@ def _assemble(p: Propagator, x0, x_tau, d, eta, gram: GramianResult) -> Synthesi
     control = input_map_adjoint(p, eta)
     cost = l2_norm(control) ** 2
     gramian_cost = float(eta @ d)
-    residual = float(np.linalg.norm(p.propagate_state(x0, control, p.steps) - x_tau))
+    residual = float(np.linalg.norm(p.propagate_state(x0, control) - x_tau))
     return SynthesisResult(
         control=control,
         target_residual=residual,
@@ -116,8 +116,3 @@ def _assemble(p: Propagator, x0, x_tau, d, eta, gram: GramianResult) -> Synthesi
         condition_estimate=_condition(gram),
     )
 
-
-def verify_steering(p: Propagator, u: ControlSignal, x0, x_target) -> float:
-    """|| x(tau; x0, u) - x_target ||."""
-    x_target = np.asarray(x_target).reshape(p.sys.n)
-    return float(np.linalg.norm(p.propagate_state(x0, u, p.steps) - x_target))

@@ -9,12 +9,14 @@ single entry point for the whole toolkit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from sys import float_info
 
 import numpy as np
 
 MAX_STATE_DIM = 64
 MAX_POLY_DEGREE = 8
+MAX_STEPS = 100_000
 
 QUADRATURE_RULES = ("trapezoid", "simpson")
 
@@ -30,7 +32,7 @@ class SpecFormatError(ValueError):
 def _as_float_array(data, field_path: str, ndim: int) -> np.ndarray:
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecFormatError(field_path, f"not a numeric array: {exc}") from None
     if arr.ndim != ndim:
         raise SpecFormatError(field_path, f"expected {ndim}-dimensional array, got shape {arr.shape}")
@@ -60,6 +62,8 @@ class TimeGrid:
             raise ValueError("grid nodes must be finite")
         if self.quadrature not in QUADRATURE_RULES:
             raise ValueError(f"unknown quadrature rule {self.quadrature!r}")
+        if self.quadrature == "simpson" and not self.is_uniform():
+            raise ValueError("Simpson quadrature requires a uniform grid")
 
     @classmethod
     def uniform(cls, tau: float, steps: int, quadrature: str = "trapezoid") -> "TimeGrid":
@@ -81,37 +85,23 @@ class TimeGrid:
 
     def weights(self) -> np.ndarray:
         """Quadrature weights over all nodes for integrals on [0, tau]."""
-        return self.prefix_weights(self.steps)
-
-    def prefix_weights(self, k: int) -> np.ndarray:
-        """Quadrature weights over nodes 0..k for integrals on [0, t_k]."""
-        if not 0 <= k <= self.steps:
-            raise IndexError(f"node index {k} out of range 0..{self.steps}")
-        if k == 0:
-            return np.zeros(1)
-        nodes = self.nodes[: k + 1]
+        nodes = self.nodes
         if self.quadrature == "trapezoid":
             return _trapezoid_weights(nodes)
-        # composite Simpson; an odd trailing interval falls back to one
-        # trapezoid panel so prefix integrals stay defined for every k
-        if not self.is_uniform():
-            raise ValueError("Simpson quadrature requires a uniform grid")
-        w = np.zeros(k + 1)
-        even_k = k if k % 2 == 0 else k - 1
-        if even_k >= 2:
-            h = nodes[1] - nodes[0]
-            w[0 : even_k + 1 : 2] += 2 * h / 3
-            w[1 : even_k : 2] += 4 * h / 3
-            w[0] -= h / 3
-            w[even_k] -= h / 3
-        if even_k != k:
-            h = nodes[k] - nodes[k - 1]
-            w[k - 1] += h / 2
-            w[k] += h / 2
+        # composite Simpson; an odd trailing interval gets one trapezoid panel
+        N = self.steps
+        even = N - N % 2
+        h = nodes[1] - nodes[0]
+        w = np.zeros(N + 1)
+        w[0 : even + 1 : 2] += 2 * h / 3
+        w[1 : even : 2] += 4 * h / 3
+        w[0] -= h / 3
+        w[even] -= h / 3
+        if even != N:
+            h = nodes[N] - nodes[N - 1]
+            w[N - 1] += h / 2
+            w[N] += h / 2
         return w
-
-    def with_quadrature(self, quadrature: str) -> "TimeGrid":
-        return TimeGrid(self.nodes, quadrature)
 
 
 def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
@@ -329,6 +319,8 @@ def parse_system(spec_text: str, quadrature: str | None = None) -> LtvSystem:
         doc = json.loads(spec_text)
     except json.JSONDecodeError as exc:
         raise SpecFormatError("$", f"malformed JSON: {exc}") from None
+    except RecursionError:
+        raise SpecFormatError("$", "malformed JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise SpecFormatError("$", "top level must be an object")
 
@@ -342,28 +334,30 @@ def parse_system(spec_text: str, quadrature: str | None = None) -> LtvSystem:
         raise SpecFormatError("n", f"state dimension capped at {MAX_STATE_DIM}")
 
     tau = doc.get("tau")
-    if not _is_number(tau, (int, float)) or not np.isfinite(tau) or tau <= 0:
+    if not _is_number(tau, (int, float)) or not 0 < tau <= float_info.max:
         raise SpecFormatError("tau", "horizon must be a finite positive number")
     steps = doc.get("steps")
     if not _is_number(steps, int) or steps < 2:
         raise SpecFormatError("steps", "must be an integer >= 2")
+    if steps > MAX_STEPS:
+        raise SpecFormatError("steps", f"capped at {MAX_STEPS}")
 
     rule = quadrature or doc.get("quadrature", "trapezoid")
     if rule not in QUADRATURE_RULES:
         raise SpecFormatError("quadrature", f"expected one of {QUADRATURE_RULES}, got {rule!r}")
 
+    nodes = None
     if "nodes" in doc:
         nodes = _as_float_array(doc["nodes"], "nodes", 1)
         if nodes.size != steps + 1:
             raise SpecFormatError("nodes", f"expected {steps + 1} nodes for steps={steps}")
-        try:
-            grid = TimeGrid(nodes, rule)
-        except ValueError as exc:
-            raise SpecFormatError("nodes", str(exc)) from None
-        if abs(grid.tau - tau) > 1e-12 * max(1.0, tau):
-            raise SpecFormatError("nodes", f"last node {grid.tau} does not match tau={tau}")
-    else:
-        grid = TimeGrid.uniform(float(tau), steps, rule)
+    try:
+        grid = (TimeGrid(nodes, rule) if nodes is not None
+                else TimeGrid.uniform(float(tau), steps, rule))
+    except ValueError as exc:
+        raise SpecFormatError("tau" if nodes is None else "nodes", str(exc)) from None
+    if abs(grid.tau - tau) > 1e-12 * max(1.0, tau):
+        raise SpecFormatError("nodes", f"last node {grid.tau} does not match tau={tau}")
 
     n, m, p = dims["n"], dims["m"], dims["p"]
     coeffs = {}

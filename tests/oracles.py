@@ -72,3 +72,18 @@ def admissibility_oracle(p) -> float:
                 acc = p.step_transitions[i] @ acc
         best = max(best, float(np.linalg.eigvalsh(0.5 * (Q + Q.T))[-1]))
     return float(np.sqrt(max(best, 0.0)))
+
+
+def propagate_state_oracle(p, x0, u) -> np.ndarray:
+    """x(tau) by a private backward product U(tau, t_i) = U(tau, t_{i+1}) Phi_i,
+    summing the quadrature of U(tau, t_i) B(t_i) u(t_i) from i = N down to 0."""
+    w = p.grid.weights()
+    nodes = p.grid.nodes
+    acc = np.eye(p.sys.n)  # U(tau, t_i), built backward
+    forced = np.zeros(p.sys.n, dtype=np.result_type(float, u.values.dtype))
+    for i in range(p.steps, -1, -1):
+        if w[i] != 0.0:
+            forced += w[i] * (acc @ (p.sys.B(nodes[i]) @ u.values[i]))
+        if i > 0:
+            acc = acc @ p.step_transitions[i - 1]
+    return acc @ np.asarray(x0).reshape(p.sys.n) + forced

@@ -86,6 +86,24 @@ class TestCheck:
         spec.write_text("{not json")
         assert main(["check", str(spec), "-o", str(tmp_path / "o")]) == EXIT_VALIDATION
 
+    def test_undecodable_spec(self, tmp_path, capsys):
+        spec = tmp_path / "utf16.json"
+        spec.write_bytes(b"\xff\xfe")
+        out = tmp_path / "out"
+        assert main(["check", str(spec), "-o", str(out)]) == EXIT_VALIDATION
+        assert load_report(out)["valid"] is False
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--quadrature", "simpson"]])
+    def test_simpson_on_nonuniform_nodes(self, tmp_path, flags):
+        extra = {"quadrature": "simpson"} if not flags else {}
+        spec = write_spec(tmp_path / "spec.json", [[1.0]], [[1.0]], [[1.0]], steps=3,
+                          nodes=[0.0, 0.1, 0.5, 1.0], **extra)
+        for command in ("check", "analyze"):
+            out = tmp_path / command
+            assert main([command, spec, "-o", str(out), *flags]) == EXIT_VALIDATION
+            assert load_report(out)["error"].startswith("nodes:")
+
 
 class TestAnalyze:
     def test_controllable_scalar(self, scalar_spec, tmp_path):
@@ -236,18 +254,39 @@ class TestFlagValues:
         ("hautus", ["--im="]),
         ("analyze", ["--substeps", "0"]),
         ("frozen-compare", ["--stride", "-3"]),
+        ("hautus", ["--im", "nan"]),
+        ("synthesize", ["--x0=nan,0"]),
+        ("synthesize", ["--target=1,inf"]),
+        ("analyze", ["--coercivity-tol", "nan"]),
+        ("synthesize", ["--coercivity-tol", "-1"]),
+        ("self-check", ["--tolerance-scale", "inf"]),
+        ("self-check", ["--tolerance-scale", "0"]),
     ])
     def test_out_of_range_value_is_a_usage_error(self, command, flags, two_state_spec,
                                                  tmp_path, capsys):
         out = tmp_path / "out"
+        spec = [] if command == "self-check" else [two_state_spec]
         with pytest.raises(SystemExit) as exc:
-            main([command, two_state_spec, "-o", str(out), *flags])
+            main([command, *spec, "-o", str(out), *flags])
         assert exc.value.code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        flag = flags[0].rstrip("=")
+        flag = flags[0].split("=")[0]
         assert err.splitlines()[-1].startswith(f"ltvctl {command}: error: argument {flag}")
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("command, flags", [
+        ("check", ["--method", "midpoint"]),
+        ("gramian", ["--coercivity-tol", "1e-3"]),
+        ("self-check", ["--quadrature", "simpson"]),
+    ])
+    def test_flag_the_command_does_not_read_is_rejected(self, command, flags, two_state_spec,
+                                                        tmp_path):
+        spec = [] if command == "self-check" else [two_state_spec]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *spec, "-o", str(tmp_path / "out"), *flags])
+        assert exc.value.code == EXIT_VALIDATION
 
 
 class TestSchemaConformance:

@@ -140,6 +140,5 @@ class TestGramianProperties:
 
 def _fake_gramian(W):
     eigs = np.linalg.eigvalsh(W)
-    return GramianResult(W=W, kind="controllability", method="quadrature",
-                         eigenvalues=eigs, lambda_min=float(eigs[0]),
+    return GramianResult(W=W, eigenvalues=eigs, lambda_min=float(eigs[0]),
                          lambda_max=float(eigs[-1]))

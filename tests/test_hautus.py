@@ -82,28 +82,24 @@ class TestRussellWeiss:
 class TestNonautonomousMargin:
     def test_zero_vector(self):
         sys = scalar_system(a=0.0)
-        p = Propagator(sys)
-        assert nonautonomous_hautus_margin(sys, p, 2.0, [0.0], 1.0, 1.0) == 0.0
+        assert nonautonomous_hautus_margin(sys, 2.0, [0.0], 1.0, 1.0) == 0.0
 
     def test_scalar_worked_value(self):
         sys = scalar_system(a=0.0, quadrature="simpson")
-        p = Propagator(sys)
-        margin = nonautonomous_hautus_margin(sys, p, 2.0, [1.0], 1.0, 1.0)
+        margin = nonautonomous_hautus_margin(sys, 2.0, [1.0], 1.0, 1.0)
         expect = 0.5 + (1 - np.exp(-2)) - 1
         assert margin == pytest.approx(expect, abs=1e-6)
 
     def test_large_lambda_asymptote(self):
         sys = scalar_system(a=0.0, steps=4000, quadrature="simpson")
-        p = Propagator(sys)
-        margin = nonautonomous_hautus_margin(sys, p, 60.0, [1.0], 1.0, 1.0)
+        margin = nonautonomous_hautus_margin(sys, 60.0, [1.0], 1.0, 1.0)
         # integral -> 1, boundary -> 0+, so margin -> M - delta = 0 from above
         assert 0 < margin < 0.1
 
     def test_left_half_plane_rejected(self):
         sys = scalar_system(a=0.0)
-        p = Propagator(sys)
         with pytest.raises(ValueError):
-            nonautonomous_hautus_margin(sys, p, -1.0, [1.0], 1.0, 1.0)
+            nonautonomous_hautus_margin(sys, -1.0, [1.0], 1.0, 1.0)
 
     def test_autonomous_collapse_of_integral(self, rng):
         # for constant A the integral term has the closed form
@@ -159,7 +155,7 @@ class TestHautusSweep:
             for k in range(3):
                 x = vecs[:, k]
                 for lam in (0.1, 1.0, 10.0, 1.0 + 1.0j):
-                    margin = nonautonomous_hautus_margin(sys, p, lam, x, delta, M)
+                    margin = nonautonomous_hautus_margin(sys, lam, x, delta, M)
                     assert margin >= -1e-9
 
     def test_witness_is_minimum(self, rng):
@@ -176,7 +172,7 @@ class TestHautusSweep:
         report = hautus_sweep(sys, grid, propagator=p)
         for a, lam in enumerate(grid.lambdas):
             for ix, x in enumerate(grid.test_vectors):
-                expect = nonautonomous_hautus_margin(sys, p, lam, x, report.delta,
+                expect = nonautonomous_hautus_margin(sys, lam, x, report.delta,
                                                      report.admissibility_M)
                 assert report.margins[a, ix] == pytest.approx(expect, rel=1e-12, abs=1e-12)
 

@@ -3,7 +3,7 @@ import pytest
 
 from ltvcontrol import CoeffMatrixFn, ControlSignal, Propagator, cocycle_defect
 from conftest import make_system, random_poly_system, scalar_system
-from oracles import expm_oracle
+from oracles import expm_oracle, propagate_state_oracle
 
 
 class TestTransition:
@@ -67,38 +67,58 @@ class TestPropagateState:
     def test_zero_everything(self):
         p = Propagator(scalar_system(a=0.0))
         u = ControlSignal.zero(p.grid, 1)
-        assert p.propagate_state([0.0], u, 200)[0] == 0.0
+        assert p.propagate_state([0.0], u)[0] == 0.0
 
     def test_integrator_of_unit_input(self):
         p = Propagator(scalar_system(a=0.0))
         u = ControlSignal(p.grid, np.ones((201, 1)))
-        assert p.propagate_state([0.0], u, 200)[0] == pytest.approx(1.0, abs=1e-8)
+        assert p.propagate_state([0.0], u)[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_homogeneous_decay(self):
         p = Propagator(scalar_system(a=1.0))
-        assert p.propagate_state([1.0], None, 200)[0] == pytest.approx(np.exp(-1), abs=1e-8)
+        assert p.propagate_state([1.0])[0] == pytest.approx(np.exp(-1), abs=1e-8)
 
     def test_grid_mismatch_rejected(self):
         p = Propagator(scalar_system(steps=100))
         other = scalar_system(steps=50)
         with pytest.raises(ValueError):
-            p.propagate_state([0.0], ControlSignal.zero(other.grid, 1), 100)
+            p.propagate_state([0.0], ControlSignal.zero(other.grid, 1))
 
-    def test_intermediate_node(self):
-        p = Propagator(scalar_system(a=0.0))
-        u = ControlSignal(p.grid, np.ones((201, 1)))
-        assert p.propagate_state([0.0], u, 100)[0] == pytest.approx(0.5, abs=1e-8)
+    @pytest.mark.parametrize("quadrature, nonuniform", [
+        ("trapezoid", False), ("trapezoid", True), ("simpson", False)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_backward_product_oracle(self, rng, quadrature, nonuniform, dtype):
+        for steps in (2, 3, 17, 60):
+            nodes = None
+            if nonuniform:
+                nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, steps))])
+                nodes /= nodes[-1]
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(1, 4))
+            A = CoeffMatrixFn.poly(rng.uniform(-0.5, 0.5, size=(3, n, n)))
+            B = CoeffMatrixFn.poly(rng.uniform(-1, 1, size=(2, n, m)))
+            sys = make_system(A, B, np.eye(n)[:1], steps=steps, quadrature=quadrature,
+                              nodes=nodes)
+            p = Propagator(sys)
+            values = rng.normal(size=(steps + 1, m))
+            if dtype is complex:
+                values = values + 1j * rng.normal(size=(steps + 1, m))
+            u = ControlSignal(p.grid, values)
+            x0 = rng.normal(size=n)
+            assert np.array_equal(p.propagate_state(x0, u), propagate_state_oracle(p, x0, u))
 
 
 class TestAdjointState:
+    """z(t_i) = U(tau, t_i)* z_tau, the backward adjoint solution."""
+
     def test_final_condition(self, rng):
         p = Propagator(random_poly_system(rng, n=3, steps=40))
         z = rng.normal(size=3)
-        assert np.allclose(p.adjoint_state(z, 40), z)
+        assert np.allclose(p.transitions_to_end()[40].T @ z, z)
 
     def test_scalar_adjoint_equals_forward(self):
         p = Propagator(scalar_system(a=1.0))
-        assert p.adjoint_state([1.0], 0)[0] == pytest.approx(np.exp(-1), abs=1e-9)
+        assert p.transitions_to_end()[0][0, 0] == pytest.approx(np.exp(-1), abs=1e-9)
 
     def test_duality_pairing(self, rng):
         p = Propagator(random_poly_system(rng, n=4, steps=50))
@@ -107,5 +127,5 @@ class TestAdjointState:
                 x = rng.normal(size=4)
                 z = rng.normal(size=4)
                 lhs = (p.transition(i, 50) @ x) @ z
-                rhs = x @ p.adjoint_state(z, i)
+                rhs = x @ (p.transitions_to_end()[i].T @ z)
                 assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(z)

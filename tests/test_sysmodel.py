@@ -2,12 +2,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ltvcontrol import (
     CoeffMatrixFn,
     ControlSignal,
+    LtvSystem,
     SpecFormatError,
     TimeGrid,
     eval_coeff,
@@ -15,7 +16,7 @@ from ltvcontrol import (
     parse_system,
     serialize_system,
 )
-from conftest import make_system
+from ltvcontrol.sysmodel import MAX_STEPS
 from oracles import poly_eval_naive
 
 MINIMAL_SPEC = json.dumps({
@@ -24,6 +25,22 @@ MINIMAL_SPEC = json.dumps({
     "B": {"kind": "constant", "data": [[1.0]]},
     "C": {"kind": "constant", "data": [[1.0]]},
 })
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=20,
+)
+COEFFS = st.fixed_dictionaries({
+    "kind": st.sampled_from(["constant", "poly", "samples"]) | JSON_VALUES,
+    "data": JSON_VALUES,
+})
+# the minimal spec with up to four of its fields replaced by arbitrary values
+SPEC_DOCS = st.dictionaries(
+    st.sampled_from(["n", "m", "p", "tau", "steps", "quadrature", "nodes", "A", "B", "C"]),
+    JSON_VALUES | COEFFS, max_size=4,
+).map(lambda fields: {**json.loads(MINIMAL_SPEC), **fields})
 
 
 class TestTimeGrid:
@@ -53,9 +70,8 @@ class TestTimeGrid:
         assert abs(g.weights() @ t**3 - 0.25) < 1e-14
 
     def test_simpson_rejects_nonuniform(self):
-        g = TimeGrid(np.array([0.0, 0.3, 1.0]), "simpson")
-        with pytest.raises(ValueError):
-            g.weights()
+        with pytest.raises(ValueError, match="uniform"):
+            TimeGrid(np.array([0.0, 0.3, 1.0]), "simpson")
 
 
 class TestCoeffMatrixFn:
@@ -174,6 +190,43 @@ class TestParseSystem:
     def test_malformed_document(self):
         with pytest.raises(SpecFormatError):
             parse_system("{not json")
+
+    def test_steps_capped_before_allocation(self):
+        doc = json.loads(MINIMAL_SPEC)
+        doc["steps"] = 10**13
+        with pytest.raises(SpecFormatError) as exc:
+            parse_system(json.dumps(doc))
+        assert exc.value.field_path == "steps"
+        doc["steps"] = MAX_STEPS
+        assert parse_system(json.dumps(doc)).grid.steps == MAX_STEPS
+
+    def test_deep_nesting(self):
+        with pytest.raises(SpecFormatError) as exc:
+            parse_system("[" * 100000 + "]" * 100000)
+        assert exc.value.field_path == "$"
+
+    @pytest.mark.parametrize("from_flag", [False, True])
+    def test_simpson_on_nonuniform_nodes(self, from_flag):
+        doc = json.loads(MINIMAL_SPEC)
+        doc["steps"] = 3
+        doc["nodes"] = [0.0, 0.1, 0.5, 1.0]
+        if not from_flag:
+            doc["quadrature"] = "simpson"
+        with pytest.raises(SpecFormatError) as exc:
+            parse_system(json.dumps(doc), quadrature="simpson" if from_flag else None)
+        assert exc.value.field_path == "nodes"
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(max_size=40) | JSON_VALUES.map(json.dumps) | SPEC_DOCS.map(json.dumps))
+    @example(text=MINIMAL_SPEC.replace('"tau": 1.0', '"tau": 1' + "0" * 400))
+    @example(text=MINIMAL_SPEC.replace('"tau": 1.0', '"tau": 5e-324'))
+    @example(text=MINIMAL_SPEC.replace("[[0.0]]", "[[1" + "0" * 400 + "]]"))
+    def test_any_text_parses_or_raises_spec_error(self, text):
+        try:
+            sys = parse_system(text)
+        except SpecFormatError:
+            return
+        assert isinstance(sys, LtvSystem)
 
     def test_nonuniform_nodes(self):
         doc = json.loads(MINIMAL_SPEC)
