@@ -33,7 +33,7 @@ from .hautus import (
     russell_weiss_margin,
     russell_weiss_min_margin,
 )
-from .propagate import Propagator, cocycle_defect
+from .propagate import NumericalRangeError, Propagator, cocycle_defect
 from .rng import Lcg64
 from .synth import (
     NotControllableError,

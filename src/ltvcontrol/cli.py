@@ -4,7 +4,9 @@ All numeric output is written with shortest round-trip decimal representation
 so two runs with the same config and seed produce byte-identical files.
 Exit codes: 0 success, 1 self-check failure, 2 spec validation error (an
 undecodable spec file included) or a rejected flag value, 3 infeasibility
-verdict (NotControllable and friends; the verdict is still written).
+verdict (NotControllable and friends; the verdict is still written), 4 a
+computed matrix overflowed (verdict "numerically_invalid"; no numbers are
+reported).
 
 Each subcommand is one entry of a command table (its flags and one function);
 ``main`` loads the spec and writes the report and CSV files for all of them.
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import duality, gramian, hautus, selfcheck, synth
-from .propagate import Propagator
+from .propagate import NumericalRangeError, Propagator
 from .sysmodel import SpecFormatError, parse_system
 
 SCHEMA_VERSION = 1
@@ -30,6 +32,7 @@ EXIT_OK = 0
 EXIT_SELFCHECK = 1
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
+EXIT_NUMERICAL = 4
 
 
 def _fmt(x: float) -> str:
@@ -290,14 +293,19 @@ def main(argv: list[str] | None = None) -> int:
             print(f"spec validation error: {exc}", file=_sys.stderr)
             out.mkdir(parents=True, exist_ok=True)
             _write_json(out / "report.json", {
-                "command": "check", "valid": False, "error": str(exc),
+                "command": args.command, "valid": False, "error": str(exc),
             })
             return EXIT_VALIDATION
         except OSError as exc:
             print(f"cannot read spec: {exc}", file=_sys.stderr)
             return EXIT_VALIDATION
     out.mkdir(parents=True, exist_ok=True)
-    code, fields, tables = args.run(args, sys_)
+    try:
+        code, fields, tables = args.run(args, sys_)
+    except NumericalRangeError as exc:
+        print(f"numerically invalid: {exc}", file=_sys.stderr)
+        code, fields, tables = EXIT_NUMERICAL, {
+            "verdict": "numerically_invalid", "error": str(exc)}, {}
     if fields is not None:
         report = {"command": args.command, **fields}
         if sys_ is not None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gramian import COERCIVITY_TOL, coercivity_check, ctrl_gramian_quadrature
-from .propagate import Propagator
+from .propagate import Propagator, require_finite
 from .sysmodel import ControlSignal, LtvSystem, l2_inner
 
 RANGE_INCLUSION_TOL = 1e-8
@@ -43,10 +43,10 @@ def input_map_adjoint(p: Propagator, z) -> ControlSignal:
     z = np.asarray(z).reshape(p.sys.n)
     nodes = p.grid.nodes
     to_end = p.transitions_to_end()
-    B = p.sys.B
+    B = p.sys.B(nodes)
     values = np.empty((nodes.size, p.sys.m), dtype=np.result_type(float, z.dtype))
-    for i, t in enumerate(nodes):
-        values[i] = B(t).T @ (to_end[i].conj().T @ z)
+    for i in range(nodes.size):
+        values[i] = B[i].T @ (to_end[i].conj().T @ z)
     return ControlSignal(p.grid, values)
 
 
@@ -75,18 +75,17 @@ def admissibility_constant(p: Propagator) -> float:
         Q_s = (d_s/2) C_s* C_s + Phi_s* (Q_{s+1} + (d_s/2) C_{s+1}* C_{s+1}) Phi_s.
     """
     nodes = p.grid.nodes
-    C = p.sys.C
+    C = p.sys.C(nodes)
     Q = np.zeros((p.sys.n, p.sys.n))
-    C_next = C(nodes[-1])
-    CtC_next = C_next.T @ C_next
+    CtC_next = C[-1].T @ C[-1]
     best = 0.0
     for s in range(p.steps - 1, -1, -1):
         half = (nodes[s + 1] - nodes[s]) / 2
-        Cs = C(nodes[s])
-        CtC = Cs.T @ Cs
+        CtC = C[s].T @ C[s]
         phi = p.step_transitions[s]
         Q = half * CtC + phi.T @ (Q + half * CtC_next) @ phi
         Q = 0.5 * (Q + Q.T)
+        require_finite(Q, "a windowed observability Gramian")
         best = max(best, float(np.linalg.eigvalsh(Q)[-1]))
         CtC_next = CtC
     return float(np.sqrt(max(best, 0.0)))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .propagate import Propagator
+from .propagate import Propagator, batches, require_finite, substep_times
 from .sysmodel import LtvSystem
 
 COERCIVITY_TOL = 1e-10
@@ -33,6 +33,7 @@ class GramianResult:
 
 
 def _finalize(W: np.ndarray) -> GramianResult:
+    require_finite(W, "the Gramian")
     W = 0.5 * (W + W.conj().T)
     W.setflags(write=False)
     eigs = np.linalg.eigvalsh(W)
@@ -50,37 +51,49 @@ def ctrl_gramian_quadrature(p: Propagator) -> GramianResult:
     grid = p.grid
     w = grid.weights()
     to_end = p.transitions_to_end()
-    B = p.sys.B
+    B = p.sys.B(grid.nodes)
     W = np.zeros((p.sys.n, p.sys.n))
-    for i, t in enumerate(grid.nodes):
+    for i in range(grid.nodes.size):
         if w[i] == 0.0:
             continue
-        UB = to_end[i] @ B(t)
+        UB = to_end[i] @ B[i]
         W += w[i] * (UB @ UB.T)
     return _finalize(W)
 
 
 def ctrl_gramian_lyapunov(sys: LtvSystem, substeps: int = 4) -> GramianResult:
-    """W(tau) from RK4 integration of the differential Lyapunov equation."""
-    A, B = sys.A, sys.B
+    """W(tau) from RK4 integration of the differential Lyapunov equation.
 
-    def rhs(t: float, W: np.ndarray) -> np.ndarray:
-        At = A(t)
-        Bt = B(t)
-        return -At @ W - W @ At.T + Bt @ Bt.T
-
-    W = np.zeros((sys.n, sys.n))
+    The integration is sequential; only the coefficients are sampled ahead,
+    -A and B B* at every stage time of a chunk of intervals in one call each.
+    """
+    n = sys.n
     nodes = sys.grid.nodes
-    for i in range(nodes.size - 1):
-        h = (nodes[i + 1] - nodes[i]) / substeps
-        t = nodes[i]
-        for _ in range(substeps):
-            k1 = rhs(t, W)
-            k2 = rhs(t + h / 2, W + (h / 2) * k1)
-            k3 = rhs(t + h / 2, W + (h / 2) * k2)
-            k4 = rhs(t + h, W + h * k3)
-            W = W + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
+    W = np.zeros((n, n))
+    for chunk in batches(nodes.size - 1, 3 * substeps * n * n):
+        span = nodes[chunk.start:chunk.stop + 1]
+        # stage times t, t + h/2, t + h ordered by interval, then substep, then stage
+        stages = [x for t, h in substep_times(span, substeps) for x in (t, t + h / 2, t + h)]
+        times = np.stack(stages, axis=1).reshape(-1)
+        negA = -sys.A(times)
+        Bs = sys.B(times)
+        BBT = Bs @ Bs.transpose(0, 2, 1)
+        # -A W - W A* equals negA W + W negA* bit for bit: negation is exact
+        s = 0
+        for h in (span[1:] - span[:-1]) / substeps:
+            for _ in range(substeps):
+                a, q = negA[s], BBT[s]
+                k1 = a @ W + W @ a.T + q
+                a, q = negA[s + 1], BBT[s + 1]
+                V = W + (h / 2) * k1
+                k2 = a @ V + V @ a.T + q
+                V = W + (h / 2) * k2
+                k3 = a @ V + V @ a.T + q
+                a, q = negA[s + 2], BBT[s + 2]
+                V = W + h * k3
+                k4 = a @ V + V @ a.T + q
+                W = W + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+                s += 3
     return _finalize(W)
 
 
@@ -100,12 +113,12 @@ def obs_gramian(p: Propagator) -> GramianResult:
     grid = p.grid
     w = grid.weights()
     from_start = p.transitions_from_start()
-    C = p.sys.C
+    C = p.sys.C(grid.nodes)
     Q = np.zeros((p.sys.n, p.sys.n))
-    for i, t in enumerate(grid.nodes):
+    for i in range(grid.nodes.size):
         if w[i] == 0.0:
             continue
-        CU = C(t) @ from_start[i]
+        CU = C[i] @ from_start[i]
         Q += w[i] * (CU.T @ CU)
     return _finalize(Q)
 

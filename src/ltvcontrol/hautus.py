@@ -32,7 +32,7 @@ import scipy.linalg
 
 from .duality import admissibility_constant
 from .gramian import observability_constant
-from .propagate import Propagator
+from .propagate import Propagator, batches, require_finite
 from .rng import Lcg64
 from .sysmodel import LtvSystem, TimeGrid
 
@@ -143,20 +143,19 @@ def _hautus_integral(sys: LtvSystem, lam, X: np.ndarray) -> np.ndarray:
     """Columnwise quadrature of int_0^tau ||(lambda I + A(s)) x|| e^{-Re(lambda) s} ds.
 
     lam is one frequency (result shape (columns,)) or an array of them
-    (result shape (lambdas, columns)); A(s) X is formed once per node and
-    shared by every lambda.
+    (result shape (lambdas, columns)); A(s) X is formed once per chunk of
+    nodes and shared by every lambda.
     """
     lams = np.atleast_1d(np.asarray(lam, dtype=complex))
     nodes = sys.grid.nodes
     w = sys.grid.weights()
     out = np.zeros((lams.size, X.shape[1]))
-    for i, t in enumerate(nodes):
-        if w[i] == 0.0:
-            continue
+    for chunk in batches(nodes.size, X.size):
+        t = nodes[chunk]
         AX = sys.A(t) @ X
         for a, lam_a in enumerate(lams):
-            shifted = lam_a * X + AX
-            out[a] += w[i] * np.exp(-lam_a.real * t) * np.linalg.norm(shifted, axis=0)
+            weights = w[chunk] * np.exp(-lam_a.real * t)
+            out[a] += weights @ np.linalg.norm(lam_a * X + AX, axis=1)
     return out.reshape(np.shape(lam) + (X.shape[1],))
 
 
@@ -211,6 +210,7 @@ def _frozen_gramian(A0: np.ndarray, C0: np.ndarray, grid: TimeGrid) -> np.ndarra
                 continue
             CU = C0 @ scipy.linalg.expm(-A0 * t)
             Q += w[i] * (CU.T @ CU)
+    require_finite(Q, "the frozen observability Gramian")
     return 0.5 * (Q + Q.T)
 
 

@@ -6,7 +6,9 @@ z'(t) = A(t)* z(t), z(tau) = z_tau.
 
 Per-interval step matrices Phi_i ~ U(t_{i+1}, t_i) are integrated once with
 RK4 (default, 4 substeps per interval) or the explicit midpoint rule;
-arbitrary transitions are on-demand products of the cached steps.
+arbitrary transitions are on-demand products of the cached steps. Every
+interval starts from the identity, so the steps are integrated together on
+stacks of intervals, with A sampled once per substep for the whole stack.
 """
 
 from __future__ import annotations
@@ -14,6 +16,41 @@ from __future__ import annotations
 import numpy as np
 
 from .sysmodel import ControlSignal, LtvSystem
+
+# float64 entries in one batched stack of matrices (256 kB); bounds the memory
+# of every chunked loop whatever the state dimension
+STACK_ELEMENTS = 2**15
+
+
+class NumericalRangeError(ArithmeticError):
+    """A computed matrix left the floating-point range (inf or nan); no verdict is possible."""
+
+
+def batches(count: int, item_size: int) -> list[slice]:
+    """Consecutive slices of range(count), each of at most STACK_ELEMENTS // item_size
+    items (at least one), for stacks whose items hold item_size entries each."""
+    size = max(1, STACK_ELEMENTS // item_size)
+    return [slice(a, min(a + size, count)) for a in range(0, count, size)]
+
+
+def substep_times(nodes: np.ndarray, substeps: int):
+    """Yield (t, h) for each substep of the intervals between consecutive nodes.
+
+    t and h are arrays over the intervals; h = (t_{i+1} - t_i) / substeps and t
+    advances by t + h, exactly as a per-interval loop forms them, so stage times
+    t + h/2 and t + h are bit-identical to that loop's.
+    """
+    h = (nodes[1:] - nodes[:-1]) / substeps
+    t = nodes[:-1]
+    for _ in range(substeps):
+        yield t, h
+        t = t + h
+
+
+def require_finite(M: np.ndarray, what: str) -> None:
+    """Raise NumericalRangeError, naming what M is, unless every entry is finite."""
+    if not np.all(np.isfinite(M)):
+        raise NumericalRangeError(f"{what} is not finite: the computation overflowed")
 
 
 class Propagator:
@@ -32,30 +69,30 @@ class Propagator:
 
         nodes = sys.grid.nodes
         n = sys.n
-        steps = []
-        for i in range(nodes.size - 1):
-            phi = np.eye(n)
-            h = (nodes[i + 1] - nodes[i]) / substeps
-            t = nodes[i]
-            for _ in range(substeps):
+        steps = np.empty((nodes.size - 1, n, n))
+        for chunk in batches(steps.shape[0], n * n):
+            phi = np.broadcast_to(np.eye(n), (chunk.stop - chunk.start, n, n))
+            for t, h in substep_times(nodes[chunk.start:chunk.stop + 1], substeps):
                 phi = self._step(phi, t, h)
-                t += h
-            steps.append(phi)
+            require_finite(phi, "a step matrix")
+            steps[chunk] = phi
+        steps.setflags(write=False)
         self.step_transitions = steps
         self._to_end: list[np.ndarray] | None = None
         self._from_start: list[np.ndarray] | None = None
 
-    def _step(self, phi: np.ndarray, t: float, h: float) -> np.ndarray:
+    def _step(self, phi: np.ndarray, t: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """One substep from times t of length h for a (K, n, n) stack of intervals."""
         A = self.sys.A
-        if self.method == "midpoint":
-            k1 = -A(t) @ phi
-            k2 = -A(t + h / 2) @ (phi + (h / 2) * k1)
-            return phi + h * k2
+        hk = h[:, None, None]
         k1 = -A(t) @ phi
-        k2 = -A(t + h / 2) @ (phi + (h / 2) * k1)
-        k3 = -A(t + h / 2) @ (phi + (h / 2) * k2)
-        k4 = -A(t + h) @ (phi + h * k3)
-        return phi + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        a2 = -A(t + h / 2)
+        k2 = a2 @ (phi + (hk / 2) * k1)
+        if self.method == "midpoint":
+            return phi + hk * k2
+        k3 = a2 @ (phi + (hk / 2) * k2)
+        k4 = -A(t + h) @ (phi + hk * k3)
+        return phi + (hk / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     @property
     def grid(self):
@@ -86,6 +123,7 @@ class Propagator:
             out = [np.eye(self.sys.n)] * (N + 1)
             for i in range(N - 1, -1, -1):
                 out[i] = out[i + 1] @ self.step_transitions[i]
+            require_finite(out[0], "U(tau, 0)")
             self._to_end = out
         return self._to_end
 
@@ -95,6 +133,7 @@ class Propagator:
             out = [np.eye(self.sys.n)]
             for phi in self.step_transitions:
                 out.append(phi @ out[-1])
+            require_finite(out[-1], "U(tau, 0)")
             self._from_start = out
         return self._from_start
 
@@ -113,12 +152,11 @@ class Propagator:
         if u.dim != self.sys.m:
             raise ValueError(f"control dimension {u.dim} != m = {self.sys.m}")
         w = self.grid.weights()
-        nodes = self.grid.nodes
-        B = self.sys.B
+        B = self.sys.B(self.grid.nodes)
         forced = np.zeros(self.sys.n, dtype=np.result_type(float, u.values.dtype))
         for i in range(self.steps, -1, -1):
             if w[i] != 0.0:
-                forced += w[i] * (to_end[i] @ (B(nodes[i]) @ u.values[i]))
+                forced += w[i] * (to_end[i] @ (B[i] @ u.values[i]))
         return to_end[0] @ x0 + forced
 
 

@@ -79,9 +79,10 @@ class TimeGrid:
     def steps(self) -> int:
         return self.nodes.size - 1
 
-    def is_uniform(self, rtol: float = 1e-12) -> bool:
+    def is_uniform(self) -> bool:
+        """Equal gaps up to 1e-12 of the horizon (roundoff of np.linspace grids)."""
         d = np.diff(self.nodes)
-        return bool(np.all(np.abs(d - d[0]) <= rtol * d[0]))
+        return bool(np.all(np.abs(d - d[0]) <= 1e-12 * self.tau))
 
     def weights(self) -> np.ndarray:
         """Quadrature weights over all nodes for integrals on [0, tau]."""
@@ -168,32 +169,44 @@ class CoeffMatrixFn:
     def cols(self) -> int:
         return self.data.shape[-1]
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t) -> np.ndarray:
         return eval_coeff(self, t)
 
     def with_tau(self, tau: float) -> "CoeffMatrixFn":
         return CoeffMatrixFn(self.kind, self.data, grid=self.grid, tau=tau)
 
 
-def eval_coeff(f: CoeffMatrixFn, t: float) -> np.ndarray:
-    """Evaluate a coefficient function at time t in [0, tau]."""
-    t = float(t)
-    if f.tau is not None and not (-1e-12 <= t <= f.tau * (1 + 1e-12) + 1e-12):
-        raise ValueError(f"time {t} outside [0, {f.tau}]")
+def eval_coeff(f: CoeffMatrixFn, t) -> np.ndarray:
+    """Evaluate a coefficient function at a time t in [0, tau].
+
+    For a 1-d array of K times the result is a (K, rows, cols) stack whose
+    k-th matrix is bit-identical to the value at t[k] alone; a constant
+    coefficient gives a read-only broadcast view of its data.
+    """
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError("times must be a scalar or a 1-d array")
+    ts = times.reshape(-1)
+    if f.tau is not None:
+        outside = ~((ts >= -1e-12) & (ts <= f.tau * (1 + 1e-12) + 1e-12))
+        if np.any(outside):
+            raise ValueError(f"time {float(ts[outside][0])} outside [0, {f.tau}]")
+    shape = (ts.size,) + f.data.shape[-2:]
     if f.kind == "constant":
-        return f.data
-    if f.kind == "poly":
+        out = np.broadcast_to(f.data, shape)
+    elif f.kind == "poly":
         # Horner in t with matrix coefficients
-        out = np.array(f.data[-1])
+        tk = ts[:, None, None]
+        out = np.broadcast_to(f.data[-1], shape)
         for coeff in f.data[-2::-1]:
-            out = out * t + coeff
-        return out
-    nodes = f.grid.nodes
-    j = int(np.searchsorted(nodes, t, side="right"))
-    j = min(max(j, 1), nodes.size - 1)
-    t0, t1 = nodes[j - 1], nodes[j]
-    theta = (t - t0) / (t1 - t0)
-    return (1 - theta) * f.data[j - 1] + theta * f.data[j]
+            out = out * tk + coeff
+    else:
+        nodes = f.grid.nodes
+        j = np.clip(np.searchsorted(nodes, ts, side="right"), 1, nodes.size - 1)
+        t0, t1 = nodes[j - 1], nodes[j]
+        theta = ((ts - t0) / (t1 - t0))[:, None, None]
+        out = (1 - theta) * f.data[j - 1] + theta * f.data[j]
+    return out if times.ndim else out[0]
 
 
 @dataclass(frozen=True)

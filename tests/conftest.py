@@ -43,3 +43,31 @@ def random_poly_system(rng, n=None, degree=None, m=None, p=None, steps=200,
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# (n, steps) for the batched-integration oracle tests: a partial last chunk of
+# 2**15 // n**2 intervals runs at n = 20 and n = 64
+BATCH_SIZES = [(1, 37), (3, 50), (20, 170), (64, 21)]
+
+
+def kind_system(rng, n, kind, steps, nonuniform=False):
+    """Random system with m = 2 whose A and B are both of one coefficient kind
+    (constant, poly of degree 2, or samples on the grid), on uniform or
+    random non-uniform nodes over [0, 1]."""
+    grid = TimeGrid.uniform(1.0, steps)
+    if nonuniform:
+        gaps = rng.uniform(0.5, 1.5, size=steps)
+        nodes = np.concatenate([[0.0], np.cumsum(gaps) / gaps.sum()])
+        nodes[-1] = 1.0
+        grid = TimeGrid(nodes)
+    s = 1 / np.sqrt(n)
+
+    def coeff(rows, cols):
+        if kind == "constant":
+            return CoeffMatrixFn.constant(rng.normal(scale=s, size=(rows, cols)))
+        if kind == "poly":
+            return CoeffMatrixFn.poly(rng.normal(scale=s, size=(3, rows, cols)))
+        return CoeffMatrixFn.samples(rng.normal(scale=s, size=(steps + 1, rows, cols)), grid)
+
+    return LtvSystem(n=n, m=2, p=1, A=coeff(n, n), B=coeff(n, 2),
+                     C=CoeffMatrixFn.constant(np.eye(n)[:1]), grid=grid)

@@ -87,3 +87,74 @@ def propagate_state_oracle(p, x0, u) -> np.ndarray:
         if i > 0:
             acc = acc @ p.step_transitions[i - 1]
     return acc @ np.asarray(x0).reshape(p.sys.n) + forced
+
+
+def eval_coeff_oracle(f, t: float) -> np.ndarray:
+    """A coefficient function at one time, evaluated as a scalar: Horner for
+    poly, one searchsorted and one interpolation weight for samples."""
+    t = float(t)
+    if f.kind == "constant":
+        return f.data
+    if f.kind == "poly":
+        out = np.array(f.data[-1])
+        for coeff in f.data[-2::-1]:
+            out = out * t + coeff
+        return out
+    nodes = f.grid.nodes
+    j = int(np.searchsorted(nodes, t, side="right"))
+    j = min(max(j, 1), nodes.size - 1)
+    t0, t1 = nodes[j - 1], nodes[j]
+    theta = (t - t0) / (t1 - t0)
+    return (1 - theta) * f.data[j - 1] + theta * f.data[j]
+
+
+def step_transitions_oracle(sys, method: str = "rk4", substeps: int = 4) -> list:
+    """Phi_i ~ U(t_{i+1}, t_i) integrated one interval and one stage at a time."""
+    def A(t):
+        return eval_coeff_oracle(sys.A, t)
+
+    def step(phi, t, h):
+        if method == "midpoint":
+            k1 = -A(t) @ phi
+            k2 = -A(t + h / 2) @ (phi + (h / 2) * k1)
+            return phi + h * k2
+        k1 = -A(t) @ phi
+        k2 = -A(t + h / 2) @ (phi + (h / 2) * k1)
+        k3 = -A(t + h / 2) @ (phi + (h / 2) * k2)
+        k4 = -A(t + h) @ (phi + h * k3)
+        return phi + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    nodes = sys.grid.nodes
+    steps = []
+    for i in range(nodes.size - 1):
+        phi = np.eye(sys.n)
+        h = (nodes[i + 1] - nodes[i]) / substeps
+        t = nodes[i]
+        for _ in range(substeps):
+            phi = step(phi, t, h)
+            t += h
+        steps.append(phi)
+    return steps
+
+
+def lyapunov_oracle(sys, substeps: int = 4) -> np.ndarray:
+    """Symmetrized W(tau) of W' = -A W - W A* + B B*, W(0) = 0, by RK4 with A and
+    B evaluated at each stage time."""
+    def rhs(t, W):
+        At = eval_coeff_oracle(sys.A, t)
+        Bt = eval_coeff_oracle(sys.B, t)
+        return -At @ W - W @ At.T + Bt @ Bt.T
+
+    W = np.zeros((sys.n, sys.n))
+    nodes = sys.grid.nodes
+    for i in range(nodes.size - 1):
+        h = (nodes[i + 1] - nodes[i]) / substeps
+        t = nodes[i]
+        for _ in range(substeps):
+            k1 = rhs(t, W)
+            k2 = rhs(t + h / 2, W + (h / 2) * k1)
+            k3 = rhs(t + h / 2, W + (h / 2) * k2)
+            k4 = rhs(t + h, W + h * k3)
+            W = W + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += h
+    return 0.5 * (W + W.T)

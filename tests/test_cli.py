@@ -6,6 +6,7 @@ import pytest
 
 from ltvcontrol.cli import (
     EXIT_INFEASIBLE,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_SELFCHECK,
     EXIT_VALIDATION,
@@ -102,7 +103,28 @@ class TestCheck:
         for command in ("check", "analyze"):
             out = tmp_path / command
             assert main([command, spec, "-o", str(out), *flags]) == EXIT_VALIDATION
-            assert load_report(out)["error"].startswith("nodes:")
+            doc = load_report(out)
+            assert doc["error"].startswith("nodes:")
+            assert doc["command"] == command
+
+
+class TestNumericallyInvalid:
+    """A = diag(-900, 1) on 50 steps overflows U(tau, 0); no command reports a number."""
+
+    @pytest.mark.parametrize("command", ["analyze", "gramian", "synthesize", "hautus",
+                                         "frozen-compare"])
+    def test_overflow_is_refused(self, command, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.json", np.diag([-900.0, 1.0]), [[1.0], [1.0]],
+                          [[1.0, 1.0]], steps=50)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([command, spec, "-o", str(out)]) == EXIT_NUMERICAL
+        doc = load_report(out)
+        assert doc["command"] == command
+        assert doc["verdict"] == "numerically_invalid"
+        assert "nan" not in capsys.readouterr().out.lower()
+        assert "nan" not in (out / "report.json").read_text().lower()
+        assert [f.name for f in out.iterdir()] == ["report.json"]
 
 
 class TestAnalyze:

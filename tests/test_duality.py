@@ -6,6 +6,7 @@ import pytest
 from ltvcontrol import (
     CoeffMatrixFn,
     ControlSignal,
+    NumericalRangeError,
     Propagator,
     admissibility_constant,
     ctrl_gramian_quadrature,
@@ -214,6 +215,14 @@ class TestAdmissibility:
                 p = Propagator(sys)
                 expect = admissibility_oracle(p)
                 assert admissibility_constant(p) == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+    def test_overflow_is_refused(self):
+        p = Propagator(make_system(np.diag([-900.0, 1.0]), [[1.0], [1.0]], [[1.0, 1.0]],
+                                   steps=50))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalRangeError, match="windowed"):
+                admissibility_constant(p)
 
 
 class TestNullControllability:

@@ -3,6 +3,7 @@ import pytest
 
 from ltvcontrol import (
     GramianResult,
+    NumericalRangeError,
     Propagator,
     coercivity_check,
     ctrl_gramian_cross,
@@ -10,7 +11,8 @@ from ltvcontrol import (
     ctrl_gramian_quadrature,
     obs_gramian,
 )
-from conftest import make_system, random_poly_system, scalar_system
+from conftest import BATCH_SIZES, kind_system, make_system, random_poly_system, scalar_system
+from oracles import lyapunov_oracle
 
 
 def scalar_gramian_closed_form(a, tau=1.0):
@@ -52,6 +54,21 @@ class TestLyapunovGramian:
     def test_scalar_decay_closed_form(self):
         g = ctrl_gramian_lyapunov(scalar_system(a=1.0))
         assert g.W[0, 0] == pytest.approx(scalar_gramian_closed_form(1.0), abs=1e-8)
+
+    @pytest.mark.parametrize("n, steps", BATCH_SIZES)
+    @pytest.mark.parametrize("kind", ["constant", "poly", "samples"])
+    @pytest.mark.parametrize("nonuniform", [False, True])
+    @pytest.mark.parametrize("substeps", [1, 4])
+    def test_matches_per_stage_oracle_bitwise(self, rng, n, steps, kind, nonuniform, substeps):
+        sys = kind_system(rng, n, kind, steps, nonuniform)
+        W = ctrl_gramian_lyapunov(sys, substeps=substeps).W
+        assert np.array_equal(W, lyapunov_oracle(sys, substeps))
+
+    def test_overflow_is_refused(self):
+        sys = make_system(np.diag([-900.0, 1.0]), [[1.0], [1.0]], [[1.0, 1.0]], steps=50)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalRangeError, match="Gramian"):
+                ctrl_gramian_lyapunov(sys)
 
     def test_method_agreement(self, rng):
         for _ in range(20):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ltvcontrol import (
     CoeffMatrixFn,
     HautusGrid,
+    NumericalRangeError,
     Propagator,
     averaging_identity_residual,
     default_hautus_grid,
@@ -199,6 +200,14 @@ class TestFrozenConstants:
     def test_out_of_range_s0(self):
         with pytest.raises(ValueError):
             frozen_observability_constant(scalar_system(), 2.0)
+
+    @pytest.mark.parametrize("nodes", [None, np.linspace(0.0, 1.0, 51) ** 2])
+    def test_overflow_is_refused(self, nodes):
+        sys = make_system(np.diag([-900.0, 1.0]), [[1.0], [1.0]], [[1.0, 1.0]], steps=50,
+                          nodes=nodes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalRangeError, match="frozen"):
+                frozen_observability_constant(sys, 0.0)
 
     def test_autonomous_frozen_equals_ltv(self, rng):
         A = rng.normal(size=(2, 2)) * 0.5

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
-from ltvcontrol import CoeffMatrixFn, ControlSignal, Propagator, cocycle_defect
-from conftest import make_system, random_poly_system, scalar_system
-from oracles import expm_oracle, propagate_state_oracle
+from ltvcontrol import (
+    CoeffMatrixFn,
+    ControlSignal,
+    NumericalRangeError,
+    Propagator,
+    cocycle_defect,
+    ctrl_gramian_lyapunov,
+    sysmodel,
+)
+from ltvcontrol.propagate import STACK_ELEMENTS
+from conftest import BATCH_SIZES, kind_system, make_system, random_poly_system, scalar_system
+from oracles import expm_oracle, propagate_state_oracle, step_transitions_oracle
 
 
 class TestTransition:
@@ -30,6 +39,57 @@ class TestTransition:
         p = Propagator(scalar_system())
         with pytest.raises(ValueError):
             p.transition(5, 2)
+
+
+class TestBatchedStepBuild:
+    @pytest.mark.parametrize("n, steps", BATCH_SIZES)
+    @pytest.mark.parametrize("kind", ["constant", "poly", "samples"])
+    @pytest.mark.parametrize("nonuniform", [False, True])
+    @pytest.mark.parametrize("method", ["rk4", "midpoint"])
+    @pytest.mark.parametrize("substeps", [1, 4])
+    def test_matches_per_interval_oracle_bitwise(self, rng, n, steps, kind, nonuniform,
+                                                 method, substeps):
+        sys = kind_system(rng, n, kind, steps, nonuniform)
+        p = Propagator(sys, method=method, substeps=substeps)
+        expect = step_transitions_oracle(sys, method, substeps)
+        assert len(p.step_transitions) == steps
+        assert all(np.array_equal(p.step_transitions[i], expect[i]) for i in range(steps))
+
+    def test_coefficients_sampled_per_chunk_not_per_stage(self, rng, monkeypatch):
+        calls = []
+        original = sysmodel.eval_coeff
+
+        def counting(f, t):
+            calls.append(np.size(t))
+            return original(f, t)
+
+        monkeypatch.setattr(sysmodel, "eval_coeff", counting)
+        n, steps, substeps = 4, 2000, 4
+        sys = kind_system(rng, n, "poly", steps)
+        Propagator(sys, substeps=substeps)
+        ctrl_gramian_lyapunov(sys, substeps=substeps)
+        # per stack: one call per RK4 stage time of each substep in the step build,
+        # one for A and one for B in the Lyapunov loop
+        step_chunks = -(-steps // (STACK_ELEMENTS // n**2))
+        lyap_chunks = -(-steps // (STACK_ELEMENTS // (3 * substeps * n**2)))
+        assert len(calls) == 3 * substeps * step_chunks + 2 * lyap_chunks
+        assert len(calls) < steps  # the per-stage loops made 12 calls per substep of each interval
+
+
+class TestNumericalRange:
+    def test_overflowing_step_matrix_is_refused(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalRangeError, match="step matrix"):
+                Propagator(scalar_system(a=-1e300))
+
+    def test_overflowing_transitions_are_refused(self):
+        p = Propagator(make_system(np.diag([-900.0, 1.0]), [[1.0], [1.0]], [[1.0, 1.0]],
+                                   steps=50))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalRangeError):
+                p.transitions_to_end()
+            with pytest.raises(NumericalRangeError):
+                p.transitions_from_start()
 
 
 class TestCocycle:

@@ -17,7 +17,7 @@ from ltvcontrol import (
     serialize_system,
 )
 from ltvcontrol.sysmodel import MAX_STEPS
-from oracles import poly_eval_naive
+from oracles import eval_coeff_oracle, poly_eval_naive
 
 MINIMAL_SPEC = json.dumps({
     "n": 1, "m": 1, "p": 1, "tau": 1.0, "steps": 100,
@@ -73,6 +73,16 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="uniform"):
             TimeGrid(np.array([0.0, 0.3, 1.0]), "simpson")
 
+    @pytest.mark.parametrize("tau", [1.0, 3.7, 1e-3, 123.456])
+    @pytest.mark.parametrize("steps", [10_000, MAX_STEPS])
+    def test_fine_linspace_grids_are_uniform(self, tau, steps):
+        assert TimeGrid.uniform(tau, steps).is_uniform()
+
+    def test_simpson_spec_with_many_steps_parses(self):
+        doc = json.loads(MINIMAL_SPEC)
+        doc.update(steps=20_000, quadrature="simpson")
+        assert parse_system(json.dumps(doc)).grid.quadrature == "simpson"
+
 
 class TestCoeffMatrixFn:
     def test_constant(self):
@@ -97,6 +107,29 @@ class TestCoeffMatrixFn:
             eval_coeff(f, 1.5)
         with pytest.raises(ValueError):
             eval_coeff(f, -0.1)
+
+    @pytest.mark.parametrize("kind", ["constant", "poly", "samples"])
+    def test_array_times_match_scalar_oracle_bitwise(self, rng, kind):
+        grid = TimeGrid(np.concatenate([[0.0], np.sort(rng.uniform(0, 2.0, 9)), [2.0]]))
+        data = {"constant": rng.normal(size=(3, 2)),
+                "poly": rng.normal(size=(4, 3, 2)),
+                "samples": rng.normal(size=(grid.steps + 1, 3, 2))}[kind]
+        f = CoeffMatrixFn(kind, data, grid=grid if kind == "samples" else None, tau=grid.tau)
+        between = (grid.nodes[1:] + grid.nodes[:-1]) / 2
+        times = np.concatenate([grid.nodes, between, rng.uniform(0, 2.0, 7),
+                                [grid.tau * (1 + 1e-12)]])
+        stack = eval_coeff(f, times)
+        assert stack.shape == (times.size, 3, 2)
+        expect = np.array([eval_coeff_oracle(f, t) for t in times])
+        assert np.array_equal(stack, expect)
+        assert all(np.array_equal(eval_coeff(f, t), e) for t, e in zip(times, expect))
+
+    def test_array_times_out_of_domain(self):
+        f = CoeffMatrixFn.constant([[1.0]], tau=1.0)
+        with pytest.raises(ValueError, match="outside"):
+            eval_coeff(f, np.array([0.0, 0.5, 1.5]))
+        with pytest.raises(ValueError):
+            eval_coeff(f, np.zeros((2, 2)))
 
     def test_degree_cap(self):
         with pytest.raises(ValueError):
