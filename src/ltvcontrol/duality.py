@@ -39,15 +39,14 @@ def input_map(p: Propagator, u: ControlSignal) -> np.ndarray:
 
 
 def input_map_adjoint(p: Propagator, z) -> ControlSignal:
-    """The signal t_i -> B(t_i)* U(tau, t_i)* z."""
+    """The signal t_i -> B(t_i)* z_i of the adjoint state z_i = U(tau, t_i)* z,
+    swept backward by z_i = Phi_i* z_{i+1} from z_N = z."""
     z = np.asarray(z).reshape(p.sys.n)
-    nodes = p.grid.nodes
-    to_end = p.transitions_to_end()
-    B = p.sys.B(nodes)
-    values = np.empty((nodes.size, p.sys.m), dtype=np.result_type(float, z.dtype))
-    for i in range(nodes.size):
-        values[i] = B[i].T @ (to_end[i].conj().T @ z)
-    return ControlSignal(p.grid, values)
+    Z = np.empty((p.steps + 1, p.sys.n), dtype=np.result_type(float, z.dtype))
+    Z[-1] = z
+    for i in range(p.steps - 1, -1, -1):
+        Z[i] = p.step_transitions[i].T @ Z[i + 1]
+    return ControlSignal(p.grid, np.einsum("ijk,ij->ik", p.sys.B(p.grid.nodes), Z))
 
 
 def key_identity_residual(p: Propagator, u: ControlSignal, z_tau) -> float:
@@ -102,7 +101,7 @@ def null_controllability_test(p: Propagator, rank_tol: float = COERCIVITY_TOL,
     verdicts report c = +inf.
     """
     W = ctrl_gramian_quadrature(p).W
-    return _range_inclusion(W, p.transitions_to_end()[0], rank_tol, inclusion_tol)
+    return _range_inclusion(W, p.transition(0, p.steps), rank_tol, inclusion_tol)
 
 
 def _range_inclusion(W: np.ndarray, K: np.ndarray, rank_tol: float,
@@ -134,7 +133,7 @@ def exact_controllability_test(sys: LtvSystem, propagator: Propagator | None = N
     controllable, lam_min = coercivity_check(gram, tol)
     delta = float(np.sqrt(max(lam_min, 0.0)))
     adm = admissibility_constant(p)
-    null_ok, c = _range_inclusion(gram.W, p.transitions_to_end()[0], tol, RANGE_INCLUSION_TOL)
+    null_ok, c = _range_inclusion(gram.W, p.transition(0, p.steps), tol, RANGE_INCLUSION_TOL)
     return DualityReport(
         controllable=controllable,
         lambda_min_W=lam_min,

@@ -47,17 +47,15 @@ def _finalize(W: np.ndarray) -> GramianResult:
 
 
 def ctrl_gramian_quadrature(p: Propagator) -> GramianResult:
-    """W_tau by grid quadrature of U(tau,s) B(s) B(s)* U(tau,s)*."""
-    grid = p.grid
-    w = grid.weights()
-    to_end = p.transitions_to_end()
-    B = p.sys.B(grid.nodes)
+    """W_tau by grid quadrature of U(tau,s) B(s) B(s)* U(tau,s)*, summed from s = tau to 0."""
+    w = p.grid.weights()
+    B = p.sys.B(p.grid.nodes)
     W = np.zeros((p.sys.n, p.sys.n))
-    for i in range(grid.nodes.size):
-        if w[i] == 0.0:
-            continue
-        UB = to_end[i] @ B[i]
-        W += w[i] * (UB @ UB.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, U in p.transitions_to_end():
+            if w[i] != 0.0:
+                UB = U @ B[i]
+                W += w[i] * (UB @ UB.T)
     return _finalize(W)
 
 
@@ -109,17 +107,15 @@ def ctrl_gramian_cross(sys: LtvSystem, p: Propagator | None = None,
 
 
 def obs_gramian(p: Propagator) -> GramianResult:
-    """Q_tau by grid quadrature of U(t,0)* C(t)* C(t) U(t,0)."""
-    grid = p.grid
-    w = grid.weights()
-    from_start = p.transitions_from_start()
-    C = p.sys.C(grid.nodes)
+    """Q_tau by grid quadrature of U(t,0)* C(t)* C(t) U(t,0) over one stream of U(t_i, 0)."""
+    w = p.grid.weights()
+    C = p.sys.C(p.grid.nodes)
     Q = np.zeros((p.sys.n, p.sys.n))
-    for i in range(grid.nodes.size):
-        if w[i] == 0.0:
-            continue
-        CU = C[i] @ from_start[i]
-        Q += w[i] * (CU.T @ CU)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, U in enumerate(p.transitions_from_start()):
+            if w[i] != 0.0:
+                CU = C[i] @ U
+                Q += w[i] * (CU.T @ CU)
     return _finalize(Q)
 
 

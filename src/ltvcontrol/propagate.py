@@ -5,10 +5,10 @@ so z(t) = U(tau, t)* z_tau solves the adjoint final-value problem
 z'(t) = A(t)* z(t), z(tau) = z_tau.
 
 Per-interval step matrices Phi_i ~ U(t_{i+1}, t_i) are integrated once with
-RK4 (default, 4 substeps per interval) or the explicit midpoint rule;
-arbitrary transitions are on-demand products of the cached steps. Every
-interval starts from the identity, so the steps are integrated together on
-stacks of intervals, with A sampled once per substep for the whole stack.
+RK4 (default, 4 substeps per interval) or the explicit midpoint rule, on
+stacks of intervals with A sampled once per substep for the whole stack. They
+are all that is stored: transitions are products of them formed on demand,
+singly or streamed node by node, so a pass holds O(n^2) beyond the steps.
 """
 
 from __future__ import annotations
@@ -48,13 +48,19 @@ def substep_times(nodes: np.ndarray, substeps: int):
 
 
 def require_finite(M: np.ndarray, what: str) -> None:
-    """Raise NumericalRangeError, naming what M is, unless every entry is finite."""
+    """Raise NumericalRangeError, naming what M is, unless every entry is finite.
+
+    The step build and the Gramian quadratures call this under
+    np.errstate(over="ignore", invalid="ignore"): it reports their overflow,
+    and numpy's warnings would only repeat it. Hot loops of tiny products run
+    without it, because a non-default errstate adds a cost to every numpy call.
+    """
     if not np.all(np.isfinite(M)):
         raise NumericalRangeError(f"{what} is not finite: the computation overflowed")
 
 
 class Propagator:
-    """Cached discretized evolution family of one LtvSystem.
+    """Discretized evolution family of one LtvSystem, held as its step matrices.
 
     Immutable after construction; all queries are pure.
     """
@@ -70,16 +76,15 @@ class Propagator:
         nodes = sys.grid.nodes
         n = sys.n
         steps = np.empty((nodes.size - 1, n, n))
-        for chunk in batches(steps.shape[0], n * n):
-            phi = np.broadcast_to(np.eye(n), (chunk.stop - chunk.start, n, n))
-            for t, h in substep_times(nodes[chunk.start:chunk.stop + 1], substeps):
-                phi = self._step(phi, t, h)
-            require_finite(phi, "a step matrix")
-            steps[chunk] = phi
+        with np.errstate(over="ignore", invalid="ignore"):
+            for chunk in batches(steps.shape[0], n * n):
+                phi = np.broadcast_to(np.eye(n), (chunk.stop - chunk.start, n, n))
+                for t, h in substep_times(nodes[chunk.start:chunk.stop + 1], substeps):
+                    phi = self._step(phi, t, h)
+                require_finite(phi, "a step matrix")
+                steps[chunk] = phi
         steps.setflags(write=False)
         self.step_transitions = steps
-        self._to_end: list[np.ndarray] | None = None
-        self._from_start: list[np.ndarray] | None = None
 
     def _step(self, phi: np.ndarray, t: np.ndarray, h: np.ndarray) -> np.ndarray:
         """One substep from times t of length h for a (K, n, n) stack of intervals."""
@@ -116,48 +121,47 @@ class Propagator:
             out = self.step_transitions[i] @ out
         return out
 
-    def transitions_to_end(self) -> list[np.ndarray]:
-        """[U(tau, t_i) for every node i], computed by one backward recursion."""
-        if self._to_end is None:
-            N = self.steps
-            out = [np.eye(self.sys.n)] * (N + 1)
-            for i in range(N - 1, -1, -1):
-                out[i] = out[i + 1] @ self.step_transitions[i]
-            require_finite(out[0], "U(tau, 0)")
-            self._to_end = out
-        return self._to_end
+    def transitions_to_end(self):
+        """Yield (i, U(tau, t_i)) for i = N down to 0 by U <- U Phi_i; raises
+        NumericalRangeError in place of a non-finite U(tau, 0)."""
+        U = np.eye(self.sys.n)
+        yield self.steps, U
+        for i in range(self.steps - 1, -1, -1):
+            U = U @ self.step_transitions[i]
+            if i == 0:
+                require_finite(U, "U(tau, 0)")
+            yield i, U
 
-    def transitions_from_start(self) -> list[np.ndarray]:
-        """[U(t_i, 0) for every node i], computed by one forward recursion."""
-        if self._from_start is None:
-            out = [np.eye(self.sys.n)]
-            for phi in self.step_transitions:
-                out.append(phi @ out[-1])
-            require_finite(out[-1], "U(tau, 0)")
-            self._from_start = out
-        return self._from_start
+    def transitions_from_start(self):
+        """Yield U(t_i, 0) for i = 0 up to N by U <- Phi_i U; raises
+        NumericalRangeError in place of a non-finite U(tau, 0)."""
+        U = np.eye(self.sys.n)
+        yield U
+        for i, phi in enumerate(self.step_transitions, 1):
+            U = phi @ U
+            if i == self.steps:
+                require_finite(U, "U(tau, 0)")
+            yield U
 
     def propagate_state(self, x0, u: ControlSignal | None = None) -> np.ndarray:
         """Variation-of-constants state x(tau) = U(tau,0)x0 + int_0^tau U(tau,s)B(s)u(s) ds.
 
-        The forcing integral is the grid quadrature over the cached U(tau, t_i),
-        so it is exactly consistent with the Gramian and input-map quadratures.
+        The forcing integral is the grid quadrature, summed by the forward sweep
+        x <- Phi_i x + w_{i+1} B(t_{i+1}) u(t_{i+1}) from x = x0 + w_0 B(t_0) u(t_0).
         """
-        x0 = np.asarray(x0).reshape(self.sys.n)
-        to_end = self.transitions_to_end()
-        if u is None:
-            return to_end[0] @ x0
-        if not np.array_equal(u.grid.nodes, self.grid.nodes):
-            raise ValueError("control signal grid does not match propagator grid")
-        if u.dim != self.sys.m:
-            raise ValueError(f"control dimension {u.dim} != m = {self.sys.m}")
-        w = self.grid.weights()
-        B = self.sys.B(self.grid.nodes)
-        forced = np.zeros(self.sys.n, dtype=np.result_type(float, u.values.dtype))
-        for i in range(self.steps, -1, -1):
-            if w[i] != 0.0:
-                forced += w[i] * (to_end[i] @ (B[i] @ u.values[i]))
-        return to_end[0] @ x0 + forced
+        x = np.asarray(x0).reshape(self.sys.n)
+        forcing = np.zeros((self.steps + 1, 1))
+        if u is not None:
+            if not np.array_equal(u.grid.nodes, self.grid.nodes):
+                raise ValueError("control signal grid does not match propagator grid")
+            if u.dim != self.sys.m:
+                raise ValueError(f"control dimension {u.dim} != m = {self.sys.m}")
+            B = self.sys.B(self.grid.nodes)
+            forcing = np.einsum("i,ijk,ik->ij", self.grid.weights(), B, u.values)
+        x = x + forcing[0]
+        for phi, f in zip(self.step_transitions, forcing[1:]):
+            x = phi @ x + f
+        return x
 
 
 def cocycle_defect(p: Propagator, i: int, j: int, k: int) -> float:

@@ -57,14 +57,11 @@ def reference_systems() -> list[tuple[str, LtvSystem]]:
     return [("scalar_decay", scalar), ("rotation_2d", rotation), ("ramp_3d", ramp)]
 
 
-def self_check(systems: list[tuple[str, LtvSystem]] | None = None,
-               tolerance_scale: float = 1.0, seed: int = 7) -> list[CheckRow]:
-    """Run the invariant suite; returns one row per (system, check)."""
-    if systems is None:
-        systems = reference_systems()
+def self_check(tolerance_scale: float = 1.0, seed: int = 7) -> list[CheckRow]:
+    """Run the invariant suite on the reference systems; one row per (system, check)."""
     gen = Lcg64(seed)
     rows: list[CheckRow] = []
-    for name, sys in systems:
+    for name, sys in reference_systems():
         p = Propagator(sys)
         N = p.steps
 

@@ -77,7 +77,7 @@ def min_norm_control(p: Propagator, x0, x_tau,
     x0 = np.asarray(x0, dtype=float).reshape(p.sys.n)
     x_tau = np.asarray(x_tau, dtype=float).reshape(p.sys.n)
     gram = ctrl_gramian_quadrature(p)
-    d = x_tau - p.transitions_to_end()[0] @ x0
+    d = x_tau - p.propagate_state(x0)
     eta = _solve_gramian(gram, d, rank_tol)
     return _assemble(p, x0, x_tau, d, eta, gram)
 
@@ -90,10 +90,10 @@ def null_control(p: Propagator, x0, rank_tol: float = COERCIVITY_TOL) -> Synthes
     """
     x0 = np.asarray(x0, dtype=float).reshape(p.sys.n)
     gram = ctrl_gramian_quadrature(p)
-    K = p.transitions_to_end()[0]  # U(tau, 0)
-    d = -(K @ x0)
+    d = -p.propagate_state(x0)
     coercive, _ = coercivity_check(gram, rank_tol)
     if not coercive:
+        K = p.transition(0, p.steps)  # U(tau, 0)
         feasible, _ = _range_inclusion(gram.W, K, rank_tol, RANGE_INCLUSION_TOL)
         if not feasible:
             raise NotNullControllableError(

@@ -195,11 +195,12 @@ def eval_coeff(f: CoeffMatrixFn, t) -> np.ndarray:
     if f.kind == "constant":
         out = np.broadcast_to(f.data, shape)
     elif f.kind == "poly":
-        # Horner in t with matrix coefficients
+        # Horner in t with matrix coefficients, in place on one stack
         tk = ts[:, None, None]
-        out = np.broadcast_to(f.data[-1], shape)
+        out = np.full(shape, f.data[-1])
         for coeff in f.data[-2::-1]:
-            out = out * tk + coeff
+            out *= tk
+            out += coeff
     else:
         nodes = f.grid.nodes
         j = np.clip(np.searchsorted(nodes, ts, side="right"), 1, nodes.size - 1)

@@ -89,6 +89,54 @@ def propagate_state_oracle(p, x0, u) -> np.ndarray:
     return acc @ np.asarray(x0).reshape(p.sys.n) + forced
 
 
+def transitions_to_end_oracle(p) -> list:
+    """[U(tau, t_i) for every node i], stored, by U(tau, t_i) = U(tau, t_{i+1}) Phi_i."""
+    out = [np.eye(p.sys.n)] * (p.steps + 1)
+    for i in range(p.steps - 1, -1, -1):
+        out[i] = out[i + 1] @ p.step_transitions[i]
+    return out
+
+
+def transitions_from_start_oracle(p) -> list:
+    """[U(t_i, 0) for every node i], stored, by U(t_{i+1}, 0) = Phi_i U(t_i, 0)."""
+    out = [np.eye(p.sys.n)]
+    for phi in p.step_transitions:
+        out.append(phi @ out[-1])
+    return out
+
+
+def ctrl_gramian_oracle(p) -> np.ndarray:
+    """Symmetrized W_tau = sum_i w_i U(tau, t_i) B_i B_i* U(tau, t_i)*, summed for
+    i = 0 up to N over the stored U(tau, t_i) list."""
+    w = p.grid.weights()
+    to_end = transitions_to_end_oracle(p)
+    W = np.zeros((p.sys.n, p.sys.n))
+    for i, t in enumerate(p.grid.nodes):
+        if w[i] != 0.0:
+            UB = to_end[i] @ p.sys.B(t)
+            W += w[i] * (UB @ UB.T)
+    return 0.5 * (W + W.T)
+
+
+def obs_gramian_oracle(p) -> np.ndarray:
+    """Symmetrized Q_tau = sum_i w_i U(t_i, 0)* C_i* C_i U(t_i, 0) over the stored
+    U(t_i, 0) list."""
+    w = p.grid.weights()
+    from_start = transitions_from_start_oracle(p)
+    Q = np.zeros((p.sys.n, p.sys.n))
+    for i, t in enumerate(p.grid.nodes):
+        if w[i] != 0.0:
+            CU = p.sys.C(t) @ from_start[i]
+            Q += w[i] * (CU.T @ CU)
+    return 0.5 * (Q + Q.T)
+
+
+def input_map_adjoint_oracle(p, z) -> np.ndarray:
+    """Psi_tau* z at every node, B(t_i)* (U(tau, t_i)* z) over the stored list."""
+    to_end = transitions_to_end_oracle(p)
+    return np.array([p.sys.B(t).T @ (to_end[i].T @ z) for i, t in enumerate(p.grid.nodes)])
+
+
 def eval_coeff_oracle(f, t: float) -> np.ndarray:
     """A coefficient function at one time, evaluated as a scalar: Horner for
     poly, one searchsorted and one interpolation weight for samples."""

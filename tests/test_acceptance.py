@@ -157,7 +157,7 @@ def test_criterion_5_null_controllability():
     p = Propagator(random_poly_system(rng, n=4, m=4, steps=80))
     feasible, c = null_controllability_test(p)
     ok &= feasible
-    K = p.transitions_to_end()[0]
+    K = p.transition(0, p.steps)
     for _ in range(100):
         z = rng.normal(size=4)
         ok &= np.linalg.norm(K.T @ z) <= (c + 1e-8) * l2_norm(input_map_adjoint(p, z))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import jsonschema
 import numpy as np
@@ -108,21 +109,30 @@ class TestCheck:
             assert doc["command"] == command
 
 
-class TestNumericallyInvalid:
-    """A = diag(-900, 1) on 50 steps overflows U(tau, 0); no command reports a number."""
+NUMERIC_COMMANDS = ["analyze", "gramian", "synthesize", "hautus", "frozen-compare"]
 
-    @pytest.mark.parametrize("command", ["analyze", "gramian", "synthesize", "hautus",
-                                         "frozen-compare"])
+
+class TestNumericallyInvalid:
+    """A = diag(-900, 1) on 50 steps overflows U(tau, 0); no command reports a number,
+    and the refusal is the only line on stderr."""
+
+    @pytest.mark.parametrize("command", NUMERIC_COMMANDS)
     def test_overflow_is_refused(self, command, tmp_path, capsys):
         spec = write_spec(tmp_path / "spec.json", np.diag([-900.0, 1.0]), [[1.0], [1.0]],
                           [[1.0, 1.0]], steps=50)
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
+        # numpy's floating-point warnings reach stderr through the warnings module
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main([command, spec, "-o", str(out)]) == EXIT_NUMERICAL
+        assert [str(w.message) for w in caught] == []
         doc = load_report(out)
         assert doc["command"] == command
         assert doc["verdict"] == "numerically_invalid"
-        assert "nan" not in capsys.readouterr().out.lower()
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "numerically invalid: U(tau, 0) is not finite: the computation overflowed"]
+        assert "nan" not in captured.out.lower()
         assert "nan" not in (out / "report.json").read_text().lower()
         assert [f.name for f in out.iterdir()] == ["report.json"]
 

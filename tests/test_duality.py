@@ -251,7 +251,7 @@ class TestNullControllability:
         feasible, c = null_controllability_test(p)
         if not feasible:
             pytest.skip("random draw not null controllable")
-        K = p.transitions_to_end()[0]
+        K = p.transition(0, p.steps)
         W = ctrl_gramian_quadrature(p).W
         for _ in range(100):
             z = rng.normal(size=4)

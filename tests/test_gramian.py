@@ -123,12 +123,11 @@ class TestGramianProperties:
         W = ctrl_gramian_quadrature(p).W
         w = p.grid.weights()
         nodes = p.grid.nodes
-        to_end = p.transitions_to_end()
         for _ in range(100):
             z = rng.normal(size=4)
             quad = sum(
-                w[i] * np.linalg.norm(sys.B(t).T @ (to_end[i].T @ z)) ** 2
-                for i, t in enumerate(nodes)
+                w[i] * np.linalg.norm(sys.B(nodes[i]).T @ (U.T @ z)) ** 2
+                for i, U in p.transitions_to_end()
             )
             assert abs(z @ W @ z - quad) <= 1e-8 * (z @ z)
 

@@ -87,9 +87,9 @@ class TestNumericalRange:
                                    steps=50))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalRangeError):
-                p.transitions_to_end()
+                list(p.transitions_to_end())
             with pytest.raises(NumericalRangeError):
-                p.transitions_from_start()
+                list(p.transitions_from_start())
 
 
 class TestCocycle:
@@ -165,7 +165,10 @@ class TestPropagateState:
                 values = values + 1j * rng.normal(size=(steps + 1, m))
             u = ControlSignal(p.grid, values)
             x0 = rng.normal(size=n)
-            assert np.array_equal(p.propagate_state(x0, u), propagate_state_oracle(p, x0, u))
+            # the sweep runs forward and the oracle backward: equal up to summation order
+            expect = propagate_state_oracle(p, x0, u)
+            assert np.linalg.norm(p.propagate_state(x0, u) - expect) \
+                <= 1e-12 * np.linalg.norm(expect)
 
 
 class TestAdjointState:
@@ -174,18 +177,24 @@ class TestAdjointState:
     def test_final_condition(self, rng):
         p = Propagator(random_poly_system(rng, n=3, steps=40))
         z = rng.normal(size=3)
-        assert np.allclose(p.transitions_to_end()[40].T @ z, z)
+        i, U = next(p.transitions_to_end())
+        assert i == 40
+        assert np.allclose(U.T @ z, z)
 
     def test_scalar_adjoint_equals_forward(self):
         p = Propagator(scalar_system(a=1.0))
-        assert p.transitions_to_end()[0][0, 0] == pytest.approx(np.exp(-1), abs=1e-9)
+        *_, (i, U) = p.transitions_to_end()
+        assert i == 0
+        assert U[0, 0] == pytest.approx(np.exp(-1), abs=1e-9)
 
     def test_duality_pairing(self, rng):
         p = Propagator(random_poly_system(rng, n=4, steps=50))
-        for i in range(0, 51, 10):
+        for i, U in p.transitions_to_end():
+            if i % 10:
+                continue
             for _ in range(20):
                 x = rng.normal(size=4)
                 z = rng.normal(size=4)
                 lhs = (p.transition(i, 50) @ x) @ z
-                rhs = x @ (p.transitions_to_end()[i].T @ z)
+                rhs = x @ (U.T @ z)
                 assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(z)
