@@ -190,18 +190,19 @@ def hautus_sweep(sys: LtvSystem, grid: HautusGrid,
 # --- frozen-parameter comparison ---------------------------------------------
 
 def _frozen_gramian(A0: np.ndarray, C0: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """int_0^tau e^{-A0* t} C0* C0 e^{-A0 t} dt by the grid's quadrature."""
+    """int_0^tau e^{-A0* t} C0* C0 e^{-A0 t} dt by the grid's quadrature, for each
+    matrix of the (S, n, n) and (S, p, n) stacks A0 and C0."""
     nodes = grid.nodes
     w = grid.weights()
-    n = A0.shape[0]
-    Q = np.zeros((n, n))
+    S, n = A0.shape[:2]
+    Q = np.zeros((S, n, n))
     if grid.is_uniform():
         E = scipy.linalg.expm(-A0 * (nodes[1] - nodes[0]))
-        P = np.eye(n)
+        P = np.broadcast_to(np.eye(n), (S, n, n))
         for i in range(nodes.size):
             if w[i] != 0.0:
                 CU = C0 @ P
-                Q += w[i] * (CU.T @ CU)
+                Q += w[i] * (CU.mT @ CU)
             if i < nodes.size - 1:
                 P = E @ P
     else:
@@ -209,18 +210,32 @@ def _frozen_gramian(A0: np.ndarray, C0: np.ndarray, grid: TimeGrid) -> np.ndarra
             if w[i] == 0.0:
                 continue
             CU = C0 @ scipy.linalg.expm(-A0 * t)
-            Q += w[i] * (CU.T @ CU)
+            Q += w[i] * (CU.mT @ CU)
     require_finite(Q, "the frozen observability Gramian")
-    return 0.5 * (Q + Q.T)
+    return 0.5 * (Q + Q.mT)
 
 
-def frozen_observability_constant(sys: LtvSystem, s0: float) -> float:
+def frozen_observability_constant(sys: LtvSystem, s0: float | np.ndarray) -> float | np.ndarray:
     """m(s0) = sqrt(lambda_min) of the frozen-coefficient observability Gramian
-    at time s0; independent of s0 for autonomous systems."""
-    if not 0 <= s0 <= sys.tau * (1 + 1e-12):
-        raise ValueError(f"s0 = {s0} outside [0, {sys.tau}]")
-    Q = _frozen_gramian(sys.A(s0), sys.C(s0), sys.grid)
-    return float(np.sqrt(max(np.linalg.eigvalsh(Q)[0], 0.0)))
+    at time s0; independent of s0 for autonomous systems.
+
+    s0 is one time (the result is a float) or an array of times (the result is
+    an array of the same shape). All of them are computed in stacks of
+    batches(S, n*n) values of s0, each value bit-identical to its own call.
+    """
+    s = np.asarray(s0, dtype=float)
+    times = s.reshape(-1)
+    outside = ~((times >= 0) & (times <= sys.tau * (1 + 1e-12)))
+    if np.any(outside):
+        raise ValueError(f"s0 = {times[outside][0]} outside [0, {sys.tau}]")
+    m = np.empty(times.size)
+    # overflow is refused by require_finite; numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for chunk in batches(times.size, sys.n * sys.n):
+            t = times[chunk]
+            lam = np.linalg.eigvalsh(_frozen_gramian(sys.A(t), sys.C(t), sys.grid))[:, 0]
+            m[chunk] = np.sqrt(np.where(lam < 0.0, 0.0, lam))
+    return float(m[0]) if s.ndim == 0 else m.reshape(s.shape)
 
 
 @dataclass(frozen=True)
@@ -238,13 +253,15 @@ def frozen_vs_ltv_report(sys: LtvSystem, propagator: Propagator | None = None,
     Observational only: positivity of both is reported, never asserted as an
     implication between the frozen and time-varying notions.
     """
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
     p = propagator if propagator is not None else Propagator(sys)
     delta = observability_constant(p)
-    idx = list(range(0, sys.grid.steps + 1, max(stride, 1)))
+    idx = list(range(0, sys.grid.steps + 1, stride))
     if idx[-1] != sys.grid.steps:
         idx.append(sys.grid.steps)
     s_values = sys.grid.nodes[idx]
-    m_values = np.array([frozen_observability_constant(sys, s) for s in s_values])
+    m_values = frozen_observability_constant(sys, s_values)
     return FrozenComparison(
         s_values=s_values,
         m_values=m_values,

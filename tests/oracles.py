@@ -8,6 +8,7 @@ is the classical finite-dimensional controllability criterion.
 import math
 
 import numpy as np
+import scipy.linalg
 
 
 def expm_oracle(A: np.ndarray, terms: int = 24) -> np.ndarray:
@@ -72,6 +73,35 @@ def admissibility_oracle(p) -> float:
                 acc = p.step_transitions[i] @ acc
         best = max(best, float(np.linalg.eigvalsh(0.5 * (Q + Q.T))[-1]))
     return float(np.sqrt(max(best, 0.0)))
+
+
+def frozen_constant_oracle(sys, s0: float) -> float:
+    """m(s0) from one frozen Gramian int_0^tau e^{-A0* t} C0* C0 e^{-A0 t} dt, A0 =
+    A(s0) and C0 = C(s0), built by its own loop over the nodes.
+
+    This is the bit-identity reference of the batched library pass, so it uses
+    scipy's expm: on a uniform grid P <- e^{-A0 h} P, else e^{-A0 t_i} at each node.
+    """
+    A0, C0 = sys.A(s0), sys.C(s0)
+    nodes = sys.grid.nodes
+    w = sys.grid.weights()
+    Q = np.zeros((sys.n, sys.n))
+    if sys.grid.is_uniform():
+        E = scipy.linalg.expm(-A0 * (nodes[1] - nodes[0]))
+        P = np.eye(sys.n)
+        for i in range(nodes.size):
+            if w[i] != 0.0:
+                CU = C0 @ P
+                Q += w[i] * (CU.T @ CU)
+            if i < nodes.size - 1:
+                P = E @ P
+    else:
+        for i, t in enumerate(nodes):
+            if w[i] != 0.0:
+                CU = C0 @ scipy.linalg.expm(-A0 * t)
+                Q += w[i] * (CU.T @ CU)
+    Q = 0.5 * (Q + Q.T)
+    return float(np.sqrt(max(np.linalg.eigvalsh(Q)[0], 0.0)))
 
 
 def propagate_state_oracle(p, x0, u) -> np.ndarray:

@@ -224,6 +224,24 @@ class TestFrozenCompare:
         assert csv[0] == "s,m"
         assert len(csv) == 1 + 5  # stride 50 over 200 steps, endpoint included
 
+    def test_frozen_overflow_is_the_only_stderr_line(self, tmp_path, capsys):
+        # A(t) = diag(-600 t, 1): Q_tau is finite, the frozen Gramian at s = 1 is not
+        path = tmp_path / "spec.json"
+        write_spec(path, np.zeros((2, 2)), [[1.0], [1.0]], [[1.0, 1.0]], steps=50)
+        doc = json.loads(path.read_text())
+        doc["A"] = {"kind": "poly", "data": [[[0.0, 0.0], [0.0, 1.0]],
+                                             [[-600.0, 0.0], [0.0, 0.0]]]}
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["frozen-compare", str(path), "-o", str(out)]) == EXIT_NUMERICAL
+        assert [str(w.message) for w in caught] == []
+        assert load_report(out)["verdict"] == "numerically_invalid"
+        assert capsys.readouterr().err.splitlines() == [
+            "numerically invalid: the frozen observability Gramian is not finite: "
+            "the computation overflowed"]
+
 
 class TestSelfCheck:
     def test_default_passes(self, tmp_path, capsys):

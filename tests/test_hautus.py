@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from ltvcontrol import (
     HautusGrid,
     NumericalRangeError,
     Propagator,
+    TimeGrid,
     averaging_identity_residual,
     default_hautus_grid,
     find_witness_time,
@@ -20,7 +24,8 @@ from ltvcontrol import (
     russell_weiss_min_margin,
 )
 from ltvcontrol.duality import admissibility_constant
-from conftest import make_system, scalar_system
+from conftest import kind_system, make_system, scalar_system
+from oracles import frozen_constant_oracle
 
 
 def random_dissipative_system(rng, n=3, steps=100, quadrature="trapezoid"):
@@ -187,7 +192,7 @@ class TestFrozenConstants:
     def test_autonomous_independence_of_s0(self, rng):
         A = rng.normal(size=(3, 3)) * 0.5
         sys = make_system(A, np.eye(3)[:, :1], rng.normal(size=(2, 3)))
-        values = [frozen_observability_constant(sys, s0) for s0 in (0.0, 0.5, 1.0)]
+        values = frozen_observability_constant(sys, [0.0, 0.5, 1.0])
         assert max(values) - min(values) <= 1e-10
 
     def test_ramp_generator_endpoints(self):
@@ -205,9 +210,11 @@ class TestFrozenConstants:
     def test_overflow_is_refused(self, nodes):
         sys = make_system(np.diag([-900.0, 1.0]), [[1.0], [1.0]], [[1.0, 1.0]], steps=50,
                           nodes=nodes)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             with pytest.raises(NumericalRangeError, match="frozen"):
                 frozen_observability_constant(sys, 0.0)
+        assert [str(w.message) for w in caught] == []
 
     def test_autonomous_frozen_equals_ltv(self, rng):
         A = rng.normal(size=(2, 2)) * 0.5
@@ -227,6 +234,58 @@ class TestFrozenConstants:
         report = frozen_vs_ltv_report(sys, stride=50)
         assert report.inf_frozen == 0.0
         assert report.delta_ltv == 0.0
+
+
+def frozen_kind_system(rng, n, kind, steps, grid):
+    """kind_system with C(t) of the same kind as A (p = 2) on a uniform trapezoid,
+    uniform Simpson or non-uniform grid."""
+    sys = kind_system(rng, n, kind, steps, nonuniform=grid == "nonuniform")
+    if kind == "constant":
+        C = CoeffMatrixFn.constant(rng.normal(size=(2, n)))
+    elif kind == "poly":
+        C = CoeffMatrixFn.poly(rng.normal(size=(2, 2, n)))
+    else:
+        C = CoeffMatrixFn.samples(rng.normal(size=(steps + 1, 2, n)), sys.grid)
+    quadrature = "simpson" if grid == "simpson" else "trapezoid"
+    return dataclasses.replace(sys, p=2, C=C, grid=TimeGrid(sys.grid.nodes, quadrature))
+
+
+class TestFrozenBatch:
+    """All m(s0) come from one stacked pass, bit-identical to one loop per s0."""
+
+    @pytest.mark.parametrize("n, steps", [(1, 37), (3, 50), (20, 40), (64, 21)])
+    @pytest.mark.parametrize("grid", ["trapezoid", "simpson", "nonuniform"])
+    @pytest.mark.parametrize("kind", ["constant", "poly", "samples"])
+    def test_matches_per_s0_oracle(self, rng, n, steps, grid, kind):
+        sys = frozen_kind_system(rng, n, kind, steps, grid)
+        # nine distinct times, nodes and off-node, repeated over several chunks of
+        # batches(S, n * n) at n = 64 and over a partial last chunk at n = 20
+        distinct = np.concatenate([[0.0, 1.0], sys.grid.nodes[[1, steps // 2]],
+                                   rng.uniform(0.0, 1.0, size=5)])
+        s0 = np.resize(distinct, 90)
+        expect = np.resize([frozen_constant_oracle(sys, s) for s in distinct], 90)
+        assert np.array_equal(frozen_observability_constant(sys, s0), expect)
+
+    def test_scalar_and_array_contract(self, rng):
+        sys = frozen_kind_system(rng, 3, "poly", 40, "trapezoid")
+        s0 = np.array([0.0, 0.3, 0.75, 1.0])
+        values = frozen_observability_constant(sys, s0)
+        assert isinstance(values, np.ndarray) and values.shape == (4,)
+        for s, m in zip(s0, values):
+            scalar = frozen_observability_constant(sys, s)
+            assert type(scalar) is float
+            assert scalar == m
+        assert type(frozen_observability_constant(sys, 1)) is float
+
+    @pytest.mark.parametrize("s0", [[0.0, 1.5], [-1e-3, 0.5], [0.5, np.nan]])
+    def test_any_time_outside_horizon_raises(self, s0):
+        with pytest.raises(ValueError, match="outside"):
+            frozen_observability_constant(scalar_system(), s0)
+
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_bad_stride_raises(self, stride):
+        with pytest.raises(ValueError, match="stride"):
+            frozen_vs_ltv_report(scalar_system(steps=20), stride=stride)
 
 
 class TestWitnessTime:
