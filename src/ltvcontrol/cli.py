@@ -15,6 +15,7 @@ Each subcommand is one entry of a command table (its flags and one function);
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys as _sys
@@ -110,7 +111,7 @@ def _flag(*names: str, **kwargs):
     return names, kwargs
 
 
-# flags of the commands that build a Propagator, and of those that test coercivity
+# flags of the commands that run on a Propagator, and of those that test coercivity
 _STEPPING = (_flag("--substeps", type=_positive_int, default=4),
              _flag("--method", choices=["rk4", "midpoint"], default="rk4"))
 _COERCIVITY = _flag("--coercivity-tol", type=_nonnegative_float,
@@ -118,7 +119,8 @@ _COERCIVITY = _flag("--coercivity-tol", type=_nonnegative_float,
 
 
 def _command(name: str, help: str, *flags, spec: bool = True):
-    """Register fn(args, sys_) -> (exit code, report fields or None, {csv: (header, rows)})."""
+    """Register fn(args, subject) -> (exit code, report fields or None, {csv: (header, rows)});
+    subject is the system's Propagator if flags include _STEPPING, else the system."""
     def register(fn):
         _COMMANDS[name] = (help, spec, flags, fn)
         return fn
@@ -132,31 +134,21 @@ def _check(args, sys_):
 
 
 @_command("analyze", "duality/controllability report", *_STEPPING, _COERCIVITY)
-def _analyze(args, sys_):
-    p = Propagator(sys_, method=args.method, substeps=args.substeps)
-    report = duality.exact_controllability_test(sys_, propagator=p, tol=args.coercivity_tol)
+def _analyze(args, p):
+    report = duality.exact_controllability_test(p, tol=args.coercivity_tol)
     verdict = "controllable" if report.controllable else "NOT controllable"
     print(f"{verdict}: lambda_min(W)={report.lambda_min_W:.6g} "
           f"delta={report.obs_constant_delta:.6g} M={report.admissibility_M:.6g} "
           f"null={'yes' if report.null_controllable else 'no'}")
-    return EXIT_OK if report.controllable else EXIT_INFEASIBLE, {
-        "controllable": report.controllable,
-        "lambda_min_W": report.lambda_min_W,
-        "obs_constant_delta": report.obs_constant_delta,
-        "admissibility_M": report.admissibility_M,
-        "null_controllable": report.null_controllable,
-        "null_inclusion_c": report.null_inclusion_c,
-        "coercivity_tol": report.coercivity_tol,
-    }, {}
+    return EXIT_OK if report.controllable else EXIT_INFEASIBLE, dataclasses.asdict(report), {}
 
 
 @_command("gramian", "Gramians by both methods", *_STEPPING)
-def _gramian(args, sys_):
-    p = Propagator(sys_, method=args.method, substeps=args.substeps)
-    quad, lyap = gramian.ctrl_gramian_cross(sys_, p, substeps=args.substeps)
+def _gramian(args, p):
+    quad, lyap, residual = gramian.ctrl_gramian_cross(p)
     obs = gramian.obs_gramian(p)
     print(f"W eigenvalues in [{quad.lambda_min:.6g}, {quad.lambda_max:.6g}], "
-          f"cross residual {quad.cross_residual:.3g}")
+          f"cross residual {residual:.3g}")
     return EXIT_OK, {
         "controllability": {
             "quadrature": {"W": quad.W, "eigenvalues": quad.eigenvalues,
@@ -166,15 +158,15 @@ def _gramian(args, sys_):
         },
         "observability": {"Q": obs.W, "eigenvalues": obs.eigenvalues,
                           "lambda_min": obs.lambda_min, "lambda_max": obs.lambda_max},
-        "cross_residual": quad.cross_residual,
+        "cross_residual": residual,
     }, {"gramian_eigenvalues.csv": (["index", "eigenvalue"], enumerate(quad.eigenvalues))}
 
 
 @_command("synthesize", "minimum-norm steering control", *_STEPPING, _COERCIVITY,
           _flag("--x0", type=_vector, default=None, help="initial state, comma separated"),
           _flag("--target", type=_vector, default=None, help="target state, comma separated"))
-def _synthesize(args, sys_):
-    p = Propagator(sys_, method=args.method, substeps=args.substeps)
+def _synthesize(args, p):
+    sys_ = p.sys
     x0 = np.asarray(args.x0 if args.x0 is not None else np.zeros(sys_.n), dtype=float)
     target = np.asarray(args.target if args.target is not None else np.zeros(sys_.n),
                         dtype=float)
@@ -203,14 +195,13 @@ def _synthesize(args, sys_):
           _flag("--re-points", type=_positive_int, default=7),
           _flag("--im", type=_nonempty_vector, default=[0.0, 1.0, -1.0, 10.0, -10.0]),
           _flag("--vectors", type=_positive_int, default=50, help="random unit test vectors"))
-def _hautus(args, sys_):
-    p = Propagator(sys_, method=args.method, substeps=args.substeps)
+def _hautus(args, p):
     grid = hautus.default_hautus_grid(
-        sys_.n, seed=args.seed, n_vectors=args.vectors,
+        p.sys.n, seed=args.seed, n_vectors=args.vectors,
         re_bounds=(args.re_min, args.re_max), re_points=args.re_points,
         im_values=tuple(args.im),
     )
-    report = hautus.hautus_sweep(sys_, grid, propagator=p)
+    report = hautus.hautus_sweep(p, grid)
     print(f"min margin {report.min_margin:.6g} at lambda={report.witness_lambda} "
           f"(delta={report.delta:.6g}, M={report.admissibility_M:.6g})")
     rows = [(float(lam.real), float(lam.imag), ix, report.margins[a, ix])
@@ -231,9 +222,8 @@ def _hautus(args, sys_):
 
 @_command("frozen-compare", "frozen-coefficient constants m(s) vs delta", *_STEPPING,
           _flag("--stride", type=_positive_int, default=1))
-def _frozen(args, sys_):
-    p = Propagator(sys_, method=args.method, substeps=args.substeps)
-    report = hautus.frozen_vs_ltv_report(sys_, propagator=p, stride=args.stride)
+def _frozen(args, p):
+    report = hautus.frozen_vs_ltv_report(p, stride=args.stride)
     print(f"inf_s m(s) = {report.inf_frozen:.6g}, delta = {report.delta_ltv:.6g}")
     return EXIT_OK, {
         "inf_frozen": report.inf_frozen,
@@ -301,7 +291,9 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_VALIDATION
     out.mkdir(parents=True, exist_ok=True)
     try:
-        code, fields, tables = args.run(args, sys_)
+        subject = (Propagator(sys_, method=args.method, substeps=args.substeps)
+                   if hasattr(args, "substeps") else sys_)
+        code, fields, tables = args.run(args, subject)
     except NumericalRangeError as exc:
         print(f"numerically invalid: {exc}", file=_sys.stderr)
         code, fields, tables = EXIT_NUMERICAL, {

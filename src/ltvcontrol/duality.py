@@ -17,7 +17,7 @@ import numpy as np
 
 from .gramian import COERCIVITY_TOL, coercivity_check, ctrl_gramian_quadrature
 from .propagate import Propagator, require_finite
-from .sysmodel import ControlSignal, LtvSystem, l2_inner
+from .sysmodel import ControlSignal, l2_inner
 
 RANGE_INCLUSION_TOL = 1e-8
 
@@ -78,62 +78,64 @@ def admissibility_constant(p: Propagator) -> float:
     Q = np.zeros((p.sys.n, p.sys.n))
     CtC_next = C[-1].T @ C[-1]
     best = 0.0
-    for s in range(p.steps - 1, -1, -1):
-        half = (nodes[s + 1] - nodes[s]) / 2
-        CtC = C[s].T @ C[s]
-        phi = p.step_transitions[s]
-        Q = half * CtC + phi.T @ (Q + half * CtC_next) @ phi
-        Q = 0.5 * (Q + Q.T)
-        require_finite(Q, "a windowed observability Gramian")
-        best = max(best, float(np.linalg.eigvalsh(Q)[-1]))
-        CtC_next = CtC
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(p.steps - 1, -1, -1):
+            half = (nodes[s + 1] - nodes[s]) / 2
+            CtC = C[s].T @ C[s]
+            phi = p.step_transitions[s]
+            Q = half * CtC + phi.T @ (Q + half * CtC_next) @ phi
+            Q = 0.5 * (Q + Q.T)
+            require_finite(Q, "a windowed observability Gramian")
+            best = max(best, float(np.linalg.eigvalsh(Q)[-1]))
+            CtC_next = CtC
     return float(np.sqrt(max(best, 0.0)))
 
 
-def null_controllability_test(p: Propagator, rank_tol: float = COERCIVITY_TOL,
-                              inclusion_tol: float = RANGE_INCLUSION_TOL) -> tuple[bool, float]:
+def null_controllability_test(p: Propagator) -> tuple[bool, float]:
     """Range-inclusion test Ran U(tau,0) within Ran W_tau^{1/2}, with constant c.
 
     feasible iff every column of U(tau,0) projects onto the numerical range of
-    W_tau with residual <= inclusion_tol * column norm; c is the largest
-    generalized singular value of the pair (U(tau,0), W_tau^{1/2}) on that
-    range, so ||U(tau,0)* z|| <= c ||Psi_tau* z||_{L2} for all z. Infeasible
-    verdicts report c = +inf.
+    W_tau (eigenvalues above COERCIVITY_TOL * lambda_max) with residual <=
+    RANGE_INCLUSION_TOL * column norm; c is the largest generalized singular
+    value of the pair (U(tau,0), W_tau^{1/2}) on that range, so
+    ||U(tau,0)* z|| <= c ||Psi_tau* z||_{L2} for all z. Infeasible verdicts
+    report c = +inf.
     """
     W = ctrl_gramian_quadrature(p).W
-    return _range_inclusion(W, p.transition(0, p.steps), rank_tol, inclusion_tol)
+    return _range_inclusion(W, p.transition(0, p.steps), COERCIVITY_TOL)
 
 
-def _range_inclusion(W: np.ndarray, K: np.ndarray, rank_tol: float,
-                     inclusion_tol: float) -> tuple[bool, float]:
-    """The test of null_controllability_test for a given W_tau and K = U(tau,0)."""
+def _numerical_range(W: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of W above rank_tol * lambda_max and their eigenvector columns."""
     lam, V = np.linalg.eigh(W)
-    lam_max = float(lam[-1])
-    mask = lam > rank_tol * max(lam_max, 0.0)
-    if not np.any(mask):
+    mask = lam > rank_tol * max(float(lam[-1]), 0.0)
+    return lam[mask], V[:, mask]
+
+
+def _range_inclusion(W: np.ndarray, K: np.ndarray, rank_tol: float) -> tuple[bool, float]:
+    """The test of null_controllability_test for a given W_tau and K = U(tau,0)."""
+    lam, Vr = _numerical_range(W, rank_tol)
+    if lam.size == 0:
         return False, math.inf
-    Vr = V[:, mask]
     resid = K - Vr @ (Vr.T @ K)
     col_norms = np.linalg.norm(K, axis=0)
     res_norms = np.linalg.norm(resid, axis=0)
-    feasible = bool(np.all(res_norms <= inclusion_tol * np.maximum(col_norms, 1e-300)))
+    feasible = bool(np.all(res_norms <= RANGE_INCLUSION_TOL * np.maximum(col_norms, 1e-300)))
     if not feasible:
         return False, math.inf
-    scaled = (Vr.T @ K) / np.sqrt(lam[mask])[:, None]
+    scaled = (Vr.T @ K) / np.sqrt(lam)[:, None]
     c = float(np.linalg.norm(scaled, 2))
     return True, c
 
 
-def exact_controllability_test(sys: LtvSystem, propagator: Propagator | None = None,
-                               tol: float = COERCIVITY_TOL) -> DualityReport:
+def exact_controllability_test(p: Propagator, tol: float = COERCIVITY_TOL) -> DualityReport:
     """Full duality verdict: coercivity of W_tau, duality constant, admissibility,
     and the null-controllability range test."""
-    p = propagator if propagator is not None else Propagator(sys)
     gram = ctrl_gramian_quadrature(p)
     controllable, lam_min = coercivity_check(gram, tol)
     delta = float(np.sqrt(max(lam_min, 0.0)))
     adm = admissibility_constant(p)
-    null_ok, c = _range_inclusion(gram.W, p.transition(0, p.steps), tol, RANGE_INCLUSION_TOL)
+    null_ok, c = _range_inclusion(gram.W, p.transition(0, p.steps), tol)
     return DualityReport(
         controllable=controllable,
         lambda_min_W=lam_min,

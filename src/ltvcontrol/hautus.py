@@ -130,13 +130,17 @@ def nonautonomous_hautus_margin(sys: LtvSystem, lam: complex, x,
     lam = complex(lam)
     if lam.real <= 0:
         raise ValueError("Re(lambda) must be positive")
-    x = np.asarray(x).reshape(sys.n)
-    xnorm = float(np.linalg.norm(x))
-    if xnorm == 0.0:
-        return 0.0
-    boundary = float(np.linalg.norm(sys.C(0.0) @ x)) / np.sqrt(2 * lam.real)
-    integral = _hautus_integral(sys, lam, x[:, None])[0]
-    return boundary + M * integral - delta * xnorm
+    x = np.asarray(x).reshape(sys.n, 1)
+    return float(_hautus_margins(sys, np.array([lam]), x, delta, M)[0, 0])
+
+
+def _hautus_margins(sys: LtvSystem, lams: np.ndarray, X: np.ndarray,
+                    delta: float, M: float) -> np.ndarray:
+    """Margins ||C(0)x|| / sqrt(2 Re lambda) + M * integral - delta ||x|| for every
+    frequency of lams (rows) and column x of X (columns)."""
+    boundary = np.linalg.norm(sys.C(0.0) @ X, axis=0) / np.sqrt(2 * lams.real)[:, None]
+    return (boundary + M * _hautus_integral(sys, lams, X)
+            - delta * np.linalg.norm(X, axis=0))
 
 
 def _hautus_integral(sys: LtvSystem, lam, X: np.ndarray) -> np.ndarray:
@@ -159,21 +163,13 @@ def _hautus_integral(sys: LtvSystem, lam, X: np.ndarray) -> np.ndarray:
     return out.reshape(np.shape(lam) + (X.shape[1],))
 
 
-def hautus_sweep(sys: LtvSystem, grid: HautusGrid,
-                 propagator: Propagator | None = None) -> HautusReport:
+def hautus_sweep(p: Propagator, grid: HautusGrid) -> HautusReport:
     """Margins over all (lambda, test vector) pairs with internally computed
     delta and M; min_margin >= -1e-9 certifies the necessary condition on the grid."""
-    p = propagator if propagator is not None else Propagator(sys)
     delta = observability_constant(p)
     M = admissibility_constant(p)
-    constant_C = sys.C.kind == "constant"
-    C0 = sys.C(0.0)
     X = grid.test_vectors.T  # n x count
-    integrals = _hautus_integral(sys, grid.lambdas, X)
-    margins = np.empty((grid.lambdas.size, X.shape[1]))
-    for a, lam in enumerate(grid.lambdas):
-        boundary = np.linalg.norm(C0 @ X, axis=0) / np.sqrt(2 * lam.real)
-        margins[a] = boundary + M * integrals[a] - delta * np.linalg.norm(X, axis=0)
+    margins = _hautus_margins(p.sys, grid.lambdas, X, delta, M)
     flat = int(np.argmin(margins))
     ia, ix = divmod(flat, X.shape[1])
     return HautusReport(
@@ -183,7 +179,7 @@ def hautus_sweep(sys: LtvSystem, grid: HautusGrid,
         witness_vector=np.array(grid.test_vectors[ix]),
         delta=delta,
         admissibility_M=M,
-        constant_C=constant_C,
+        constant_C=p.sys.C.kind == "constant",
     )
 
 
@@ -246,8 +242,7 @@ class FrozenComparison:
     delta_ltv: float
 
 
-def frozen_vs_ltv_report(sys: LtvSystem, propagator: Propagator | None = None,
-                         stride: int = 1) -> FrozenComparison:
+def frozen_vs_ltv_report(p: Propagator, stride: int = 1) -> FrozenComparison:
     """Frozen constants m(s) across grid nodes next to the LTV constant delta.
 
     Observational only: positivity of both is reported, never asserted as an
@@ -255,7 +250,7 @@ def frozen_vs_ltv_report(sys: LtvSystem, propagator: Propagator | None = None,
     """
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
-    p = propagator if propagator is not None else Propagator(sys)
+    sys = p.sys
     delta = observability_constant(p)
     idx = list(range(0, sys.grid.steps + 1, stride))
     if idx[-1] != sys.grid.steps:

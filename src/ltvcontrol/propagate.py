@@ -50,10 +50,9 @@ def substep_times(nodes: np.ndarray, substeps: int):
 def require_finite(M: np.ndarray, what: str) -> None:
     """Raise NumericalRangeError, naming what M is, unless every entry is finite.
 
-    The step build and the Gramian quadratures call this under
-    np.errstate(over="ignore", invalid="ignore"): it reports their overflow,
-    and numpy's warnings would only repeat it. Hot loops of tiny products run
-    without it, because a non-default errstate adds a cost to every numpy call.
+    Every pass that calls this runs under np.errstate(over="ignore",
+    invalid="ignore"): it reports their overflow, and numpy's warnings would
+    only repeat it.
     """
     if not np.all(np.isfinite(M)):
         raise NumericalRangeError(f"{what} is not finite: the computation overflowed")
@@ -72,6 +71,7 @@ class Propagator:
             raise ValueError("substeps must be >= 1")
         self.sys = sys
         self.method = method
+        self.substeps = substeps
 
         nodes = sys.grid.nodes
         n = sys.n

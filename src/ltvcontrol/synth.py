@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .duality import RANGE_INCLUSION_TOL, _range_inclusion, input_map_adjoint
+from .duality import _numerical_range, _range_inclusion, input_map_adjoint
 from .gramian import COERCIVITY_TOL, GramianResult, coercivity_check, ctrl_gramian_quadrature
 from .propagate import Propagator
 from .sysmodel import ControlSignal, l2_norm
@@ -54,12 +54,10 @@ def _solve_gramian(gram: GramianResult, d: np.ndarray, rank_tol: float,
             f"Gramian not coercive: lambda_min = {gram.lambda_min:.3e}, "
             f"lambda_max = {gram.lambda_max:.3e}"
         )
-    lam, V = np.linalg.eigh(gram.W)
-    mask = lam > rank_tol * max(float(lam[-1]), 0.0)
-    if not np.any(mask):
+    lam, Vr = _numerical_range(gram.W, rank_tol)
+    if lam.size == 0:
         raise NotNullControllableError("Gramian has numerical rank zero")
-    Vr = V[:, mask]
-    return Vr @ ((Vr.T @ d) / lam[mask])
+    return Vr @ ((Vr.T @ d) / lam)
 
 
 def _condition(gram: GramianResult) -> float:
@@ -82,7 +80,7 @@ def min_norm_control(p: Propagator, x0, x_tau,
     return _assemble(p, x0, x_tau, d, eta, gram)
 
 
-def null_control(p: Propagator, x0, rank_tol: float = COERCIVITY_TOL) -> SynthesisResult:
+def null_control(p: Propagator, x0) -> SynthesisResult:
     """Minimum-energy control steering x0 to the origin at time tau.
 
     When W_tau is singular but the range inclusion of the null-controllability
@@ -91,15 +89,14 @@ def null_control(p: Propagator, x0, rank_tol: float = COERCIVITY_TOL) -> Synthes
     x0 = np.asarray(x0, dtype=float).reshape(p.sys.n)
     gram = ctrl_gramian_quadrature(p)
     d = -p.propagate_state(x0)
-    coercive, _ = coercivity_check(gram, rank_tol)
+    coercive, _ = coercivity_check(gram)
     if not coercive:
-        K = p.transition(0, p.steps)  # U(tau, 0)
-        feasible, _ = _range_inclusion(gram.W, K, rank_tol, RANGE_INCLUSION_TOL)
+        feasible, _ = _range_inclusion(gram.W, p.transition(0, p.steps), COERCIVITY_TOL)
         if not feasible:
             raise NotNullControllableError(
                 "range of U(tau,0) is not contained in the range of W_tau^{1/2}"
             )
-    eta = _solve_gramian(gram, d, rank_tol, allow_singular=True)
+    eta = _solve_gramian(gram, d, COERCIVITY_TOL, allow_singular=True)
     return _assemble(p, x0, np.zeros(p.sys.n), d, eta, gram)
 
 

@@ -19,6 +19,8 @@ MAX_POLY_DEGREE = 8
 MAX_STEPS = 100_000
 
 QUADRATURE_RULES = ("trapezoid", "simpson")
+SPEC_FIELDS = ("n", "m", "p", "tau", "steps", "A", "B", "C", "nodes", "quadrature")
+COEFF_FIELDS = ("kind", "data")
 
 
 class SpecFormatError(ValueError):
@@ -298,6 +300,7 @@ def l2_inner(u: ControlSignal, v: ControlSignal) -> complex:
 def _parse_coeff(obj, name: str, rows: int, cols: int, grid: TimeGrid) -> CoeffMatrixFn:
     if not isinstance(obj, dict):
         raise SpecFormatError(name, "coefficient must be an object with 'kind' and 'data'")
+    _refuse_unknown(obj, COEFF_FIELDS, f"{name}.")
     kind = obj.get("kind")
     if kind not in ("constant", "poly", "samples"):
         raise SpecFormatError(f"{name}.kind", f"expected constant|poly|samples, got {kind!r}")
@@ -317,6 +320,12 @@ def _parse_coeff(obj, name: str, rows: int, cols: int, grid: TimeGrid) -> CoeffM
         raise SpecFormatError(name, str(exc)) from None
 
 
+def _refuse_unknown(obj: dict, fields: tuple[str, ...], prefix: str = "") -> None:
+    for key in obj:
+        if key not in fields:
+            raise SpecFormatError(f"{prefix}{key}", "unknown field")
+
+
 def _is_number(value, types) -> bool:
     # JSON true/false load as bool, a subclass of int; they are not numbers here
     return isinstance(value, types) and not isinstance(value, bool)
@@ -328,6 +337,7 @@ def parse_system(spec_text: str, quadrature: str | None = None) -> LtvSystem:
     Expected fields: n, m, p, tau, steps, A, B, C, with each coefficient an
     object {"kind": "constant"|"poly"|"samples", "data": nested row-major
     arrays}. Optional: "nodes" (explicit non-uniform grid) and "quadrature".
+    Any other field is refused.
     """
     try:
         doc = json.loads(spec_text)
@@ -337,6 +347,7 @@ def parse_system(spec_text: str, quadrature: str | None = None) -> LtvSystem:
         raise SpecFormatError("$", "malformed JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise SpecFormatError("$", "top level must be an object")
+    _refuse_unknown(doc, SPEC_FIELDS)
 
     dims = {}
     for key in ("n", "m", "p"):

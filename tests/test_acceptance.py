@@ -79,7 +79,7 @@ def test_criterion_1_cocycle_and_autonomous_reduction(twenty_systems):
 def test_criterion_2_gramian_cross_method(twenty_systems):
     worst_rel = 0.0
     for sys_, _ in twenty_systems:
-        quad, lyap = ctrl_gramian_cross(sys_)
+        quad, lyap, _ = ctrl_gramian_cross(Propagator(sys_))
         rel = np.linalg.norm(quad.W - lyap.W) / max(np.linalg.norm(quad.W), 1e-300)
         worst_rel = max(worst_rel, rel)
     worst_scalar = 0.0
@@ -174,7 +174,7 @@ def test_criterion_6_nonautonomous_hautus_necessity():
     for _ in range(20):
         sys_ = random_dissipative_system(rng, n=3, steps=60)
         grid = default_hautus_grid(3, seed=17, n_vectors=50)
-        report = hautus_sweep(sys_, grid)
+        report = hautus_sweep(Propagator(sys_), grid)
         worst = min(worst, report.min_margin)
     from ltvcontrol import nonautonomous_hautus_margin
     margin = nonautonomous_hautus_margin(scalar_system(a=0.0, quadrature="simpson"),
@@ -236,14 +236,14 @@ def test_criterion_9_frozen_vs_ltv():
     for _ in range(3):
         A = rng.normal(size=(2, 2)) * 0.5
         sys_ = make_system(A, np.eye(2)[:, :1], np.eye(2), quadrature="simpson")
-        report = frozen_vs_ltv_report(sys_, stride=50)
+        report = frozen_vs_ltv_report(Propagator(sys_), stride=50)
         ok &= abs(report.inf_frozen - report.delta_ltv) <= 1e-8
     from ltvcontrol import CoeffMatrixFn
     ramp = make_system(CoeffMatrixFn.poly([[[0.0]], [[1.0]]]), [[1.0]], [[1.0]],
                        steps=200, quadrature="simpson")
     m0 = frozen_observability_constant(ramp, 0.0)
     m1 = frozen_observability_constant(ramp, 1.0)
-    report = frozen_vs_ltv_report(ramp, stride=20)
+    report = frozen_vs_ltv_report(Propagator(ramp), stride=20)
     ok &= abs(m0 - 1.0) <= 1e-5
     ok &= abs(m1 - 0.657519) <= 1e-5
     ok &= report.delta_ltv > 0

@@ -108,6 +108,16 @@ class TestCheck:
             assert doc["error"].startswith("nodes:")
             assert doc["command"] == command
 
+    def test_unknown_field_is_refused(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.json", [[1.0]], [[1.0]], [[1.0]],
+                          quadrture="simpson")
+        out = tmp_path / "out"
+        assert main(["check", spec, "-o", str(out)]) == EXIT_VALIDATION
+        doc = load_report(out)
+        assert doc["valid"] is False
+        assert doc["error"] == "quadrture: unknown field"
+        assert capsys.readouterr().err == "spec validation error: quadrture: unknown field\n"
+
 
 NUMERIC_COMMANDS = ["analyze", "gramian", "synthesize", "hautus", "frozen-compare"]
 
@@ -135,6 +145,25 @@ class TestNumericallyInvalid:
         assert "nan" not in captured.out.lower()
         assert "nan" not in (out / "report.json").read_text().lower()
         assert [f.name for f in out.iterdir()] == ["report.json"]
+
+    @pytest.mark.parametrize("command, A, B, C, what", [
+        # the steps stay finite; the Lyapunov RK4, at twice their rate, overflows first
+        ("gramian", np.diag([700.0, 1.0]), [[1.0], [1.0]], [[1.0, 1.0]], "the Gramian"),
+        # U(tau, 0) is finite; the windowed Gramians of the admissibility pass are not
+        ("analyze", np.diag([-400.0, 1.0]), [[0.0], [1.0]], [[1.0, 0.0]],
+         "a windowed observability Gramian"),
+    ])
+    def test_overflow_past_the_step_build_is_refused(self, command, A, B, C, what,
+                                                      tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.json", A, B, C, steps=50)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, spec, "-o", str(out)]) == EXIT_NUMERICAL
+        assert [str(w.message) for w in caught] == []
+        assert load_report(out)["verdict"] == "numerically_invalid"
+        assert capsys.readouterr().err.splitlines() == [
+            f"numerically invalid: {what} is not finite: the computation overflowed"]
 
 
 class TestAnalyze:

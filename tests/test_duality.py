@@ -119,26 +119,26 @@ class TestIdentities:
 
 class TestExactControllability:
     def test_scalar_integrator(self):
-        rep = exact_controllability_test(scalar_system(a=0.0, tau=2.0))
+        rep = exact_controllability_test(Propagator(scalar_system(a=0.0, tau=2.0)))
         assert rep.controllable
         assert rep.obs_constant_delta == pytest.approx(np.sqrt(2.0), abs=1e-6)
 
     def test_zero_input(self):
-        rep = exact_controllability_test(make_system(np.zeros((2, 2)),
-                                                     np.zeros((2, 1)), np.eye(2)[:1]))
+        rep = exact_controllability_test(Propagator(make_system(
+            np.zeros((2, 2)), np.zeros((2, 1)), np.eye(2)[:1])))
         assert not rep.controllable
         assert rep.lambda_min_W == pytest.approx(0.0, abs=1e-14)
 
     def test_double_integrator_chain(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         B = np.array([[0.0], [1.0]])
-        rep = exact_controllability_test(make_system(A, B, np.eye(2)[:1]))
+        rep = exact_controllability_test(Propagator(make_system(A, B, np.eye(2)[:1])))
         assert rep.controllable
         assert kalman_rank(A, B) == 2
 
     def test_delta_squared_is_lambda_min(self, rng):
         sys = random_poly_system(rng, n=3, steps=60)
-        rep = exact_controllability_test(sys)
+        rep = exact_controllability_test(Propagator(sys))
         assert rep.obs_constant_delta**2 == pytest.approx(
             max(rep.lambda_min_W, 0.0), rel=1e-8, abs=1e-14)
 
@@ -146,7 +146,7 @@ class TestExactControllability:
         # ||z|| <= (1/delta) * ||Psi* z||_{L2} for every z when coercive
         sys = random_poly_system(rng, n=4, steps=60)
         p = Propagator(sys)
-        rep = exact_controllability_test(sys, propagator=p)
+        rep = exact_controllability_test(p)
         if not rep.controllable:
             pytest.skip("random draw not controllable")
         for _ in range(100):
@@ -159,7 +159,7 @@ class TestExactControllability:
         for trial in range(40):
             n = int(rng.integers(2, 6))
             sys = random_constant_system(rng, n, deficient=trial % 2 == 0)
-            rep = exact_controllability_test(sys)
+            rep = exact_controllability_test(Propagator(sys))
             oracle = kalman_rank(sys.A(0.0), sys.B(0.0)) == n
             agree += rep.controllable == oracle
         assert agree == 40
@@ -241,7 +241,7 @@ class TestNullControllability:
 
     def test_controllable_implies_feasible(self, rng):
         sys = random_poly_system(rng, n=3, steps=80)
-        rep = exact_controllability_test(sys)
+        rep = exact_controllability_test(Propagator(sys))
         if rep.controllable:
             assert rep.null_controllable
 

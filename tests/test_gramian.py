@@ -73,10 +73,17 @@ class TestLyapunovGramian:
     def test_method_agreement(self, rng):
         for _ in range(20):
             sys = random_poly_system(rng, steps=100, quadrature="simpson")
-            quad, lyap = ctrl_gramian_cross(sys)
+            quad, lyap, _ = ctrl_gramian_cross(Propagator(sys))
             scale = 1 + np.linalg.norm(quad.W)
             assert np.linalg.norm(quad.W - lyap.W) <= 1e-6 * scale
-            assert quad.cross_residual == lyap.cross_residual
+
+    @pytest.mark.parametrize("substeps", [1, 3])
+    def test_cross_runs_lyapunov_at_propagator_substeps(self, rng, substeps):
+        sys = random_poly_system(rng, steps=40)
+        quad, lyap, residual = ctrl_gramian_cross(Propagator(sys, substeps=substeps))
+        expect = ctrl_gramian_lyapunov(sys, substeps=substeps).W
+        assert np.array_equal(lyap.W, expect)
+        assert residual == np.linalg.norm(quad.W - expect)
 
 
 class TestObservabilityGramian:

@@ -126,20 +126,20 @@ class TestHautusSweep:
     def test_scalar_integrator_certificate(self):
         sys = scalar_system(a=0.0, quadrature="simpson")
         grid = default_hautus_grid(1, seed=3, n_vectors=50)
-        report = hautus_sweep(sys, grid)
+        report = hautus_sweep(Propagator(sys), grid)
         assert report.delta == pytest.approx(1.0, abs=1e-8)
         assert report.min_margin >= -1e-9
 
     def test_zero_output_is_informational(self):
         sys = make_system([[0.0]], [[1.0]], [[0.0]])
-        report = hautus_sweep(sys, default_hautus_grid(1, seed=3, n_vectors=10))
+        report = hautus_sweep(Propagator(sys), default_hautus_grid(1, seed=3, n_vectors=10))
         assert report.delta == 0.0
         assert report.min_margin >= 0.0
 
     def test_diagonal_autonomous(self):
         sys = make_system(np.diag([1.0, 2.0]), np.eye(2)[:, :1], np.eye(2),
                           quadrature="simpson")
-        report = hautus_sweep(sys, default_hautus_grid(2, seed=5, n_vectors=50))
+        report = hautus_sweep(Propagator(sys), default_hautus_grid(2, seed=5, n_vectors=50))
         assert report.min_margin >= -1e-9
 
     def test_necessary_condition_on_observable_family(self, rng):
@@ -147,7 +147,7 @@ class TestHautusSweep:
             sys = random_dissipative_system(rng, n=3, steps=100)
             p = Propagator(sys)
             grid = default_hautus_grid(3, seed=11, n_vectors=20)
-            report = hautus_sweep(sys, grid, propagator=p)
+            report = hautus_sweep(p, grid)
             assert report.delta > 0
             assert report.min_margin >= -1e-9
 
@@ -167,7 +167,7 @@ class TestHautusSweep:
     def test_witness_is_minimum(self, rng):
         sys = random_dissipative_system(rng, n=2)
         grid = default_hautus_grid(2, seed=2, n_vectors=10)
-        report = hautus_sweep(sys, grid)
+        report = hautus_sweep(Propagator(sys), grid)
         assert report.min_margin == report.margins.min()
 
     @pytest.mark.parametrize("quadrature", ["trapezoid", "simpson"])
@@ -175,7 +175,7 @@ class TestHautusSweep:
         sys = random_dissipative_system(rng, n=3, steps=60, quadrature=quadrature)
         p = Propagator(sys)
         grid = default_hautus_grid(3, seed=4, n_vectors=8)
-        report = hautus_sweep(sys, grid, propagator=p)
+        report = hautus_sweep(p, grid)
         for a, lam in enumerate(grid.lambdas):
             for ix, x in enumerate(grid.test_vectors):
                 expect = nonautonomous_hautus_margin(sys, lam, x, report.delta,
@@ -219,19 +219,19 @@ class TestFrozenConstants:
     def test_autonomous_frozen_equals_ltv(self, rng):
         A = rng.normal(size=(2, 2)) * 0.5
         sys = make_system(A, np.eye(2)[:, :1], np.eye(2), quadrature="simpson")
-        report = frozen_vs_ltv_report(sys, stride=50)
+        report = frozen_vs_ltv_report(Propagator(sys), stride=50)
         assert report.inf_frozen == pytest.approx(report.delta_ltv, abs=1e-8)
 
     def test_ramp_reports_both_positive(self):
         sys = make_system(CoeffMatrixFn.poly([[[0.0]], [[1.0]]]), [[1.0]], [[1.0]],
                           steps=200, quadrature="simpson")
-        report = frozen_vs_ltv_report(sys, stride=20)
+        report = frozen_vs_ltv_report(Propagator(sys), stride=20)
         assert report.inf_frozen > 0
         assert report.delta_ltv > 0
 
     def test_zero_output_both_zero(self):
         sys = make_system([[1.0]], [[1.0]], [[0.0]])
-        report = frozen_vs_ltv_report(sys, stride=50)
+        report = frozen_vs_ltv_report(Propagator(sys), stride=50)
         assert report.inf_frozen == 0.0
         assert report.delta_ltv == 0.0
 
@@ -285,7 +285,7 @@ class TestFrozenBatch:
     @pytest.mark.parametrize("stride", [0, -3])
     def test_bad_stride_raises(self, stride):
         with pytest.raises(ValueError, match="stride"):
-            frozen_vs_ltv_report(scalar_system(steps=20), stride=stride)
+            frozen_vs_ltv_report(Propagator(scalar_system(steps=20)), stride=stride)
 
 
 class TestWitnessTime:

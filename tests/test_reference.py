@@ -1,0 +1,55 @@
+"""Round 0 of every benchmark workload at toy sizes reproduces perfbench/reference.json.
+
+The benchmark's spec generator and report comparison (perfbench/workloads.py
+and checks.py) are executed from their files, so no bytecode is written next
+to them. Each report must match its recorded reference within roundoff, which
+keeps a refactor from moving any reported number.
+"""
+
+import json
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import ltvcontrol.cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REFERENCE_SEED = 1
+
+
+def _load(name, monkeypatch):
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    monkeypatch.setitem(sys.modules, name, module)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    workloads = _load("workloads", monkeypatch)  # checks imports it by this name
+    return workloads, _load("checks", monkeypatch)
+
+
+def test_toy_round_matches_reference(perfbench, tmp_path, capsys):
+    workloads, checks = perfbench
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    compared = []
+    for name, workload in workloads.WORKLOADS.items():
+        for index in range(workload.round_size):
+            spec = workload.spec(REFERENCE_SEED, index, workloads.TOY)
+            path = tmp_path / f"{name}-{index}.json"
+            workloads.write_spec(spec, path)
+            for call in spec.calls:
+                key = f"toy/{name}/{index}/{call.command}"
+                out = tmp_path / key.replace("/", "-")
+                ltvcontrol.cli.main([call.command, str(path), "-o", str(out),
+                                     "--seed", str(REFERENCE_SEED), *call.flags])
+                got = json.loads((out / "report.json").read_text())
+                assert checks.compare_reference(got, reference[key]) == [], key
+                compared.append(key)
+    capsys.readouterr()
+    assert sorted(compared) == sorted(k for k in reference if k.startswith("toy/"))

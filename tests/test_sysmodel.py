@@ -249,6 +249,21 @@ class TestParseSystem:
             parse_system(json.dumps(doc), quadrature="simpson" if from_flag else None)
         assert exc.value.field_path == "nodes"
 
+    def test_unknown_top_level_field(self):
+        # a misspelt "quadrature" must not fall back to the trapezoid rule
+        doc = json.loads(MINIMAL_SPEC)
+        doc["quadrture"] = "simpson"
+        with pytest.raises(SpecFormatError) as exc:
+            parse_system(json.dumps(doc))
+        assert exc.value.field_path == "quadrture"
+
+    def test_unknown_coefficient_field(self):
+        doc = json.loads(MINIMAL_SPEC)
+        doc["A"]["extra"] = 1
+        with pytest.raises(SpecFormatError) as exc:
+            parse_system(json.dumps(doc))
+        assert exc.value.field_path == "A.extra"
+
     @settings(max_examples=300, deadline=None)
     @given(text=st.text(max_size=40) | JSON_VALUES.map(json.dumps) | SPEC_DOCS.map(json.dumps))
     @example(text=MINIMAL_SPEC.replace('"tau": 1.0', '"tau": 1' + "0" * 400))
