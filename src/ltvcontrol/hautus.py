@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .duality import admissibility_constant
 from .gramian import observability_constant
@@ -149,17 +148,32 @@ def _hautus_integral(sys: LtvSystem, lam, X: np.ndarray) -> np.ndarray:
     lam is one frequency (result shape (columns,)) or an array of them
     (result shape (lambdas, columns)); A(s) X is formed once per chunk of
     nodes and shared by every lambda.
+
+    The frequencies are grouped by their real part a: with U = aX + A(s)X,
+    ||(a + ib)x + A(s)x||^2 = ||U||^2 + b^2 ||x||^2 - 2b Im(U* x), so the
+    n-dimensional work is one real pass per distinct a and each frequency of
+    the group costs one (nodes, columns) square root. Im(U* x) = Im((A(s)x)* x)
+    does not depend on a; for real X it is exactly 0 and every term is
+    nonnegative. For complex X it can cancel the others only where
+    (lambda + A(s))x ~ 0, and the clamp at 0 keeps that finite.
     """
     lams = np.atleast_1d(np.asarray(lam, dtype=complex))
+    res, group = np.unique(lams.real, return_inverse=True)
+    xx = np.einsum("ij,ij->j", X.conj(), X).real
     nodes = sys.grid.nodes
     w = sys.grid.weights()
     out = np.zeros((lams.size, X.shape[1]))
     for chunk in batches(nodes.size, X.size):
         t = nodes[chunk]
         AX = sys.A(t) @ X
-        for a, lam_a in enumerate(lams):
-            weights = w[chunk] * np.exp(-lam_a.real * t)
-            out[a] += weights @ np.linalg.norm(lam_a * X + AX, axis=1)
+        cross = np.einsum("kij,ij->kj", AX.conj(), X).imag
+        for g, a in enumerate(res):
+            U = a * X + AX
+            uu = np.einsum("kij,kij->kj", U.conj(), U).real
+            weights = w[chunk] * np.exp(-a * t)
+            for k in np.flatnonzero(group == g):
+                b = lams[k].imag
+                out[k] += weights @ np.sqrt(np.maximum(uu + b * b * xx - 2 * b * cross, 0.0))
     return out.reshape(np.shape(lam) + (X.shape[1],))
 
 
@@ -188,6 +202,8 @@ def hautus_sweep(p: Propagator, grid: HautusGrid) -> HautusReport:
 def _frozen_gramian(A0: np.ndarray, C0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """int_0^tau e^{-A0* t} C0* C0 e^{-A0 t} dt by the grid's quadrature, for each
     matrix of the (S, n, n) and (S, p, n) stacks A0 and C0."""
+    import scipy.linalg  # on first use only: it is most of ltvctl's start-up time
+
     nodes = grid.nodes
     w = grid.weights()
     S, n = A0.shape[:2]

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .duality import _numerical_range, _range_inclusion, input_map_adjoint
 from .gramian import COERCIVITY_TOL, GramianResult, coercivity_check, ctrl_gramian_quadrature
@@ -40,6 +39,8 @@ def _solve_gramian(gram: GramianResult, d: np.ndarray, rank_tol: float,
                    allow_singular: bool = False) -> np.ndarray:
     """Solve W eta = d by SPD factorization, or by the range-restricted
     pseudo-inverse when the Gramian is singular and that is allowed."""
+    import scipy.linalg  # on first use only: it is most of ltvctl's start-up time
+
     coercive, _ = coercivity_check(gram, rank_tol)
     if coercive:
         try:

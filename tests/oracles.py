@@ -104,6 +104,19 @@ def frozen_constant_oracle(sys, s0: float) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(Q)[0], 0.0)))
 
 
+def hautus_integral_oracle(sys, lam, X) -> np.ndarray:
+    """int_0^tau ||(lambda I + A(s)) x|| e^{-Re(lambda) s} ds for each column x of X:
+    one complex (nodes, n, columns) array lambda X + A(s) X and its norm over n
+    for each frequency in turn, on the whole grid at once."""
+    lams = np.atleast_1d(np.asarray(lam, dtype=complex))
+    t = sys.grid.nodes
+    w = sys.grid.weights()
+    AX = sys.A(t) @ X
+    out = np.array([(w * np.exp(-lam_a.real * t)) @ np.linalg.norm(lam_a * X + AX, axis=1)
+                    for lam_a in lams])
+    return out.reshape(np.shape(lam) + (X.shape[1],))
+
+
 def propagate_state_oracle(p, x0, u) -> np.ndarray:
     """x(tau) by a private backward product U(tau, t_i) = U(tau, t_{i+1}) Phi_i,
     summing the quadrature of U(tau, t_i) B(t_i) u(t_i) from i = N down to 0."""

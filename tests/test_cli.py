@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import ltvcontrol
 from ltvcontrol.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
@@ -321,6 +326,29 @@ class TestDeterminism:
                          "--re-points", "2", "--im", "0", "--seed", seed]) == EXIT_OK
             docs.append((out / "hautus_margins.csv").read_text())
         assert docs[0] != docs[1]
+
+
+class TestColdStart:
+    def test_scipy_is_imported_only_where_used(self, two_state_spec, tmp_path):
+        # analyze, gramian and hautus never load scipy; frozen-compare does (expm)
+        code = "\n".join([
+            "import sys",
+            "import ltvcontrol.cli as cli",
+            "def scipy_loaded():",
+            "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)",
+            "codes = [cli.main([c, sys.argv[1], '-o', sys.argv[2] + c])",
+            "         for c in ('analyze', 'gramian', 'hautus')]",
+            "before = scipy_loaded()",
+            "codes.append(cli.main(['frozen-compare', sys.argv[1], '-o', sys.argv[2] + 'f']))",
+            "print(codes, before, scipy_loaded())",
+        ])
+        src = str(Path(ltvcontrol.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code, two_state_spec, str(tmp_path / "o-")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] False True"
 
 
 class TestFlagValues:

@@ -25,7 +25,9 @@ from ltvcontrol import (
 )
 from ltvcontrol.duality import admissibility_constant
 from conftest import kind_system, make_system, scalar_system
-from oracles import frozen_constant_oracle
+from ltvcontrol.hautus import _hautus_integral
+from ltvcontrol.propagate import batches
+from oracles import frozen_constant_oracle, hautus_integral_oracle
 
 
 def random_dissipative_system(rng, n=3, steps=100, quadrature="trapezoid"):
@@ -110,7 +112,6 @@ class TestNonautonomousMargin:
     def test_autonomous_collapse_of_integral(self, rng):
         # for constant A the integral term has the closed form
         # ||(lambda + A) x|| (1 - e^{-Re(lambda) tau}) / Re(lambda)
-        from ltvcontrol.hautus import _hautus_integral
         A = rng.normal(size=(3, 3)) * 0.5
         sys = make_system(A, np.eye(3)[:, :1], np.eye(3), steps=1000,
                           quadrature="simpson")
@@ -120,6 +121,80 @@ class TestNonautonomousMargin:
             got = _hautus_integral(sys, lam, x[:, None])[0]
             expect = np.linalg.norm(lam * x + A @ x) * (1 - np.exp(-lam.real)) / lam.real
             assert got == pytest.approx(expect, abs=1e-8)
+
+
+# frequency sets whose real parts all differ, all coincide, or mix both
+DISTINCT_RE = np.array([0.3 + 1j, 1.1 - 2j, 2.5 + 0j, 7.0 + 10j])
+COINCIDENT_RE = np.array([1.5 + 0j, 1.5 + 1j, 1.5 - 1j, 1.5 + 10j, 1.5 - 10j])
+MIXED_RE = default_hautus_grid(1).lambdas
+
+
+def random_columns(rng, n, cols, complex_x):
+    X = rng.normal(size=(n, cols))
+    return X + 1j * rng.normal(size=(n, cols)) if complex_x else X
+
+
+class TestHautusIntegral:
+    # (n, steps, columns): every case spans more than one chunk of nodes
+    SIZES = [(1, 600, 64), (3, 700, 16), (20, 300, 8), (64, 100, 8)]
+
+    @pytest.mark.parametrize("n, steps, cols", SIZES)
+    @pytest.mark.parametrize("grid", ["trapezoid", "simpson", "nodes"])
+    @pytest.mark.parametrize("kind", ["constant", "poly", "samples"])
+    def test_matches_per_frequency_oracle(self, rng, n, steps, cols, grid, kind):
+        sys = kind_system(rng, n, kind, steps, nonuniform=grid == "nodes")
+        if grid == "simpson":
+            sys = dataclasses.replace(sys, grid=TimeGrid(sys.grid.nodes, "simpson"))
+        assert len(batches(sys.grid.nodes.size, n * cols)) > 1
+        for complex_x in (False, True):
+            X = random_columns(rng, n, cols, complex_x)
+            for lams in (DISTINCT_RE, COINCIDENT_RE, MIXED_RE):
+                got = _hautus_integral(sys, lams, X)
+                expect = hautus_integral_oracle(sys, lams, X)
+                assert got.shape == expect.shape == (lams.size, cols)
+                assert np.max(np.abs(got - expect) / np.abs(expect)) <= 1e-13
+
+    def test_duplicate_frequencies_give_identical_rows(self, rng):
+        sys = random_dissipative_system(rng, n=3, steps=60)
+        grid = default_hautus_grid(3, seed=4, n_vectors=8, im_values=(0.0, 0.0, 1.0))
+        report = hautus_sweep(Propagator(sys), grid)
+        rows = report.margins.reshape(-1, 3, 8)
+        assert np.array_equal(rows[:, 0], rows[:, 1])
+        assert not np.array_equal(rows[:, 0], rows[:, 2])
+
+    @pytest.mark.parametrize("complex_x", [False, True])
+    def test_permuting_frequencies_permutes_rows(self, rng, complex_x):
+        sys = kind_system(rng, 4, "poly", 80)
+        X = random_columns(rng, 4, 6, complex_x)
+        perm = rng.permutation(MIXED_RE.size)
+        base = _hautus_integral(sys, MIXED_RE, X)
+        assert np.array_equal(_hautus_integral(sys, MIXED_RE[perm], X), base[perm])
+
+    def test_scalar_frequency_returns_one_row(self, rng):
+        sys = kind_system(rng, 4, "poly", 80)
+        X = random_columns(rng, 4, 6, True)
+        rows = _hautus_integral(sys, MIXED_RE, X)
+        for k, lam in enumerate(MIXED_RE):
+            got = _hautus_integral(sys, lam, X)
+            assert got.shape == (6,)
+            assert np.array_equal(got, rows[k])
+
+    def test_complex_eigenvector_is_finite_at_the_cancellation(self, rng):
+        # (lambda + A) x = 0 for lambda = -mu, A x = mu x: the integral is 0 exactly,
+        # and roundoff can leave the grouped sum of squares slightly below 0
+        spirals = [10 * np.array([[-1.0, 2.0], [-2.0, -1.0]])]
+        spirals += [10 * rng.normal(size=(3, 3)) for _ in range(30)]
+        for A in spirals:
+            n = A.shape[0]
+            sys = make_system(A, np.eye(n)[:, :1], np.eye(n)[:1], steps=20)
+            mus, vecs = np.linalg.eig(A)
+            for mu, x in zip(mus, vecs.T):
+                if mu.imag == 0 or mu.real >= 0:
+                    continue
+                got = _hautus_integral(sys, -mu, x[:, None])[0]
+                bound = 1e-6 * (abs(mu) + np.linalg.norm(A, 2)) * np.linalg.norm(x)
+                assert np.isfinite(got) and 0.0 <= got <= bound
+                assert np.isfinite(nonautonomous_hautus_margin(sys, -mu, x, 1.0, 1.0))
 
 
 class TestHautusSweep:
