@@ -5,8 +5,8 @@ so two runs with the same config and seed produce byte-identical files.
 Exit codes: 0 success, 1 self-check failure, 2 spec validation error (an
 undecodable spec file included) or a rejected flag value, 3 infeasibility
 verdict (NotControllable and friends; the verdict is still written), 4 a
-computed matrix overflowed (verdict "numerically_invalid"; no numbers are
-reported).
+computed matrix or result overflowed, or the grid is too coarse for A (verdict
+"numerically_invalid"; no numbers are reported).
 
 Each subcommand is one entry of a command table (its flags and one function);
 ``main`` loads the spec and writes the report and CSV files for all of them.
@@ -111,16 +111,15 @@ def _flag(*names: str, **kwargs):
     return names, kwargs
 
 
-# flags of the commands that run on a Propagator, and of those that test coercivity
-_STEPPING = (_flag("--substeps", type=_positive_int, default=4),
-             _flag("--method", choices=["rk4", "midpoint"], default="rk4"))
+# the flag of the commands that test coercivity
 _COERCIVITY = _flag("--coercivity-tol", type=_nonnegative_float,
                     default=gramian.COERCIVITY_TOL)
 
 
 def _command(name: str, help: str, *flags, spec: bool = True):
     """Register fn(args, subject) -> (exit code, report fields or None, {csv: (header, rows)});
-    subject is the system's Propagator if flags include _STEPPING, else the system."""
+    subject is the system's Propagator, except for check (the system) and for
+    commands without a spec (None)."""
     def register(fn):
         _COMMANDS[name] = (help, spec, flags, fn)
         return fn
@@ -133,7 +132,7 @@ def _check(args, sys_):
     return EXIT_OK, {"valid": True}, {}
 
 
-@_command("analyze", "duality/controllability report", *_STEPPING, _COERCIVITY)
+@_command("analyze", "duality/controllability report", _COERCIVITY)
 def _analyze(args, p):
     report = duality.exact_controllability_test(p, tol=args.coercivity_tol)
     verdict = "controllable" if report.controllable else "NOT controllable"
@@ -143,7 +142,7 @@ def _analyze(args, p):
     return EXIT_OK if report.controllable else EXIT_INFEASIBLE, dataclasses.asdict(report), {}
 
 
-@_command("gramian", "Gramians by both methods", *_STEPPING)
+@_command("gramian", "Gramians by both methods")
 def _gramian(args, p):
     quad, lyap, residual = gramian.ctrl_gramian_cross(p)
     obs = gramian.obs_gramian(p)
@@ -162,7 +161,7 @@ def _gramian(args, p):
     }, {"gramian_eigenvalues.csv": (["index", "eigenvalue"], enumerate(quad.eigenvalues))}
 
 
-@_command("synthesize", "minimum-norm steering control", *_STEPPING, _COERCIVITY,
+@_command("synthesize", "minimum-norm steering control", _COERCIVITY,
           _flag("--x0", type=_vector, default=None, help="initial state, comma separated"),
           _flag("--target", type=_vector, default=None, help="target state, comma separated"))
 def _synthesize(args, p):
@@ -189,7 +188,7 @@ def _synthesize(args, p):
     }, {"control.csv": (header, rows)}
 
 
-@_command("hautus", "non-autonomous Hautus margin sweep", *_STEPPING,
+@_command("hautus", "non-autonomous Hautus margin sweep",
           _flag("--re-min", type=_positive_float, default=0.1),
           _flag("--re-max", type=_positive_float, default=10.0),
           _flag("--re-points", type=_positive_int, default=7),
@@ -220,7 +219,7 @@ def _hautus(args, p):
     }, {"hautus_margins.csv": (["re_lambda", "im_lambda", "vector_index", "margin"], rows)}
 
 
-@_command("frozen-compare", "frozen-coefficient constants m(s) vs delta", *_STEPPING,
+@_command("frozen-compare", "frozen-coefficient constants m(s) vs delta",
           _flag("--stride", type=_positive_int, default=1))
 def _frozen(args, p):
     report = hautus.frozen_vs_ltv_report(p, stride=args.stride)
@@ -291,8 +290,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_VALIDATION
     out.mkdir(parents=True, exist_ok=True)
     try:
-        subject = (Propagator(sys_, method=args.method, substeps=args.substeps)
-                   if hasattr(args, "substeps") else sys_)
+        subject = sys_ if sys_ is None or args.command == "check" else Propagator(sys_)
         code, fields, tables = args.run(args, subject)
     except NumericalRangeError as exc:
         print(f"numerically invalid: {exc}", file=_sys.stderr)

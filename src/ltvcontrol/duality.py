@@ -40,13 +40,17 @@ def input_map(p: Propagator, u: ControlSignal) -> np.ndarray:
 
 def input_map_adjoint(p: Propagator, z) -> ControlSignal:
     """The signal t_i -> B(t_i)* z_i of the adjoint state z_i = U(tau, t_i)* z,
-    swept backward by z_i = Phi_i* z_{i+1} from z_N = z."""
+    swept backward by z_i = Phi_i* z_{i+1} from z_N = z; raises NumericalRangeError
+    in place of a non-finite signal."""
     z = np.asarray(z).reshape(p.sys.n)
     Z = np.empty((p.steps + 1, p.sys.n), dtype=np.result_type(float, z.dtype))
     Z[-1] = z
-    for i in range(p.steps - 1, -1, -1):
-        Z[i] = p.step_transitions[i].T @ Z[i + 1]
-    return ControlSignal(p.grid, np.einsum("ijk,ij->ik", p.sys.B(p.grid.nodes), Z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(p.steps - 1, -1, -1):
+            Z[i] = p.step_transitions[i].T @ Z[i + 1]
+        values = np.einsum("ijk,ij->ik", p.sys.B(p.grid.nodes), Z)
+    require_finite(values, "the adjoint signal")
+    return ControlSignal(p.grid, values)
 
 
 def key_identity_residual(p: Propagator, u: ControlSignal, z_tau) -> float:

@@ -58,8 +58,9 @@ def ctrl_gramian_quadrature(p: Propagator) -> GramianResult:
     return _finalize(W)
 
 
-def ctrl_gramian_lyapunov(sys: LtvSystem, substeps: int = 4) -> GramianResult:
-    """W(tau) from RK4 integration of the differential Lyapunov equation.
+def ctrl_gramian_lyapunov(sys: LtvSystem, substeps: int) -> GramianResult:
+    """W(tau) from RK4 integration of the differential Lyapunov equation, with
+    substeps RK4 substeps per interval.
 
     The integration is sequential; only the coefficients are sampled ahead,
     -A and B B* at every stage time of a chunk of intervals in one call each.

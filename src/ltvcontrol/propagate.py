@@ -5,21 +5,28 @@ so z(t) = U(tau, t)* z_tau solves the adjoint final-value problem
 z'(t) = A(t)* z(t), z(tau) = z_tau.
 
 Per-interval step matrices Phi_i ~ U(t_{i+1}, t_i) are integrated once with
-RK4 (default, 4 substeps per interval) or the explicit midpoint rule, on
-stacks of intervals with A sampled once per substep for the whole stack. They
-are all that is stored: transitions are products of them formed on demand,
-singly or streamed node by node, so a pass holds O(n^2) beyond the steps.
+RK4 (a substep count chosen from A, see Propagator), on stacks of intervals
+with A sampled once per substep for the whole stack. They are all that is
+stored: transitions are products of them formed on demand, singly or streamed
+node by node, so a pass holds O(n^2) beyond the steps.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .sysmodel import ControlSignal, LtvSystem
+from .sysmodel import MAX_STEPS, ControlSignal, LtvSystem
 
 # float64 entries in one batched stack of matrices (256 kB); bounds the memory
 # of every chunked loop whatever the state dimension
 STACK_ELEMENTS = 2**15
+
+# RK4 substeps per interval: at least the classical 4, and never more than 64,
+# which keeps the Lyapunov loop's per-interval stage stack near 6 MB at n = 64
+MIN_SUBSTEPS = 4
+MAX_SUBSTEPS = 64
 
 
 class NumericalRangeError(ArithmeticError):
@@ -61,25 +68,36 @@ def require_finite(M: np.ndarray, what: str) -> None:
 class Propagator:
     """Discretized evolution family of one LtvSystem, held as its step matrices.
 
+    Each interval takes K = max(4, ceil(h_max * ||A||_inf)) RK4 substeps, with
+    ||A||_inf bounded from the coefficient data. Every eigenvalue z of -hA/K
+    then has |z| <= 1, and those of the Lyapunov operator W -> -AW - WA* have
+    |z| <= 2; RK4's |R(z)| <= 1 on the closed left half-disk of radius 2.6, so
+    decaying modes decay in the steps and in the Lyapunov ODE alike. A grid
+    that would need more than MAX_SUBSTEPS is refused with NumericalRangeError.
+
     Immutable after construction; all queries are pure.
     """
 
-    def __init__(self, sys: LtvSystem, method: str = "rk4", substeps: int = 4):
-        if method not in ("rk4", "midpoint"):
-            raise ValueError(f"unknown integrator {method!r}")
-        if substeps < 1:
-            raise ValueError("substeps must be >= 1")
-        self.sys = sys
-        self.method = method
-        self.substeps = substeps
-
+    def __init__(self, sys: LtvSystem):
         nodes = sys.grid.nodes
+        bound = sys.A.inf_norm_bound()
+        need = float(np.max(np.diff(nodes))) * bound
+        if not need <= MAX_SUBSTEPS:
+            uniform = sys.tau * bound / MAX_SUBSTEPS
+            hint = (f"{math.floor(uniform) + 1} uniform steps would pass" if uniform < MAX_STEPS
+                    else f"no grid of at most {MAX_STEPS} steps would pass")
+            raise NumericalRangeError(
+                f"a step matrix needs more than {MAX_SUBSTEPS} RK4 substeps: the grid "
+                f"is too coarse for A ({hint})")
+        self.sys = sys
+        self.substeps = max(MIN_SUBSTEPS, math.ceil(need))
+
         n = sys.n
         steps = np.empty((nodes.size - 1, n, n))
         with np.errstate(over="ignore", invalid="ignore"):
             for chunk in batches(steps.shape[0], n * n):
                 phi = np.broadcast_to(np.eye(n), (chunk.stop - chunk.start, n, n))
-                for t, h in substep_times(nodes[chunk.start:chunk.stop + 1], substeps):
+                for t, h in substep_times(nodes[chunk.start:chunk.stop + 1], self.substeps):
                     phi = self._step(phi, t, h)
                 require_finite(phi, "a step matrix")
                 steps[chunk] = phi
@@ -87,14 +105,12 @@ class Propagator:
         self.step_transitions = steps
 
     def _step(self, phi: np.ndarray, t: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """One substep from times t of length h for a (K, n, n) stack of intervals."""
+        """One RK4 substep from times t of length h for a (K, n, n) stack of intervals."""
         A = self.sys.A
         hk = h[:, None, None]
         k1 = -A(t) @ phi
         a2 = -A(t + h / 2)
         k2 = a2 @ (phi + (hk / 2) * k1)
-        if self.method == "midpoint":
-            return phi + hk * k2
         k3 = a2 @ (phi + (hk / 2) * k2)
         k4 = -A(t + h) @ (phi + hk * k3)
         return phi + (hk / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
@@ -148,6 +164,7 @@ class Propagator:
 
         The forcing integral is the grid quadrature, summed by the forward sweep
         x <- Phi_i x + w_{i+1} B(t_{i+1}) u(t_{i+1}) from x = x0 + w_0 B(t_0) u(t_0).
+        Raises NumericalRangeError in place of a non-finite x(tau).
         """
         x = np.asarray(x0).reshape(self.sys.n)
         forcing = np.zeros((self.steps + 1, 1))
@@ -158,9 +175,11 @@ class Propagator:
                 raise ValueError(f"control dimension {u.dim} != m = {self.sys.m}")
             B = self.sys.B(self.grid.nodes)
             forcing = np.einsum("i,ijk,ik->ij", self.grid.weights(), B, u.values)
-        x = x + forcing[0]
-        for phi, f in zip(self.step_transitions, forcing[1:]):
-            x = phi @ x + f
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = x + forcing[0]
+            for phi, f in zip(self.step_transitions, forcing[1:]):
+                x = phi @ x + f
+        require_finite(x, "the state x(tau)")
         return x
 
 

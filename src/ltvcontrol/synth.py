@@ -14,7 +14,7 @@ import numpy as np
 
 from .duality import _numerical_range, _range_inclusion, input_map_adjoint
 from .gramian import COERCIVITY_TOL, GramianResult, coercivity_check, ctrl_gramian_quadrature
-from .propagate import Propagator
+from .propagate import Propagator, require_finite
 from .sysmodel import ControlSignal, l2_norm
 
 
@@ -102,10 +102,14 @@ def null_control(p: Propagator, x0) -> SynthesisResult:
 
 
 def _assemble(p: Propagator, x0, x_tau, d, eta, gram: GramianResult) -> SynthesisResult:
-    control = input_map_adjoint(p, eta)
-    cost = l2_norm(control) ** 2
-    gramian_cost = float(eta @ d)
-    residual = float(np.linalg.norm(p.propagate_state(x0, control) - x_tau))
+    # overflow is refused by require_finite; numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        require_finite(eta, "the Gramian solve")
+        control = input_map_adjoint(p, eta)
+        cost = l2_norm(control) ** 2
+        gramian_cost = float(eta @ d)
+        residual = float(np.linalg.norm(p.propagate_state(x0, control) - x_tau))
+        require_finite(np.array([cost, gramian_cost, residual]), "the steering cost or residual")
     return SynthesisResult(
         control=control,
         target_residual=residual,

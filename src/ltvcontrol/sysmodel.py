@@ -177,6 +177,18 @@ class CoeffMatrixFn:
     def with_tau(self, tau: float) -> "CoeffMatrixFn":
         return CoeffMatrixFn(self.kind, self.data, grid=self.grid, tau=tau)
 
+    def inf_norm_bound(self) -> float:
+        """Upper bound of the max-row-sum norm ||f(t)||_inf over t in [0, tau], read
+        from data alone: linear interpolation cannot exceed its nodes, and a
+        polynomial's entries are bounded by sum_j |A_j| tau^j. Non-finite when
+        that sum overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            entries = np.abs(self.data)
+            if self.kind == "poly":
+                powers = float(self.tau) ** np.arange(self.data.shape[0])
+                entries = np.einsum("j,jrc->rc", powers, entries)
+            return float(entries.sum(axis=-1).max())
+
 
 def eval_coeff(f: CoeffMatrixFn, t) -> np.ndarray:
     """Evaluate a coefficient function at a time t in [0, tau].

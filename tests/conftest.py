@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -71,3 +72,11 @@ def kind_system(rng, n, kind, steps, nonuniform=False):
 
     return LtvSystem(n=n, m=2, p=1, A=coeff(n, n), B=coeff(n, 2),
                      C=CoeffMatrixFn.constant(np.eye(n)[:1]), grid=grid)
+
+
+def stiffened(sys, need):
+    """sys with A scaled so that the largest grid gap times A's inf-norm bound is
+    need: the Propagator then takes max(4, ceil(need)) substeps per interval."""
+    A = sys.A
+    scale = need / (np.max(np.diff(sys.grid.nodes)) * A.inf_norm_bound())
+    return dataclasses.replace(sys, A=CoeffMatrixFn(A.kind, A.data * scale, A.grid, A.tau))

@@ -199,16 +199,12 @@ def eval_coeff_oracle(f, t: float) -> np.ndarray:
     return (1 - theta) * f.data[j - 1] + theta * f.data[j]
 
 
-def step_transitions_oracle(sys, method: str = "rk4", substeps: int = 4) -> list:
-    """Phi_i ~ U(t_{i+1}, t_i) integrated one interval and one stage at a time."""
+def step_transitions_oracle(sys, substeps: int) -> list:
+    """Phi_i ~ U(t_{i+1}, t_i) integrated by RK4 one interval and one stage at a time."""
     def A(t):
         return eval_coeff_oracle(sys.A, t)
 
     def step(phi, t, h):
-        if method == "midpoint":
-            k1 = -A(t) @ phi
-            k2 = -A(t + h / 2) @ (phi + (h / 2) * k1)
-            return phi + h * k2
         k1 = -A(t) @ phi
         k2 = -A(t + h / 2) @ (phi + (h / 2) * k1)
         k3 = -A(t + h / 2) @ (phi + (h / 2) * k2)

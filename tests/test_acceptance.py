@@ -63,7 +63,7 @@ def test_criterion_1_cocycle_and_autonomous_reduction(twenty_systems):
     worst_defect = 0.0
     worst_expm = 0.0
     for sys_, A_const in twenty_systems:
-        p = Propagator(sys_, substeps=4)
+        p = Propagator(sys_)
         N = p.steps
         idx = range(0, N + 1, N // 4)
         worst_defect = max(worst_defect, max(

@@ -18,6 +18,7 @@ from ltvcontrol.cli import (
     EXIT_VALIDATION,
     main,
 )
+from oracles import kalman_rank
 
 try:
     from importlib.resources import files
@@ -152,8 +153,8 @@ class TestNumericallyInvalid:
         assert [f.name for f in out.iterdir()] == ["report.json"]
 
     @pytest.mark.parametrize("command, A, B, C, what", [
-        # the steps stay finite; the Lyapunov RK4, at twice their rate, overflows first
-        ("gramian", np.diag([700.0, 1.0]), [[1.0], [1.0]], [[1.0, 1.0]], "the Gramian"),
+        # U(tau, 0) ~ e^500 is finite; W ~ e^1000 is not
+        ("gramian", np.diag([-500.0, 1.0]), [[1.0], [1.0]], [[1.0, 1.0]], "the Gramian"),
         # U(tau, 0) is finite; the windowed Gramians of the admissibility pass are not
         ("analyze", np.diag([-400.0, 1.0]), [[0.0], [1.0]], [[1.0, 0.0]],
          "a windowed observability Gramian"),
@@ -169,6 +170,84 @@ class TestNumericallyInvalid:
         assert load_report(out)["verdict"] == "numerically_invalid"
         assert capsys.readouterr().err.splitlines() == [
             f"numerically invalid: {what} is not finite: the computation overflowed"]
+
+    @pytest.mark.parametrize("command, flags, what", [
+        # (lambda + A)x overflows at Re(lambda) = 1e300, b^2 ||x||^2 at Im(lambda) = 1e200
+        ("hautus", ["--re-max", "1e300"], "a Hautus margin"),
+        ("hautus", ["--im=1e200"], "a Hautus margin"),
+        # the cost ||u||^2 overflows; at the target the solve W eta = d does
+        ("synthesize", ["--x0=1e200,0"], "the steering cost or residual"),
+        ("synthesize", ["--target=1e308,-1e308"], "the Gramian solve"),
+    ])
+    def test_non_finite_result_is_refused(self, command, flags, what, two_state_spec,
+                                          tmp_path, capsys):
+        self._assert_refused(command, two_state_spec, flags, what, tmp_path, capsys)
+
+    @pytest.mark.parametrize("flags, what", [
+        # eta is finite, U(tau, t)* eta is not; U(tau, 0) x0 overflows before the solve
+        (["--target=0,1e305"], "the adjoint signal"),
+        (["--x0=1.7e308,1.7e308"], "the state x(tau)"),
+    ])
+    def test_non_finite_synthesis_sweep_is_refused(self, flags, what, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.json", [[0.0, 0.5], [0.0, -5.0]], [[1.0], [1e-3]],
+                          [[1.0, 1.0]], steps=50)
+        self._assert_refused("synthesize", spec, flags, what, tmp_path, capsys)
+
+    @staticmethod
+    def _assert_refused(command, spec, flags, what, tmp_path, capsys):
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, spec, "-o", str(out), *flags]) == EXIT_NUMERICAL
+        assert [str(w.message) for w in caught] == []
+        doc = load_report(out)
+        assert doc["command"] == command
+        assert doc["verdict"] == "numerically_invalid"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"numerically invalid: {what} is not finite: the computation overflowed"]
+        assert [f.name for f in out.iterdir()] == ["report.json"]
+
+
+class TestStiffSpec:
+    """A = diag(700, 1) on 50 steps: 700 h = 14, so 4 RK4 substeps would leave the
+    stability region; the Propagator takes 15 (the linspace gap is 0.02 + 2 ulp)."""
+
+    @pytest.fixture
+    def stiff_spec(self, tmp_path):
+        return write_spec(tmp_path / "stiff.json", np.diag([700.0, 1.0]), [[1.0], [1.0]],
+                          [[1.0, 1.0]], steps=50)
+
+    def test_analyze_is_controllable_with_bounded_M(self, stiff_spec, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["analyze", stiff_spec, "-o", str(out)]) == EXIT_OK
+        assert kalman_rank(np.diag([700.0, 1.0]), [[1.0], [1.0]]) == 2
+        doc = load_report(out)
+        assert doc["controllable"] is True
+        # contractive steps, ||C||_2^2 = 2 and trapezoid weights summing to tau = 1
+        assert 0 < doc["admissibility_M"] <= np.sqrt(2)
+        assert capsys.readouterr().out.startswith("controllable:")
+
+    def test_gramian_is_computed(self, stiff_spec, tmp_path):
+        out = tmp_path / "out"
+        assert main(["gramian", stiff_spec, "-o", str(out)]) == EXIT_OK
+        doc = load_report(out)
+        assert 0 < doc["cross_residual"] < 0.1
+        assert doc["controllability"]["quadrature"]["lambda_min"] > 0
+
+    def test_too_coarse_a_grid_is_refused(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.json", [[1e4]], [[1.0]], [[1.0]], steps=100)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["analyze", spec, "-o", str(out)]) == EXIT_NUMERICAL
+        assert [str(w.message) for w in caught] == []
+        assert load_report(out)["verdict"] == "numerically_invalid"
+        assert capsys.readouterr().err.splitlines() == [
+            "numerically invalid: a step matrix needs more than 64 RK4 substeps: the grid "
+            "is too coarse for A (157 uniform steps would pass)"]
+        assert [f.name for f in out.iterdir()] == ["report.json"]
 
 
 class TestAnalyze:
@@ -359,7 +438,6 @@ class TestFlagValues:
         ("hautus", ["--re-max", "inf"]),
         ("hautus", ["--re-min", "nan"]),
         ("hautus", ["--im="]),
-        ("analyze", ["--substeps", "0"]),
         ("frozen-compare", ["--stride", "-3"]),
         ("hautus", ["--im", "nan"]),
         ("synthesize", ["--x0=nan,0"]),
@@ -385,6 +463,8 @@ class TestFlagValues:
 
     @pytest.mark.parametrize("command, flags", [
         ("check", ["--method", "midpoint"]),
+        ("analyze", ["--substeps", "4"]),
+        ("hautus", ["--method", "rk4"]),
         ("gramian", ["--coercivity-tol", "1e-3"]),
         ("self-check", ["--quadrature", "simpson"]),
     ])

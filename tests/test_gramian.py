@@ -11,7 +11,8 @@ from ltvcontrol import (
     ctrl_gramian_quadrature,
     obs_gramian,
 )
-from conftest import BATCH_SIZES, kind_system, make_system, random_poly_system, scalar_system
+from conftest import (BATCH_SIZES, kind_system, make_system, random_poly_system, scalar_system,
+                      stiffened)
 from oracles import lyapunov_oracle
 
 
@@ -44,15 +45,15 @@ class TestQuadratureGramian:
 
 class TestLyapunovGramian:
     def test_zero_forcing(self):
-        g = ctrl_gramian_lyapunov(make_system([[1.0]], [[0.0]], [[1.0]]))
+        g = ctrl_gramian_lyapunov(make_system([[1.0]], [[0.0]], [[1.0]]), 4)
         assert g.W[0, 0] == 0.0
 
     def test_linear_growth(self):
-        g = ctrl_gramian_lyapunov(scalar_system(a=0.0))
+        g = ctrl_gramian_lyapunov(scalar_system(a=0.0), 4)
         assert g.W[0, 0] == pytest.approx(1.0, abs=1e-10)
 
     def test_scalar_decay_closed_form(self):
-        g = ctrl_gramian_lyapunov(scalar_system(a=1.0))
+        g = ctrl_gramian_lyapunov(scalar_system(a=1.0), 4)
         assert g.W[0, 0] == pytest.approx(scalar_gramian_closed_form(1.0), abs=1e-8)
 
     @pytest.mark.parametrize("n, steps", BATCH_SIZES)
@@ -68,7 +69,7 @@ class TestLyapunovGramian:
         sys = make_system(np.diag([-900.0, 1.0]), [[1.0], [1.0]], [[1.0, 1.0]], steps=50)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalRangeError, match="Gramian"):
-                ctrl_gramian_lyapunov(sys)
+                ctrl_gramian_lyapunov(sys, 4)
 
     def test_method_agreement(self, rng):
         for _ in range(20):
@@ -77,11 +78,15 @@ class TestLyapunovGramian:
             scale = 1 + np.linalg.norm(quad.W)
             assert np.linalg.norm(quad.W - lyap.W) <= 1e-6 * scale
 
-    @pytest.mark.parametrize("substeps", [1, 3])
-    def test_cross_runs_lyapunov_at_propagator_substeps(self, rng, substeps):
+    @pytest.mark.parametrize("need, substeps", [(None, 4), (6.5, 7)])
+    def test_cross_runs_lyapunov_at_propagator_substeps(self, rng, need, substeps):
         sys = random_poly_system(rng, steps=40)
-        quad, lyap, residual = ctrl_gramian_cross(Propagator(sys, substeps=substeps))
-        expect = ctrl_gramian_lyapunov(sys, substeps=substeps).W
+        if need is not None:
+            sys = stiffened(sys, need)
+        p = Propagator(sys)
+        assert p.substeps == substeps
+        quad, lyap, residual = ctrl_gramian_cross(p)
+        expect = ctrl_gramian_lyapunov(sys, substeps).W
         assert np.array_equal(lyap.W, expect)
         assert residual == np.linalg.norm(quad.W - expect)
 

@@ -11,7 +11,8 @@ from ltvcontrol import (
     sysmodel,
 )
 from ltvcontrol.propagate import STACK_ELEMENTS
-from conftest import BATCH_SIZES, kind_system, make_system, random_poly_system, scalar_system
+from conftest import (BATCH_SIZES, kind_system, make_system, random_poly_system, scalar_system,
+                      stiffened)
 from oracles import expm_oracle, propagate_state_oracle, step_transitions_oracle
 
 
@@ -45,13 +46,14 @@ class TestBatchedStepBuild:
     @pytest.mark.parametrize("n, steps", BATCH_SIZES)
     @pytest.mark.parametrize("kind", ["constant", "poly", "samples"])
     @pytest.mark.parametrize("nonuniform", [False, True])
-    @pytest.mark.parametrize("method", ["rk4", "midpoint"])
-    @pytest.mark.parametrize("substeps", [1, 4])
-    def test_matches_per_interval_oracle_bitwise(self, rng, n, steps, kind, nonuniform,
-                                                 method, substeps):
+    @pytest.mark.parametrize("stiff", [False, True])
+    def test_matches_per_interval_oracle_bitwise(self, rng, n, steps, kind, nonuniform, stiff):
         sys = kind_system(rng, n, kind, steps, nonuniform)
-        p = Propagator(sys, method=method, substeps=substeps)
-        expect = step_transitions_oracle(sys, method, substeps)
+        if stiff:
+            sys = stiffened(sys, 8.5)
+        p = Propagator(sys)
+        assert p.substeps == (9 if stiff else 4)
+        expect = step_transitions_oracle(sys, p.substeps)
         assert len(p.step_transitions) == steps
         assert all(np.array_equal(p.step_transitions[i], expect[i]) for i in range(steps))
 
@@ -64,10 +66,10 @@ class TestBatchedStepBuild:
             return original(f, t)
 
         monkeypatch.setattr(sysmodel, "eval_coeff", counting)
-        n, steps, substeps = 4, 2000, 4
+        n, steps = 4, 2000
         sys = kind_system(rng, n, "poly", steps)
-        Propagator(sys, substeps=substeps)
-        ctrl_gramian_lyapunov(sys, substeps=substeps)
+        substeps = Propagator(sys).substeps
+        ctrl_gramian_lyapunov(sys, substeps)
         # per stack: one call per RK4 stage time of each substep in the step build,
         # one for A and one for B in the Lyapunov loop
         step_chunks = -(-steps // (STACK_ELEMENTS // n**2))
@@ -90,6 +92,51 @@ class TestNumericalRange:
                 list(p.transitions_to_end())
             with pytest.raises(NumericalRangeError):
                 list(p.transitions_from_start())
+
+
+class TestStepPolicy:
+    """K = max(4, ceil(h_max * ||A||_inf)) RK4 substeps, at most 64."""
+
+    # linspace gaps exceed tau/N by ulps: 700 on 50 steps needs 14.000000000000012, so 15
+    @pytest.mark.parametrize("a, steps, substeps", [
+        (1.0, 200, 4), (-799.0, 200, 4), (801.0, 200, 5), (690.0, 50, 14), (700.0, 50, 15),
+        (6399.0, 100, 64)])
+    def test_substeps_from_the_bound(self, a, steps, substeps):
+        assert Propagator(scalar_system(a=a, steps=steps)).substeps == substeps
+
+    def test_largest_gap_sets_the_count(self):
+        nodes = np.array([0.0, 0.1, 0.5, 1.0])
+        sys = make_system(CoeffMatrixFn.poly([[[0.0]], [[20.0]]]), [[1.0]], [[1.0]],
+                          nodes=nodes)
+        assert Propagator(sys).substeps == 10  # 0.5 * (0 + 20 * tau)
+
+    def test_symmetric_psd_steps_are_contractions(self, rng):
+        # every substep has h*lambda <= 1, where RK4 maps [-1, 0] into [0, 1]; a fixed
+        # 4 substeps would give |R(-5)| = 13.7 at lambda = 1000 on 50 steps
+        counts = set()
+        for _ in range(30):
+            n = int(rng.integers(1, 4))
+            Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            A = (Q * rng.uniform(0.0, 1000.0, size=n)) @ Q.T
+            A = (A + A.T) / 2
+            p = Propagator(make_system(A, np.ones((n, 1)), np.ones((1, n)),
+                                       steps=int(rng.integers(20, 60))))
+            counts.add(p.substeps)
+            assert np.linalg.norm(p.step_transitions, ord=2, axis=(1, 2)).max() <= 1 + 1e-12
+        assert min(counts) == 4 and max(counts) > 4
+
+    def test_too_coarse_a_grid_is_refused(self):
+        with pytest.raises(NumericalRangeError,
+                           match="more than 64 RK4 substeps.*157 uniform steps would pass"):
+            Propagator(scalar_system(a=1e4, steps=100))
+        assert Propagator(scalar_system(a=1e4, steps=157)).substeps == 64
+
+    def test_non_finite_bound_is_refused(self):
+        # tau^8 overflows the polynomial bound; the refusal names no step count
+        A = CoeffMatrixFn.poly([[[0.0]]] * 8 + [[[1.0]]])
+        sys = make_system(A, [[1.0]], [[1.0]], tau=1e40, steps=10)
+        with pytest.raises(NumericalRangeError, match="no grid of at most 100000 steps"):
+            Propagator(sys)
 
 
 class TestCocycle:
@@ -115,10 +162,12 @@ class TestAutonomousReduction:
 
     def test_rk4_order(self, rng):
         A = rng.uniform(-0.5, 0.5, size=(4, 4))
-        sys = make_system(A, np.eye(4)[:, :1], np.eye(4)[:1, :], steps=20)
         expect = expm_oracle(-A)
-        err = [np.linalg.norm(Propagator(sys, substeps=s).transition(0, 20) - expect)
-               for s in (2, 4)]
+        err = []
+        for steps in (10, 20):
+            p = Propagator(make_system(A, np.eye(4)[:, :1], np.eye(4)[:1, :], steps=steps))
+            assert p.substeps == 4
+            err.append(np.linalg.norm(p.transition(0, steps) - expect))
         ratio = err[0] / err[1]
         assert 10 <= ratio <= 24  # ~16x for a 4th-order method
 

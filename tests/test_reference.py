@@ -3,7 +3,8 @@
 The benchmark's spec generator and report comparison (perfbench/workloads.py
 and checks.py) are executed from their files, so no bytecode is written next
 to them. Each report must match its recorded reference within roundoff, which
-keeps a refactor from moving any reported number.
+keeps a refactor from moving any reported number, and every benchmark spec
+must keep the Propagator's 4 RK4 substeps per interval.
 """
 
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import ltvcontrol.cli
+from ltvcontrol import Propagator, parse_system
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REFERENCE_SEED = 1
@@ -53,3 +55,15 @@ def test_toy_round_matches_reference(perfbench, tmp_path, capsys):
                 compared.append(key)
     capsys.readouterr()
     assert sorted(compared) == sorted(k for k in reference if k.startswith("toy/"))
+
+
+def test_every_benchmark_spec_keeps_four_substeps(perfbench):
+    # a change to the step policy would move every benchmark number of such a spec
+    workloads, _ = perfbench
+    for sizes in (workloads.FULL, workloads.TOY):
+        for seed in (1, 2, 3):
+            for name, workload in workloads.WORKLOADS.items():
+                for index in range(workload.round_size):
+                    doc = workload.spec(seed, index, sizes).doc
+                    sys_ = parse_system(json.dumps(doc))
+                    assert Propagator(sys_).substeps == 4, (name, seed, index)

@@ -135,6 +135,35 @@ class TestCoeffMatrixFn:
         with pytest.raises(ValueError):
             CoeffMatrixFn.poly(np.zeros((10, 1, 1)))
 
+    def test_inf_norm_bound_values(self):
+        assert CoeffMatrixFn.constant([[1.0, -2.0], [0.5, 0.0]]).inf_norm_bound() == 3.0
+        grid = TimeGrid(np.array([0.0, 0.5, 2.0]))
+        samples = CoeffMatrixFn.samples([[[1.0, 0.0]], [[-4.0, 1.0]], [[2.0, 2.0]]], grid)
+        assert samples.inf_norm_bound() == 5.0
+        # A(t) = A_0 + A_1 t - A_2 t^2 on [0, 2]: row sums of |A_0| + 2 |A_1| + 4 |A_2|
+        poly = CoeffMatrixFn.poly([[[1.0, 0.0]], [[0.0, -1.0]], [[-1.0, 0.0]]], tau=2.0)
+        assert poly.inf_norm_bound() == 7.0
+
+    def test_inf_norm_bound_overflow_is_not_finite(self):
+        with np.errstate(all="raise"):  # the bound warns about nothing
+            bound = CoeffMatrixFn.poly([[[0.0]]] * 9, tau=1e300).inf_norm_bound()
+        assert not np.isfinite(bound)
+
+    @pytest.mark.parametrize("kind", ["constant", "poly", "samples"])
+    def test_inf_norm_bound_bounds_every_time(self, rng, kind, monkeypatch):
+        grid = TimeGrid(np.concatenate([[0.0], np.sort(rng.uniform(0, 3.0, 9)), [3.0]]))
+        data = {"constant": rng.normal(size=(3, 3)),
+                "poly": rng.normal(size=(4, 3, 3)),
+                "samples": rng.normal(size=(grid.steps + 1, 3, 3))}[kind]
+        f = CoeffMatrixFn(kind, data, grid=grid if kind == "samples" else None, tau=grid.tau)
+        times = np.concatenate([np.linspace(0.0, 3.0, 1001), grid.nodes])
+        norms = np.abs(f(times)).sum(axis=2).max(axis=1)
+        monkeypatch.setattr("ltvcontrol.sysmodel.eval_coeff", None)  # read from data only
+        bound = f.inf_norm_bound()
+        assert np.all(norms <= bound)
+        if kind != "poly":  # attained at a node
+            assert norms.max() == bound
+
     def test_horner_matches_naive_oracle(self, rng):
         for _ in range(20):
             d = int(rng.integers(0, 9))
