@@ -46,13 +46,16 @@ class TestBatchedStepBuild:
     @pytest.mark.parametrize("n, steps", BATCH_SIZES)
     @pytest.mark.parametrize("kind", ["constant", "poly", "samples"])
     @pytest.mark.parametrize("nonuniform", [False, True])
-    @pytest.mark.parametrize("stiff", [False, True])
-    def test_matches_per_interval_oracle_bitwise(self, rng, n, steps, kind, nonuniform, stiff):
+    # no stiffening keeps the floor of 4; the others reach just past it, well past it
+    # and the cap of 64
+    @pytest.mark.parametrize("need, substeps", [(None, 4), (4.5, 5), (8.5, 9), (63.5, 64)])
+    def test_matches_per_interval_oracle_bitwise(self, rng, n, steps, kind, nonuniform,
+                                                 need, substeps):
         sys = kind_system(rng, n, kind, steps, nonuniform)
-        if stiff:
-            sys = stiffened(sys, 8.5)
+        if need is not None:
+            sys = stiffened(sys, need)
         p = Propagator(sys)
-        assert p.substeps == (9 if stiff else 4)
+        assert p.substeps == substeps
         expect = step_transitions_oracle(sys, p.substeps)
         assert len(p.step_transitions) == steps
         assert all(np.array_equal(p.step_transitions[i], expect[i]) for i in range(steps))
