@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagate import Propagator, batches, require_finite, substep_times
+from .propagate import Propagator, batches, require_finite, rk4_substeps, substep_times
 from .sysmodel import LtvSystem
 
 COERCIVITY_TOL = 1e-10
@@ -58,13 +58,14 @@ def ctrl_gramian_quadrature(p: Propagator) -> GramianResult:
     return _finalize(W)
 
 
-def ctrl_gramian_lyapunov(sys: LtvSystem, substeps: int) -> GramianResult:
+def ctrl_gramian_lyapunov(sys: LtvSystem) -> GramianResult:
     """W(tau) from RK4 integration of the differential Lyapunov equation, with
-    substeps RK4 substeps per interval.
+    rk4_substeps(sys) RK4 substeps per interval, as the Propagator's steps.
 
     The integration is sequential; only the coefficients are sampled ahead,
     -A and B B* at every stage time of a chunk of intervals in one call each.
     """
+    substeps = rk4_substeps(sys)
     n = sys.n
     nodes = sys.grid.nodes
     W = np.zeros((n, n))
@@ -97,10 +98,9 @@ def ctrl_gramian_lyapunov(sys: LtvSystem, substeps: int) -> GramianResult:
 
 
 def ctrl_gramian_cross(p: Propagator) -> tuple[GramianResult, GramianResult, float]:
-    """Both controllability methods, the Lyapunov ODE at p's substeps, and the
-    Frobenius norm of their difference."""
+    """Both controllability methods and the Frobenius norm of their difference."""
     quad = ctrl_gramian_quadrature(p)
-    lyap = ctrl_gramian_lyapunov(p.sys, substeps=p.substeps)
+    lyap = ctrl_gramian_lyapunov(p.sys)
     return quad, lyap, float(np.linalg.norm(quad.W - lyap.W))
 
 

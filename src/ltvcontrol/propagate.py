@@ -5,7 +5,7 @@ so z(t) = U(tau, t)* z_tau solves the adjoint final-value problem
 z'(t) = A(t)* z(t), z(tau) = z_tau.
 
 Per-interval step matrices Phi_i ~ U(t_{i+1}, t_i) are integrated once with
-RK4 (a substep count chosen from A, see Propagator), on stacks of intervals
+RK4 (a substep count chosen from A, see rk4_substeps), on stacks of intervals
 with A sampled once per substep for the whole stack. They are all that is
 stored: transitions are products of them formed on demand, singly or streamed
 node by node, so a pass holds O(n^2) beyond the steps.
@@ -65,33 +65,40 @@ def require_finite(M: np.ndarray, what: str) -> None:
         raise NumericalRangeError(f"{what} is not finite: the computation overflowed")
 
 
-class Propagator:
-    """Discretized evolution family of one LtvSystem, held as its step matrices.
+def rk4_substeps(sys: LtvSystem) -> int:
+    """RK4 substeps per interval for sys: K = max(4, ceil(h_max * ||A||_inf)),
+    with ||A||_inf bounded from the coefficient data.
 
-    Each interval takes K = max(4, ceil(h_max * ||A||_inf)) RK4 substeps, with
-    ||A||_inf bounded from the coefficient data. Every eigenvalue z of -hA/K
-    then has |z| <= 1, and those of the Lyapunov operator W -> -AW - WA* have
-    |z| <= 2; RK4's |R(z)| <= 1 on the closed left half-disk of radius 2.6, so
-    decaying modes decay in the steps and in the Lyapunov ODE alike. A grid
-    that would need more than MAX_SUBSTEPS is refused with NumericalRangeError.
+    Every eigenvalue z of -hA/K then has |z| <= 1, and those of the Lyapunov
+    operator W -> -AW - WA* have |z| <= 2; RK4's |R(z)| <= 1 on the closed left
+    half-disk of radius 2.6, so decaying modes decay in the steps and in the
+    Lyapunov ODE alike. A grid that would need more than MAX_SUBSTEPS (or a
+    non-finite bound) is refused with NumericalRangeError.
+    """
+    bound = sys.A.inf_norm_bound()
+    need = float(np.max(np.diff(sys.grid.nodes))) * bound
+    if not need <= MAX_SUBSTEPS:
+        uniform = sys.tau * bound / MAX_SUBSTEPS
+        hint = (f"{math.floor(uniform) + 1} uniform steps would pass" if uniform < MAX_STEPS
+                else f"no grid of at most {MAX_STEPS} steps would pass")
+        raise NumericalRangeError(
+            f"a step matrix needs more than {MAX_SUBSTEPS} RK4 substeps: the grid "
+            f"is too coarse for A ({hint})")
+    return max(MIN_SUBSTEPS, math.ceil(need))
+
+
+class Propagator:
+    """Discretized evolution family of one LtvSystem, held as its step matrices,
+    each integrated with rk4_substeps(sys) RK4 substeps.
 
     Immutable after construction; all queries are pure.
     """
 
     def __init__(self, sys: LtvSystem):
-        nodes = sys.grid.nodes
-        bound = sys.A.inf_norm_bound()
-        need = float(np.max(np.diff(nodes))) * bound
-        if not need <= MAX_SUBSTEPS:
-            uniform = sys.tau * bound / MAX_SUBSTEPS
-            hint = (f"{math.floor(uniform) + 1} uniform steps would pass" if uniform < MAX_STEPS
-                    else f"no grid of at most {MAX_STEPS} steps would pass")
-            raise NumericalRangeError(
-                f"a step matrix needs more than {MAX_SUBSTEPS} RK4 substeps: the grid "
-                f"is too coarse for A ({hint})")
         self.sys = sys
-        self.substeps = max(MIN_SUBSTEPS, math.ceil(need))
+        self.substeps = rk4_substeps(sys)
 
+        nodes = sys.grid.nodes
         n = sys.n
         steps = np.empty((nodes.size - 1, n, n))
         with np.errstate(over="ignore", invalid="ignore"):

@@ -180,13 +180,15 @@ class CoeffMatrixFn:
     def inf_norm_bound(self) -> float:
         """Upper bound of the max-row-sum norm ||f(t)||_inf over t in [0, tau], read
         from data alone: linear interpolation cannot exceed its nodes, and a
-        polynomial's entries are bounded by sum_j |A_j| tau^j. Non-finite when
-        that sum overflows."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            entries = np.abs(self.data)
+        polynomial's entries are bounded by sum_j |A_j| tau^j, summed by Horner so
+        that zero coefficients add nothing. Infinite when that sum overflows."""
+        entries = np.abs(self.data)
+        with np.errstate(over="ignore"):
             if self.kind == "poly":
-                powers = float(self.tau) ** np.arange(self.data.shape[0])
-                entries = np.einsum("j,jrc->rc", powers, entries)
+                acc = entries[-1]
+                for coeff in entries[-2::-1]:
+                    acc = acc * float(self.tau) + coeff
+                entries = acc
             return float(entries.sum(axis=-1).max())
 
 

@@ -13,6 +13,7 @@ from ltvcontrol import (
 )
 from conftest import (BATCH_SIZES, kind_system, make_system, random_poly_system, scalar_system,
                       stiffened)
+from ltvcontrol.propagate import rk4_substeps
 from oracles import lyapunov_oracle
 
 
@@ -45,31 +46,35 @@ class TestQuadratureGramian:
 
 class TestLyapunovGramian:
     def test_zero_forcing(self):
-        g = ctrl_gramian_lyapunov(make_system([[1.0]], [[0.0]], [[1.0]]), 4)
+        g = ctrl_gramian_lyapunov(make_system([[1.0]], [[0.0]], [[1.0]]))
         assert g.W[0, 0] == 0.0
 
     def test_linear_growth(self):
-        g = ctrl_gramian_lyapunov(scalar_system(a=0.0), 4)
+        g = ctrl_gramian_lyapunov(scalar_system(a=0.0))
         assert g.W[0, 0] == pytest.approx(1.0, abs=1e-10)
 
     def test_scalar_decay_closed_form(self):
-        g = ctrl_gramian_lyapunov(scalar_system(a=1.0), 4)
+        g = ctrl_gramian_lyapunov(scalar_system(a=1.0))
         assert g.W[0, 0] == pytest.approx(scalar_gramian_closed_form(1.0), abs=1e-8)
 
     @pytest.mark.parametrize("n, steps", BATCH_SIZES)
     @pytest.mark.parametrize("kind", ["constant", "poly", "samples"])
     @pytest.mark.parametrize("nonuniform", [False, True])
-    @pytest.mark.parametrize("substeps", [1, 4])
-    def test_matches_per_stage_oracle_bitwise(self, rng, n, steps, kind, nonuniform, substeps):
+    @pytest.mark.parametrize("need, substeps", [(None, 4), (6.5, 7)])
+    def test_matches_per_stage_oracle_bitwise(self, rng, n, steps, kind, nonuniform,
+                                              need, substeps):
         sys = kind_system(rng, n, kind, steps, nonuniform)
-        W = ctrl_gramian_lyapunov(sys, substeps=substeps).W
+        if need is not None:
+            sys = stiffened(sys, need)
+        assert rk4_substeps(sys) == substeps
+        W = ctrl_gramian_lyapunov(sys).W
         assert np.array_equal(W, lyapunov_oracle(sys, substeps))
 
     def test_overflow_is_refused(self):
         sys = make_system(np.diag([-900.0, 1.0]), [[1.0], [1.0]], [[1.0, 1.0]], steps=50)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalRangeError, match="Gramian"):
-                ctrl_gramian_lyapunov(sys, 4)
+                ctrl_gramian_lyapunov(sys)
 
     def test_method_agreement(self, rng):
         for _ in range(20):
@@ -86,7 +91,7 @@ class TestLyapunovGramian:
         p = Propagator(sys)
         assert p.substeps == substeps
         quad, lyap, residual = ctrl_gramian_cross(p)
-        expect = ctrl_gramian_lyapunov(sys, substeps).W
+        expect = lyapunov_oracle(sys, substeps)
         assert np.array_equal(lyap.W, expect)
         assert residual == np.linalg.norm(quad.W - expect)
 

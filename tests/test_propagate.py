@@ -72,7 +72,7 @@ class TestBatchedStepBuild:
         n, steps = 4, 2000
         sys = kind_system(rng, n, "poly", steps)
         substeps = Propagator(sys).substeps
-        ctrl_gramian_lyapunov(sys, substeps)
+        ctrl_gramian_lyapunov(sys)
         # per stack: one call per RK4 stage time of each substep in the step build,
         # one for A and one for B in the Lyapunov loop
         step_chunks = -(-steps // (STACK_ELEMENTS // n**2))
@@ -82,11 +82,6 @@ class TestBatchedStepBuild:
 
 
 class TestNumericalRange:
-    def test_overflowing_step_matrix_is_refused(self):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalRangeError, match="step matrix"):
-                Propagator(scalar_system(a=-1e300))
-
     def test_overflowing_transitions_are_refused(self):
         p = Propagator(make_system(np.diag([-900.0, 1.0]), [[1.0], [1.0]], [[1.0, 1.0]],
                                    steps=50))
@@ -133,6 +128,20 @@ class TestStepPolicy:
                            match="more than 64 RK4 substeps.*157 uniform steps would pass"):
             Propagator(scalar_system(a=1e4, steps=100))
         assert Propagator(scalar_system(a=1e4, steps=157)).substeps == 64
+        # a = -1e300 would overflow the step matrices; the cap refuses it before
+        # the step build, and no grid of at most 100000 steps passes
+        with np.errstate(all="raise"):  # nothing is integrated, so nothing warns
+            with pytest.raises(NumericalRangeError, match="no grid of at most 100000 steps"):
+                Propagator(scalar_system(a=-1e300))
+        with pytest.raises(NumericalRangeError, match="more than 64 RK4 substeps"):
+            ctrl_gramian_lyapunov(scalar_system(a=1e4, steps=100))
+
+    def test_zero_padded_poly_on_a_long_horizon(self):
+        # tau^8 overflows, but zero coefficients bound nothing: A = 0, K = 4
+        A = CoeffMatrixFn.poly([[[0.0]]] * 9)
+        p = Propagator(make_system(A, [[1.0]], [[1.0]], tau=1e40, steps=10))
+        assert p.substeps == 4
+        assert np.array_equal(p.step_transitions, np.ones((10, 1, 1)))
 
     def test_non_finite_bound_is_refused(self):
         # tau^8 overflows the polynomial bound; the refusal names no step count

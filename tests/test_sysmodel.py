@@ -143,11 +143,16 @@ class TestCoeffMatrixFn:
         # A(t) = A_0 + A_1 t - A_2 t^2 on [0, 2]: row sums of |A_0| + 2 |A_1| + 4 |A_2|
         poly = CoeffMatrixFn.poly([[[1.0, 0.0]], [[0.0, -1.0]], [[-1.0, 0.0]]], tau=2.0)
         assert poly.inf_norm_bound() == 7.0
+        # zero coefficients add nothing however large tau^j: no 0 * inf
+        with np.errstate(all="raise"):
+            assert CoeffMatrixFn.poly([[[0.0]]] * 9, tau=1e300).inf_norm_bound() == 0.0
+            padded = CoeffMatrixFn.poly([[[2.0, -1.0]]] + [[[0.0, 0.0]]] * 8, tau=1e300)
+            assert padded.inf_norm_bound() == 3.0
 
-    def test_inf_norm_bound_overflow_is_not_finite(self):
+    def test_inf_norm_bound_overflow_is_infinite(self):
         with np.errstate(all="raise"):  # the bound warns about nothing
-            bound = CoeffMatrixFn.poly([[[0.0]]] * 9, tau=1e300).inf_norm_bound()
-        assert not np.isfinite(bound)
+            bound = CoeffMatrixFn.poly([[[0.0]]] * 8 + [[[1.0]]], tau=1e300).inf_norm_bound()
+        assert bound == np.inf
 
     @pytest.mark.parametrize("kind", ["constant", "poly", "samples"])
     def test_inf_norm_bound_bounds_every_time(self, rng, kind, monkeypatch):
