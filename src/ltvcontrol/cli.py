@@ -100,8 +100,6 @@ def _checked(convert, accept, what: str):
 _positive_int = _checked(int, lambda v: v > 0, "positive integer")
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
                            "finite positive number")
-_nonnegative_float = _checked(float, lambda v: math.isfinite(v) and v >= 0,
-                              "finite number >= 0")
 
 
 _COMMANDS: dict[str, tuple[str, bool, tuple, object]] = {}
@@ -109,11 +107,6 @@ _COMMANDS: dict[str, tuple[str, bool, tuple, object]] = {}
 
 def _flag(*names: str, **kwargs):
     return names, kwargs
-
-
-# the flag of the commands that test coercivity
-_COERCIVITY = _flag("--coercivity-tol", type=_nonnegative_float,
-                    default=gramian.COERCIVITY_TOL)
 
 
 def _command(name: str, help: str, *flags, spec: bool = True):
@@ -132,9 +125,9 @@ def _check(args, sys_):
     return EXIT_OK, {"valid": True}, {}
 
 
-@_command("analyze", "duality/controllability report", _COERCIVITY)
+@_command("analyze", "duality/controllability report")
 def _analyze(args, p):
-    report = duality.exact_controllability_test(p, tol=args.coercivity_tol)
+    report = duality.exact_controllability_test(p)
     verdict = "controllable" if report.controllable else "NOT controllable"
     print(f"{verdict}: lambda_min(W)={report.lambda_min_W:.6g} "
           f"delta={report.obs_constant_delta:.6g} M={report.admissibility_M:.6g} "
@@ -161,7 +154,7 @@ def _gramian(args, p):
     }, {"gramian_eigenvalues.csv": (["index", "eigenvalue"], enumerate(quad.eigenvalues))}
 
 
-@_command("synthesize", "minimum-norm steering control", _COERCIVITY,
+@_command("synthesize", "minimum-norm steering control",
           _flag("--x0", type=_vector, default=None, help="initial state, comma separated"),
           _flag("--target", type=_vector, default=None, help="target state, comma separated"))
 def _synthesize(args, p):
@@ -173,7 +166,7 @@ def _synthesize(args, p):
         print(f"x0/target must have dimension n={sys_.n}", file=_sys.stderr)
         return EXIT_VALIDATION, None, {}
     try:
-        result = synth.min_norm_control(p, x0, target, rank_tol=args.coercivity_tol)
+        result = synth.min_norm_control(p, x0, target)
     except (synth.NotControllableError, synth.NotNullControllableError) as exc:
         print(f"infeasible: {exc}", file=_sys.stderr)
         return EXIT_INFEASIBLE, {"verdict": type(exc).__name__, "error": str(exc)}, {}
@@ -261,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.set_defaults(spec=None)
         sp.add_argument("-o", "--output-dir", default=".", help="report directory")
         sp.add_argument("--seed", type=int, default=1)
-        if spec:
-            sp.add_argument("--quadrature", choices=["trapezoid", "simpson"], default=None)
         for names, kwargs in flags:
             sp.add_argument(*names, **kwargs)
         sp.set_defaults(run=fn)
@@ -276,8 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     sys_ = None
     if args.spec is not None:
         try:
-            sys_ = parse_system(Path(args.spec).read_text(encoding="utf-8"),
-                                quadrature=args.quadrature)
+            sys_ = parse_system(Path(args.spec).read_text(encoding="utf-8"))
         except (SpecFormatError, UnicodeDecodeError) as exc:
             print(f"spec validation error: {exc}", file=_sys.stderr)
             out.mkdir(parents=True, exist_ok=True)

@@ -106,19 +106,19 @@ def null_controllability_test(p: Propagator) -> tuple[bool, float]:
     report c = +inf.
     """
     W = ctrl_gramian_quadrature(p).W
-    return _range_inclusion(W, p.transition(0, p.steps), COERCIVITY_TOL)
+    return _range_inclusion(W, p.transition(0, p.steps))
 
 
-def _numerical_range(W: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues of W above rank_tol * lambda_max and their eigenvector columns."""
+def _numerical_range(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of W above COERCIVITY_TOL * lambda_max and their eigenvector columns."""
     lam, V = np.linalg.eigh(W)
-    mask = lam > rank_tol * max(float(lam[-1]), 0.0)
+    mask = lam > COERCIVITY_TOL * max(float(lam[-1]), 0.0)
     return lam[mask], V[:, mask]
 
 
-def _range_inclusion(W: np.ndarray, K: np.ndarray, rank_tol: float) -> tuple[bool, float]:
+def _range_inclusion(W: np.ndarray, K: np.ndarray) -> tuple[bool, float]:
     """The test of null_controllability_test for a given W_tau and K = U(tau,0)."""
-    lam, Vr = _numerical_range(W, rank_tol)
+    lam, Vr = _numerical_range(W)
     if lam.size == 0:
         return False, math.inf
     resid = K - Vr @ (Vr.T @ K)
@@ -132,14 +132,14 @@ def _range_inclusion(W: np.ndarray, K: np.ndarray, rank_tol: float) -> tuple[boo
     return True, c
 
 
-def exact_controllability_test(p: Propagator, tol: float = COERCIVITY_TOL) -> DualityReport:
+def exact_controllability_test(p: Propagator) -> DualityReport:
     """Full duality verdict: coercivity of W_tau, duality constant, admissibility,
-    and the null-controllability range test."""
+    and the null-controllability range test, all at the one threshold COERCIVITY_TOL."""
     gram = ctrl_gramian_quadrature(p)
-    controllable, lam_min = coercivity_check(gram, tol)
+    controllable, lam_min = coercivity_check(gram)
     delta = float(np.sqrt(max(lam_min, 0.0)))
     adm = admissibility_constant(p)
-    null_ok, c = _range_inclusion(gram.W, p.transition(0, p.steps), tol)
+    null_ok, c = _range_inclusion(gram.W, p.transition(0, p.steps))
     return DualityReport(
         controllable=controllable,
         lambda_min_W=lam_min,
@@ -147,5 +147,4 @@ def exact_controllability_test(p: Propagator, tol: float = COERCIVITY_TOL) -> Du
         admissibility_M=adm,
         null_controllable=null_ok,
         null_inclusion_c=c,
-        coercivity_tol=tol,
     )

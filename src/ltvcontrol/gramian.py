@@ -122,7 +122,7 @@ def observability_constant(p: Propagator) -> float:
     return float(np.sqrt(max(obs_gramian(p).lambda_min, 0.0)))
 
 
-def coercivity_check(g: GramianResult, tol: float = COERCIVITY_TOL) -> tuple[bool, float]:
-    """Coercive iff lambda_min > tol * lambda_max (relative threshold)."""
-    coercive = g.lambda_min > tol * max(g.lambda_max, 0.0) and g.lambda_max > 0.0
+def coercivity_check(g: GramianResult) -> tuple[bool, float]:
+    """Coercive iff lambda_min > COERCIVITY_TOL * lambda_max (relative threshold)."""
+    coercive = g.lambda_min > COERCIVITY_TOL * max(g.lambda_max, 0.0) and g.lambda_max > 0.0
     return bool(coercive), g.lambda_min

@@ -167,19 +167,25 @@ def _hautus_integral(sys: LtvSystem, lam, X: np.ndarray) -> np.ndarray:
     xx = np.einsum("ij,ij->j", X.conj(), X).real
     nodes = sys.grid.nodes
     w = sys.grid.weights()
+    # exact powers of two, 1 for ordinary frequencies, bringing |a| + ||A||_inf (sa, per
+    # real part) and |b| (s, per frequency) below 2^500, so the squares stay finite
+    sa = 2.0 ** np.maximum(np.frexp(np.abs(res) + sys.A.inf_norm_bound())[1] - 500, 0)
+    s = np.maximum(sa[group], 2.0 ** np.maximum(np.frexp(lams.imag)[1] - 500, 0))
+    b = lams.imag / s
+    r2, bb, c = ((sa[group] / s) ** 2).tolist(), (b * b).tolist(), (2 * b / s).tolist()
     out = np.zeros((lams.size, X.shape[1]))
     for chunk in batches(nodes.size, X.size):
         t = nodes[chunk]
         AX = sys.A(t) @ X
         cross = np.einsum("kij,ij->kj", AX.conj(), X).imag
         for g, a in enumerate(res):
-            U = a * X + AX
+            U = a * X + AX if sa[g] == 1.0 else (a / sa[g]) * X + AX / sa[g]
             uu = np.einsum("kij,kij->kj", U.conj(), U).real
             weights = w[chunk] * np.exp(-a * t)
             for k in np.flatnonzero(group == g):
-                b = lams[k].imag
-                out[k] += weights @ np.sqrt(np.maximum(uu + b * b * xx - 2 * b * cross, 0.0))
-    return out.reshape(np.shape(lam) + (X.shape[1],))
+                q = uu if r2[k] == 1.0 else r2[k] * uu
+                out[k] += weights @ np.sqrt(np.maximum(q + bb[k] * xx - c[k] * cross, 0.0))
+    return (out * s[:, None]).reshape(np.shape(lam) + (X.shape[1],))
 
 
 def hautus_sweep(p: Propagator, grid: HautusGrid) -> HautusReport:

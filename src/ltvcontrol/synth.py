@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import _numerical_range, _range_inclusion, input_map_adjoint
-from .gramian import COERCIVITY_TOL, GramianResult, coercivity_check, ctrl_gramian_quadrature
+from .gramian import GramianResult, coercivity_check, ctrl_gramian_quadrature
 from .propagate import Propagator, require_finite
 from .sysmodel import ControlSignal, l2_norm
 
@@ -35,50 +35,18 @@ class SynthesisResult:
     condition_estimate: float    # lambda_max / lambda_min of W_tau
 
 
-def _solve_gramian(gram: GramianResult, d: np.ndarray, rank_tol: float,
-                   allow_singular: bool = False) -> np.ndarray:
-    """Solve W eta = d by SPD factorization, or by the range-restricted
-    pseudo-inverse when the Gramian is singular and that is allowed."""
-    import scipy.linalg  # on first use only: it is most of ltvctl's start-up time
-
-    coercive, _ = coercivity_check(gram, rank_tol)
-    if coercive:
-        try:
-            factor = scipy.linalg.cho_factor(gram.W)
-            return scipy.linalg.cho_solve(factor, d)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise NotControllableError(
-                f"Gramian factorization failed (condition ~ {_condition(gram):.3e}): {exc}"
-            ) from None
-    if not allow_singular:
-        raise NotControllableError(
-            f"Gramian not coercive: lambda_min = {gram.lambda_min:.3e}, "
-            f"lambda_max = {gram.lambda_max:.3e}"
-        )
-    lam, Vr = _numerical_range(gram.W, rank_tol)
-    if lam.size == 0:
-        raise NotNullControllableError("Gramian has numerical rank zero")
-    return Vr @ ((Vr.T @ d) / lam)
-
-
 def _condition(gram: GramianResult) -> float:
     if gram.lambda_min <= 0:
         return np.inf
     return gram.lambda_max / gram.lambda_min
 
 
-def min_norm_control(p: Propagator, x0, x_tau,
-                     rank_tol: float = COERCIVITY_TOL) -> SynthesisResult:
+def min_norm_control(p: Propagator, x0, x_tau) -> SynthesisResult:
     """Minimum-energy control steering x0 to x_tau at time tau.
 
     Raises NotControllableError when W_tau is below the coercivity threshold.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(p.sys.n)
-    x_tau = np.asarray(x_tau, dtype=float).reshape(p.sys.n)
-    gram = ctrl_gramian_quadrature(p)
-    d = x_tau - p.propagate_state(x0)
-    eta = _solve_gramian(gram, d, rank_tol)
-    return _assemble(p, x0, x_tau, d, eta, gram)
+    return _steer(p, x0, x_tau, singular_ok=False)
 
 
 def null_control(p: Propagator, x0) -> SynthesisResult:
@@ -87,21 +55,38 @@ def null_control(p: Propagator, x0) -> SynthesisResult:
     When W_tau is singular but the range inclusion of the null-controllability
     test holds, the solve falls back to the pseudo-inverse on Ran W_tau.
     """
+    return _steer(p, x0, np.zeros(p.sys.n), singular_ok=True)
+
+
+def _steer(p: Propagator, x0, x_tau, singular_ok: bool) -> SynthesisResult:
+    """Solve W eta = d for d = x_tau - U(tau,0) x0: by SPD factorization when W_tau
+    is coercive, else, if singular_ok, by the pseudo-inverse on Ran W_tau once the
+    range inclusion holds."""
     x0 = np.asarray(x0, dtype=float).reshape(p.sys.n)
+    x_tau = np.asarray(x_tau, dtype=float).reshape(p.sys.n)
     gram = ctrl_gramian_quadrature(p)
-    d = -p.propagate_state(x0)
-    coercive, _ = coercivity_check(gram)
-    if not coercive:
-        feasible, _ = _range_inclusion(gram.W, p.transition(0, p.steps), COERCIVITY_TOL)
-        if not feasible:
-            raise NotNullControllableError(
-                "range of U(tau,0) is not contained in the range of W_tau^{1/2}"
-            )
-    eta = _solve_gramian(gram, d, COERCIVITY_TOL, allow_singular=True)
-    return _assemble(p, x0, np.zeros(p.sys.n), d, eta, gram)
+    d = x_tau - p.propagate_state(x0)
+    if coercivity_check(gram)[0]:
+        import scipy.linalg  # on first use only: it is most of ltvctl's start-up time
 
-
-def _assemble(p: Propagator, x0, x_tau, d, eta, gram: GramianResult) -> SynthesisResult:
+        try:
+            eta = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram.W), d)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+            raise NotControllableError(
+                f"Gramian factorization failed (condition ~ {_condition(gram):.3e}): {exc}"
+            ) from None
+    elif not singular_ok:
+        raise NotControllableError(
+            f"Gramian not coercive: lambda_min = {gram.lambda_min:.3e}, "
+            f"lambda_max = {gram.lambda_max:.3e}"
+        )
+    elif not _range_inclusion(gram.W, p.transition(0, p.steps))[0]:
+        raise NotNullControllableError(
+            "range of U(tau,0) is not contained in the range of W_tau^{1/2}"
+        )
+    else:
+        lam, Vr = _numerical_range(gram.W)
+        eta = Vr @ ((Vr.T @ d) / lam)
     # overflow is refused by require_finite; numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         require_finite(eta, "the Gramian solve")

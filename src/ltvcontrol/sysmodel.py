@@ -345,7 +345,7 @@ def _is_number(value, types) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
-def parse_system(spec_text: str, quadrature: str | None = None) -> LtvSystem:
+def parse_system(spec_text: str) -> LtvSystem:
     """Parse and validate a JSON system spec document.
 
     Expected fields: n, m, p, tau, steps, A, B, C, with each coefficient an
@@ -381,7 +381,7 @@ def parse_system(spec_text: str, quadrature: str | None = None) -> LtvSystem:
     if steps > MAX_STEPS:
         raise SpecFormatError("steps", f"capped at {MAX_STEPS}")
 
-    rule = quadrature or doc.get("quadrature", "trapezoid")
+    rule = doc.get("quadrature", "trapezoid")
     if rule not in QUADRATURE_RULES:
         raise SpecFormatError("quadrature", f"expected one of {QUADRATURE_RULES}, got {rule!r}")
 

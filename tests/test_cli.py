@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import ltvcontrol
+from ltvcontrol import cli, hautus
 from ltvcontrol.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
@@ -53,6 +56,11 @@ def load_report(out_dir):
 @pytest.fixture
 def scalar_spec(tmp_path):
     return write_spec(tmp_path / "spec.json", [[1.0]], [[1.0]], [[1.0]])
+
+
+@pytest.fixture
+def simpson_scalar_spec(tmp_path):
+    return write_spec(tmp_path / "simpson.json", [[1.0]], [[1.0]], [[1.0]], quadrature="simpson")
 
 
 @pytest.fixture
@@ -102,14 +110,12 @@ class TestCheck:
         assert load_report(out)["valid"] is False
         assert "Traceback" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [[], ["--quadrature", "simpson"]])
-    def test_simpson_on_nonuniform_nodes(self, tmp_path, flags):
-        extra = {"quadrature": "simpson"} if not flags else {}
+    def test_simpson_on_nonuniform_nodes(self, tmp_path):
         spec = write_spec(tmp_path / "spec.json", [[1.0]], [[1.0]], [[1.0]], steps=3,
-                          nodes=[0.0, 0.1, 0.5, 1.0], **extra)
+                          nodes=[0.0, 0.1, 0.5, 1.0], quadrature="simpson")
         for command in ("check", "analyze"):
             out = tmp_path / command
-            assert main([command, spec, "-o", str(out), *flags]) == EXIT_VALIDATION
+            assert main([command, spec, "-o", str(out)]) == EXIT_VALIDATION
             doc = load_report(out)
             assert doc["error"].startswith("nodes:")
             assert doc["command"] == command
@@ -172,9 +178,6 @@ class TestNumericallyInvalid:
             f"numerically invalid: {what} is not finite: the computation overflowed"]
 
     @pytest.mark.parametrize("command, flags, what", [
-        # (lambda + A)x overflows at Re(lambda) = 1e300, b^2 ||x||^2 at Im(lambda) = 1e200
-        ("hautus", ["--re-max", "1e300"], "a Hautus margin"),
-        ("hautus", ["--im=1e200"], "a Hautus margin"),
         # the cost ||u||^2 overflows; at the target the solve W eta = d does
         ("synthesize", ["--x0=1e200,0"], "the steering cost or residual"),
         ("synthesize", ["--target=1e308,-1e308"], "the Gramian solve"),
@@ -182,6 +185,14 @@ class TestNumericallyInvalid:
     def test_non_finite_result_is_refused(self, command, flags, what, two_state_spec,
                                           tmp_path, capsys):
         self._assert_refused(command, two_state_spec, flags, what, tmp_path, capsys)
+
+    def test_overflowing_hautus_margin_is_refused(self, tmp_path, capsys):
+        # at Re(lambda) = 1e300 the margin is about M w_0 Re(lambda) with M ~ 1e10 and
+        # w_0 = 1/40: the margin itself, not only its square, is past the float range
+        spec = write_spec(tmp_path / "spec.json", [[0.3, -0.1], [0.2, 0.4]], [[1.0], [0.5]],
+                          [[1e10, 0.0]], steps=20)
+        self._assert_refused("hautus", spec, ["--re-max", "1e300"], "a Hautus margin",
+                             tmp_path, capsys)
 
     @pytest.mark.parametrize("flags, what", [
         # eta is finite, U(tau, t)* eta is not; U(tau, 0) x0 overflows before the solve
@@ -261,6 +272,23 @@ class TestAnalyze:
         assert doc["lambda_min_W"] == pytest.approx(W, abs=1e-4)
         assert doc["obs_constant_delta"] == pytest.approx(np.sqrt(W), abs=1e-4)
 
+    def test_roundoff_sized_lambda_min_is_not_controllable(self, tmp_path, capsys):
+        # A = R diag(1, 2) R^T, B = R e1 (R the rotation by 0.3): lambda_min(W) is about
+        # 2e-17, above 0 but far below the relative threshold 1e-10 lambda_max
+        c, s = np.cos(0.3), np.sin(0.3)
+        R = np.array([[c, -s], [s, c]])
+        spec = write_spec(tmp_path / "spec.json", R @ np.diag([1.0, 2.0]) @ R.T, R[:, :1],
+                          [[1.0, 0.0]])
+        out = tmp_path / "out"
+        assert main(["analyze", spec, "-o", str(out)]) == EXIT_INFEASIBLE
+        stdout = capsys.readouterr().out
+        assert stdout.startswith("NOT controllable:")
+        assert stdout.rstrip().endswith("null=no")
+        doc = load_report(out)
+        assert doc["controllable"] is False
+        assert doc["null_controllable"] is False
+        assert doc["coercivity_tol"] == 1e-10
+
     def test_uncontrollable_exits_infeasible(self, tmp_path):
         spec = write_spec(tmp_path / "spec.json", np.zeros((2, 2)),
                           [[0.0], [0.0]], [[1.0, 0.0]])
@@ -272,10 +300,9 @@ class TestAnalyze:
 
 
 class TestGramian:
-    def test_scalar_report_and_csv(self, scalar_spec, tmp_path):
+    def test_scalar_report_and_csv(self, simpson_scalar_spec, tmp_path):
         out = tmp_path / "out"
-        assert main(["gramian", scalar_spec, "-o", str(out),
-                     "--quadrature", "simpson"]) == EXIT_OK
+        assert main(["gramian", simpson_scalar_spec, "-o", str(out)]) == EXIT_OK
         doc = load_report(out)
         W = (1 - np.exp(-2)) / 2
         assert doc["controllability"]["quadrature"]["W"][0][0] == pytest.approx(W, abs=1e-7)
@@ -287,11 +314,10 @@ class TestGramian:
 
 
 class TestSynthesize:
-    def test_steering_report(self, scalar_spec, tmp_path):
+    def test_steering_report(self, simpson_scalar_spec, tmp_path):
         out = tmp_path / "out"
-        assert main(["synthesize", scalar_spec, "-o", str(out),
-                     "--x0", "0", "--target", "1",
-                     "--quadrature", "simpson"]) == EXIT_OK
+        assert main(["synthesize", simpson_scalar_spec, "-o", str(out),
+                     "--x0", "0", "--target", "1"]) == EXIT_OK
         doc = load_report(out)
         W = (1 - np.exp(-2)) / 2
         assert doc["cost"] == pytest.approx(1 / W, abs=1e-4)
@@ -325,12 +351,41 @@ class TestHautus:
         assert csv[0] == "re_lambda,im_lambda,vector_index,margin"
         assert len(csv) == 1 + 3 * 2 * 5
 
+    @pytest.mark.parametrize("flags", [["--re-max", "1e300"], ["--im=1e200"]])
+    def test_huge_frequencies_give_finite_margins(self, flags, two_state_spec, tmp_path,
+                                                  capsys):
+        # the margins (about 2e298 and 9e198) fit in a float, though their squares do not
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["hautus", two_state_spec, "-o", str(out), "--vectors", "5",
+                         *flags]) == EXIT_OK
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        doc = load_report(out)
+        lines = (out / "hautus_margins.csv").read_text().splitlines()[1:]
+        rows = [[float(v) for v in line.split(",")] for line in lines]
+        assert len(rows) == 7 * (5 if flags[0] == "--re-max" else 1) * 5
+        assert all(np.isfinite(row[3]) for row in rows)
+        # at Re(lambda) = 1e300, e^{-Re(lambda) t} vanishes past t = 0: only the
+        # trapezoid node t = 0 (weight 1/40) is left of the integral
+        X = hautus.default_hautus_grid(2, n_vectors=5).test_vectors
+        A0, C0 = np.array([[0.3, -0.1], [0.2, 0.4]]), np.array([1.0, 0.0])
+        top = [row for row in rows if row[0] == 1e300]
+        assert len(top) == (25 if flags[0] == "--re-max" else 0)
+        for re, im, ix, margin in top:
+            lam, x = complex(re, im), X[int(ix)]
+            expect = (abs(C0 @ x) / np.sqrt(2 * re)
+                      + doc["admissibility_M"] / 40 * abs(lam) * np.linalg.norm(x + A0 @ x / lam)
+                      - doc["delta"] * np.linalg.norm(x))
+            assert margin == pytest.approx(expect, rel=1e-12)
+
 
 class TestFrozenCompare:
-    def test_autonomous_scalar(self, scalar_spec, tmp_path):
+    def test_autonomous_scalar(self, simpson_scalar_spec, tmp_path):
         out = tmp_path / "out"
-        assert main(["frozen-compare", scalar_spec, "-o", str(out),
-                     "--stride", "50", "--quadrature", "simpson"]) == EXIT_OK
+        assert main(["frozen-compare", simpson_scalar_spec, "-o", str(out),
+                     "--stride", "50"]) == EXIT_OK
         doc = load_report(out)
         assert doc["inf_frozen"] == pytest.approx(doc["delta_ltv"], abs=1e-6)
         csv = (out / "frozen_constants.csv").read_text().splitlines()
@@ -442,8 +497,6 @@ class TestFlagValues:
         ("hautus", ["--im", "nan"]),
         ("synthesize", ["--x0=nan,0"]),
         ("synthesize", ["--target=1,inf"]),
-        ("analyze", ["--coercivity-tol", "nan"]),
-        ("synthesize", ["--coercivity-tol", "-1"]),
         ("self-check", ["--tolerance-scale", "inf"]),
         ("self-check", ["--tolerance-scale", "0"]),
     ])
@@ -466,6 +519,9 @@ class TestFlagValues:
         ("analyze", ["--substeps", "4"]),
         ("hautus", ["--method", "rk4"]),
         ("gramian", ["--coercivity-tol", "1e-3"]),
+        ("analyze", ["--coercivity-tol", "0"]),
+        ("synthesize", ["--coercivity-tol", "1e-3"]),
+        ("gramian", ["--quadrature", "simpson"]),
         ("self-check", ["--quadrature", "simpson"]),
     ])
     def test_flag_the_command_does_not_read_is_rejected(self, command, flags, two_state_spec,
@@ -487,3 +543,19 @@ class TestSchemaConformance:
             main(argv + ["-o", str(out)])
             doc = load_report(out)
             assert doc["schema_version"] == 1
+
+
+class TestReadmeFlags:
+    """README's "Command line" section and the parser name the same long options."""
+
+    def test_readme_names_every_flag_and_only_those(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {opt for parser in sub.choices.values() for action in parser._actions
+                   if action.dest != "help"
+                   for opt in action.option_strings if opt.startswith("--")}
+        assert options - named == set(), "flags missing from README"
+        assert named - options == set(), "README names flags no subcommand has"

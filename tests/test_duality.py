@@ -129,6 +129,20 @@ class TestExactControllability:
         assert not rep.controllable
         assert rep.lambda_min_W == pytest.approx(0.0, abs=1e-14)
 
+    def test_unreachable_rotated_mode_is_not_coercive(self):
+        # A = R diag(1, 2) R^T, B = R e1 with R the rotation by 0.3: the second mode is
+        # unreachable, and lambda_min(W) is roundoff, far below COERCIVITY_TOL lambda_max
+        c, s = np.cos(0.3), np.sin(0.3)
+        R = np.array([[c, -s], [s, c]])
+        A, B = R @ np.diag([1.0, 2.0]) @ R.T, R[:, :1]
+        rep = exact_controllability_test(Propagator(make_system(A, B, [[1.0, 0.0]])))
+        assert kalman_rank(A, B) == 1
+        assert abs(rep.lambda_min_W) < 1e-15
+        assert rep.coercivity_tol == 1e-10
+        assert not rep.controllable
+        assert not rep.null_controllable
+        assert rep.null_inclusion_c == math.inf
+
     def test_double_integrator_chain(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         B = np.array([[0.0], [1.0]])

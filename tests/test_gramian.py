@@ -127,7 +127,7 @@ class TestCoercivity:
 
     def test_scalar_value(self):
         g = _fake_gramian(np.array([[0.432332]]))
-        coercive, lam = coercivity_check(g, tol=1e-10)
+        coercive, lam = coercivity_check(g)
         assert coercive
         assert lam == pytest.approx(0.432332)
 

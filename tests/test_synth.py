@@ -14,8 +14,6 @@ from ltvcontrol import (
     min_norm_control,
     null_control,
 )
-from ltvcontrol.synth import _solve_gramian
-from ltvcontrol.gramian import GramianResult
 from conftest import make_system, random_poly_system, scalar_system
 
 
@@ -103,14 +101,16 @@ class TestNullControl:
             null_control(p, [1.0])
 
     def test_singular_solve_uses_range_restriction(self):
-        # direct check of the pseudo-inverse fallback on a rank-1 Gramian
-        W = np.diag([2.0, 0.0])
-        eigs = np.linalg.eigvalsh(W)
-        gram = GramianResult(W=W, eigenvalues=eigs, lambda_min=0.0, lambda_max=2.0)
-        eta = _solve_gramian(gram, np.array([4.0, 0.0]), 1e-10, allow_singular=True)
-        assert np.allclose(eta, [2.0, 0.0])
+        # A = diag(0, 2000): U(tau, 0)_22 underflows to exactly 0, so W = diag(1, 0) is
+        # singular while Ran U(tau, 0) lies in Ran W; only null_control takes the
+        # pseudo-inverse on Ran W
+        p = Propagator(make_system(np.diag([0.0, 2000.0]), [[1.0], [0.0]], np.eye(2)))
+        assert p.transition(0, p.steps)[1, 1] == 0.0
+        assert ctrl_gramian_quadrature(p).lambda_min == 0.0
+        res = null_control(p, [1.0, 1.0])
+        assert np.linalg.norm(p.propagate_state([1.0, 1.0], res.control)) <= 1e-8
         with pytest.raises(NotControllableError):
-            _solve_gramian(gram, np.array([4.0, 0.0]), 1e-10)
+            min_norm_control(p, [1.0, 1.0], [0.0, 0.0])
 
 
 class TestVerifySteering:

@@ -272,15 +272,13 @@ class TestParseSystem:
             parse_system("[" * 100000 + "]" * 100000)
         assert exc.value.field_path == "$"
 
-    @pytest.mark.parametrize("from_flag", [False, True])
-    def test_simpson_on_nonuniform_nodes(self, from_flag):
+    def test_simpson_on_nonuniform_nodes(self):
         doc = json.loads(MINIMAL_SPEC)
         doc["steps"] = 3
         doc["nodes"] = [0.0, 0.1, 0.5, 1.0]
-        if not from_flag:
-            doc["quadrature"] = "simpson"
+        doc["quadrature"] = "simpson"
         with pytest.raises(SpecFormatError) as exc:
-            parse_system(json.dumps(doc), quadrature="simpson" if from_flag else None)
+            parse_system(json.dumps(doc))
         assert exc.value.field_path == "nodes"
 
     def test_unknown_top_level_field(self):
