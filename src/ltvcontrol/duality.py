@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gramian import COERCIVITY_TOL, coercivity_check, ctrl_gramian_quadrature
-from .propagate import Propagator, require_finite
+from .propagate import Propagator, batches, require_finite
 from .sysmodel import ControlSignal, l2_inner
 
 RANGE_INCLUSION_TOL = 1e-8
@@ -73,25 +73,27 @@ def admissibility_constant(p: Propagator) -> float:
     window integrated by the trapezoid rule on nodes s..N whatever the grid's
     own rule (windows generally have odd panel counts, so Simpson does not
     apply). All windows come from one backward pass over the step matrices,
-    the Gramian recursion with d_s = t_{s+1} - t_s and Q_N = 0:
+    in chunks whose windows are checked and diagonalized as one stack, by the
+    Gramian recursion with d_s = t_{s+1} - t_s and Q_N = 0:
 
         Q_s = (d_s/2) C_s* C_s + Phi_s* (Q_{s+1} + (d_s/2) C_{s+1}* C_{s+1}) Phi_s.
     """
-    nodes = p.grid.nodes
-    C = p.sys.C(nodes)
-    Q = np.zeros((p.sys.n, p.sys.n))
-    CtC_next = C[-1].T @ C[-1]
+    n = p.sys.n
+    half = (np.diff(p.grid.nodes) / 2).tolist()
+    C = p.sys.C(p.grid.nodes)
+    Q = np.zeros((n, n))
     best = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(p.steps - 1, -1, -1):
-            half = (nodes[s + 1] - nodes[s]) / 2
-            CtC = C[s].T @ C[s]
-            phi = p.step_transitions[s]
-            Q = half * CtC + phi.T @ (Q + half * CtC_next) @ phi
-            Q = 0.5 * (Q + Q.T)
-            require_finite(Q, "a windowed observability Gramian")
-            best = max(best, float(np.linalg.eigvalsh(Q)[-1]))
-            CtC_next = CtC
+        for chunk in reversed(batches(p.steps, n * n)):
+            Cs = C[chunk.start:chunk.stop + 1]
+            CtC = Cs.transpose(0, 2, 1) @ Cs
+            Qs = np.empty((chunk.stop - chunk.start, n, n))
+            for j, d, phi in zip(range(len(Qs) - 1, -1, -1), half[chunk][::-1],
+                                 p.step_transitions[chunk][::-1]):
+                Q = d * CtC[j] + np.dot(np.dot(phi.T, Q + d * CtC[j + 1]), phi)
+                Qs[j] = Q = 0.5 * (Q + Q.T)
+            require_finite(Qs, "a windowed observability Gramian")
+            best = max(best, float(np.max(np.linalg.eigvalsh(Qs)[:, -1])))
     return float(np.sqrt(max(best, 0.0)))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagate import Propagator, batches, require_finite, rk4_substeps, substep_times
+from .propagate import Propagator, batches, require_finite, rk4_substeps, stage_times
 from .sysmodel import LtvSystem
 
 COERCIVITY_TOL = 1e-10
@@ -47,14 +47,14 @@ def _finalize(W: np.ndarray) -> GramianResult:
 
 def ctrl_gramian_quadrature(p: Propagator) -> GramianResult:
     """W_tau by grid quadrature of U(tau,s) B(s) B(s)* U(tau,s)*, summed from s = tau to 0."""
-    w = p.grid.weights()
-    B = p.sys.B(p.grid.nodes)
+    w = p.grid.weights().tolist()[::-1]
+    B = p.sys.B(p.grid.nodes)[::-1]
     W = np.zeros((p.sys.n, p.sys.n))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, U in p.transitions_to_end():
-            if w[i] != 0.0:
-                UB = U @ B[i]
-                W += w[i] * (UB @ UB.T)
+        for wi, Bi, (_, U) in zip(w, B, p.transitions_to_end()):
+            if wi != 0.0:
+                UB = np.dot(U, Bi)
+                W += wi * np.dot(UB, UB.T)
     return _finalize(W)
 
 
@@ -62,38 +62,49 @@ def ctrl_gramian_lyapunov(sys: LtvSystem) -> GramianResult:
     """W(tau) from RK4 integration of the differential Lyapunov equation, with
     rk4_substeps(sys) RK4 substeps per interval, as the Propagator's steps.
 
-    The integration is sequential; only the coefficients are sampled ahead,
-    -A and B B* at every stage time of a chunk of intervals in one call each.
-    """
+    The integration is sequential; only the coefficients are sampled ahead, -A and
+    B B* at the 2K+1 distinct stage times of a chunk of intervals in one call each.
+    Stages and the sum k1 + 2 k2 + 2 k3 + k4 are formed in place in the written
+    order; doubling is exact and addition commutes, so W is the same bit for bit."""
     substeps = rk4_substeps(sys)
     n = sys.n
     nodes = sys.grid.nodes
+    dot = np.dot
     W = np.zeros((n, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        for chunk in batches(nodes.size - 1, 3 * substeps * n * n):
-            span = nodes[chunk.start:chunk.stop + 1]
-            # stage times t, t + h/2, t + h ordered by interval, then substep, then stage
-            stages = [x for t, h in substep_times(span, substeps) for x in (t, t + h / 2, t + h)]
-            times = np.stack(stages, axis=1).reshape(-1)
-            negA = -sys.A(times)
-            Bs = sys.B(times)
+        for chunk in batches(nodes.size - 1, (2 * substeps + 1) * n * n):
+            times, hs = stage_times(nodes[chunk.start:chunk.stop + 1], substeps)
+            negA = -sys.A(times.reshape(-1))
+            Bs = sys.B(times.reshape(-1))
             BBT = Bs @ Bs.transpose(0, 2, 1)
             # -A W - W A* equals negA W + W negA* bit for bit: negation is exact
-            s = 0
-            for h in (span[1:] - span[:-1]) / substeps:
-                for _ in range(substeps):
-                    a, q = negA[s], BBT[s]
-                    k1 = a @ W + W @ a.T + q
-                    a, q = negA[s + 1], BBT[s + 1]
-                    V = W + (h / 2) * k1
-                    k2 = a @ V + V @ a.T + q
-                    V = W + (h / 2) * k2
-                    k3 = a @ V + V @ a.T + q
-                    a, q = negA[s + 2], BBT[s + 2]
+            stages = zip(negA, negA.transpose(0, 2, 1), BBT)
+            for h, h2, h6 in zip(hs.tolist(), (hs / 2).tolist(), (hs / 6).tolist()):
+                a, aT, q = next(stages)
+                for _, (a2, a2T, q2), (a4, a4T, q4) in zip(range(substeps), stages, stages):
+                    k1 = dot(a, W)
+                    k1 += dot(W, aT)
+                    k1 += q
+                    V = W + h2 * k1
+                    k2 = dot(a2, V)
+                    k2 += dot(V, a2T)
+                    k2 += q2
+                    V = W + h2 * k2
+                    k3 = dot(a2, V)
+                    k3 += dot(V, a2T)
+                    k3 += q2
                     V = W + h * k3
-                    k4 = a @ V + V @ a.T + q
-                    W = W + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-                    s += 3
+                    k4 = dot(a4, V)
+                    k4 += dot(V, a4T)
+                    k4 += q4
+                    k2 += k2
+                    k2 += k1
+                    k3 += k3
+                    k2 += k3
+                    k2 += k4
+                    k2 *= h6
+                    W = W + k2
+                    a, aT, q = a4, a4T, q4  # a substep's end is the next one's start
     return _finalize(W)
 
 
@@ -106,14 +117,14 @@ def ctrl_gramian_cross(p: Propagator) -> tuple[GramianResult, GramianResult, flo
 
 def obs_gramian(p: Propagator) -> GramianResult:
     """Q_tau by grid quadrature of U(t,0)* C(t)* C(t) U(t,0) over one stream of U(t_i, 0)."""
-    w = p.grid.weights()
+    w = p.grid.weights().tolist()
     C = p.sys.C(p.grid.nodes)
     Q = np.zeros((p.sys.n, p.sys.n))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, U in enumerate(p.transitions_from_start()):
-            if w[i] != 0.0:
-                CU = C[i] @ U
-                Q += w[i] * (CU.T @ CU)
+        for wi, Ci, U in zip(w, C, p.transitions_from_start()):
+            if wi != 0.0:
+                CU = np.dot(Ci, U)
+                Q += wi * np.dot(CU.T, CU)
     return _finalize(Q)
 
 

@@ -138,11 +138,16 @@ def _hautus_margins(sys: LtvSystem, lams: np.ndarray, X: np.ndarray,
     """Margins ||C(0)x|| / sqrt(2 Re lambda) + M * integral - delta ||x|| for every
     frequency of lams (rows) and column x of X (columns); raises
     NumericalRangeError if any of them is not finite."""
+    # x -> x / 2^k is exact and the margin homogeneous: bring each column's largest
+    # entry into [2^-250, 2) (k = 0 for unit vectors) so that every norm stays finite
+    e = np.frexp(np.max(np.abs(X), axis=0))[1]
+    scale = 2.0 ** (e - np.clip(e, -250, 1))
+    X = X / scale
     # overflow is refused by require_finite; numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         boundary = np.linalg.norm(sys.C(0.0) @ X, axis=0) / np.sqrt(2 * lams.real)[:, None]
         margins = (boundary + M * _hautus_integral(sys, lams, X)
-                   - delta * np.linalg.norm(X, axis=0))
+                   - delta * np.linalg.norm(X, axis=0)) * scale
     require_finite(margins, "a Hautus margin")
     return margins
 

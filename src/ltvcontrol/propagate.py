@@ -6,9 +6,9 @@ z'(t) = A(t)* z(t), z(tau) = z_tau.
 
 Per-interval step matrices Phi_i ~ U(t_{i+1}, t_i) are integrated once with
 RK4 (a substep count chosen from A, see rk4_substeps), on stacks of intervals
-with A sampled once per substep for the whole stack. They are all that is
-stored: transitions are products of them formed on demand, singly or streamed
-node by node, so a pass holds O(n^2) beyond the steps.
+with A sampled once per distinct stage time for the whole stack. They are all
+that is stored: transitions are products of them formed on demand, singly or
+streamed node by node, so a pass holds O(n^2) beyond the steps.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .sysmodel import MAX_STEPS, ControlSignal, LtvSystem
 # of every chunked loop whatever the state dimension
 STACK_ELEMENTS = 2**15
 
-# RK4 substeps per interval: at least the classical 4, and never more than 64,
-# which keeps the Lyapunov loop's per-interval stage stack near 6 MB at n = 64
+# RK4 substeps per interval: at least the classical 4, and never more than 64, which
+# keeps the Lyapunov loop's per-interval stage stack, (2K+1) n^2 floats, near 4.2 MB
 MIN_SUBSTEPS = 4
 MAX_SUBSTEPS = 64
 
@@ -40,18 +40,17 @@ def batches(count: int, item_size: int) -> list[slice]:
     return [slice(a, min(a + size, count)) for a in range(0, count, size)]
 
 
-def substep_times(nodes: np.ndarray, substeps: int):
-    """Yield (t, h) for each substep of the intervals between consecutive nodes.
+def stage_times(nodes: np.ndarray, substeps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2K+1 distinct RK4 stage times of K substeps on each interval between
+    consecutive nodes, one row per interval, and the substep length h of each.
 
-    t and h are arrays over the intervals; h = (t_{i+1} - t_i) / substeps and t
-    advances by t + h, exactly as a per-interval loop forms them, so stage times
-    t + h/2 and t + h are bit-identical to that loop's.
-    """
+    Column 2k holds t_k and column 2k+1 holds t_k + h/2, with h = (t_{i+1} - t_i) / K
+    and t_{k+1} = t_k + h as a per-interval loop forms them, so column 2K is t_K."""
     h = (nodes[1:] - nodes[:-1]) / substeps
-    t = nodes[:-1]
+    cols = [nodes[:-1]]
     for _ in range(substeps):
-        yield t, h
-        t = t + h
+        cols += [cols[-1] + h / 2, cols[-1] + h]
+    return np.stack(cols, axis=1), h
 
 
 def require_finite(M: np.ndarray, what: str) -> None:
@@ -103,24 +102,22 @@ class Propagator:
         steps = np.empty((nodes.size - 1, n, n))
         with np.errstate(over="ignore", invalid="ignore"):
             for chunk in batches(steps.shape[0], n * n):
+                times, h = stage_times(nodes[chunk.start:chunk.stop + 1], self.substeps)
+                hk = h[:, None, None]
                 phi = np.broadcast_to(np.eye(n), (chunk.stop - chunk.start, n, n))
-                for t, h in substep_times(nodes[chunk.start:chunk.stop + 1], self.substeps):
-                    phi = self._step(phi, t, h)
+                a = -sys.A(times[:, 0])
+                for t2, t4 in zip(times[:, 1::2].T, times[:, 2::2].T):
+                    k1 = a @ phi
+                    a = -sys.A(t2)
+                    k2 = a @ (phi + (hk / 2) * k1)
+                    k3 = a @ (phi + (hk / 2) * k2)
+                    a = -sys.A(t4)  # also -A at the next substep's start
+                    k4 = a @ (phi + hk * k3)
+                    phi = phi + (hk / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
                 require_finite(phi, "a step matrix")
                 steps[chunk] = phi
         steps.setflags(write=False)
         self.step_transitions = steps
-
-    def _step(self, phi: np.ndarray, t: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """One RK4 substep from times t of length h for a (K, n, n) stack of intervals."""
-        A = self.sys.A
-        hk = h[:, None, None]
-        k1 = -A(t) @ phi
-        a2 = -A(t + h / 2)
-        k2 = a2 @ (phi + (hk / 2) * k1)
-        k3 = a2 @ (phi + (hk / 2) * k2)
-        k4 = -A(t + h) @ (phi + hk * k3)
-        return phi + (hk / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     @property
     def grid(self):
@@ -185,7 +182,7 @@ class Propagator:
         with np.errstate(over="ignore", invalid="ignore"):
             x = x + forcing[0]
             for phi, f in zip(self.step_transitions, forcing[1:]):
-                x = phi @ x + f
+                x = np.dot(phi, x) + f
         require_finite(x, "the state x(tau)")
         return x
 

@@ -51,16 +51,16 @@ def rng():
 BATCH_SIZES = [(1, 37), (3, 50), (20, 170), (64, 21)]
 
 
-def kind_system(rng, n, kind, steps, nonuniform=False):
+def kind_system(rng, n, kind, steps, nonuniform=False, quadrature="trapezoid"):
     """Random system with m = 2 whose A and B are both of one coefficient kind
     (constant, poly of degree 2, or samples on the grid), on uniform or
     random non-uniform nodes over [0, 1]."""
-    grid = TimeGrid.uniform(1.0, steps)
+    grid = TimeGrid.uniform(1.0, steps, quadrature)
     if nonuniform:
         gaps = rng.uniform(0.5, 1.5, size=steps)
         nodes = np.concatenate([[0.0], np.cumsum(gaps) / gaps.sum()])
         nodes[-1] = 1.0
-        grid = TimeGrid(nodes)
+        grid = TimeGrid(nodes, quadrature)
     s = 1 / np.sqrt(n)
 
     def coeff(rows, cols):

@@ -245,3 +245,57 @@ def lyapunov_oracle(sys, substeps: int = 4) -> np.ndarray:
             W = W + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             t += h
     return 0.5 * (W + W.T)
+
+
+# The sweeps below are the library's own loops as they were written with one
+# `@` per product and weights indexed per node; the library's leaner loops must
+# match them bit for bit.
+
+def ctrl_gramian_stream_oracle(p) -> np.ndarray:
+    """Symmetrized W_tau summed from tau back to 0 over the streamed U(tau, t_i)."""
+    w = p.grid.weights()
+    B = p.sys.B(p.grid.nodes)
+    W = np.zeros((p.sys.n, p.sys.n))
+    for i, U in p.transitions_to_end():
+        if w[i] != 0.0:
+            UB = U @ B[i]
+            W += w[i] * (UB @ UB.T)
+    return 0.5 * (W + W.T)
+
+
+def admissibility_recursion_oracle(p) -> float:
+    """M by the windowed Gramian recursion, one symmetric eigenproblem per node."""
+    nodes = p.grid.nodes
+    C = p.sys.C(nodes)
+    Q = np.zeros((p.sys.n, p.sys.n))
+    CtC_next = C[-1].T @ C[-1]
+    best = 0.0
+    for s in range(p.steps - 1, -1, -1):
+        half = (nodes[s + 1] - nodes[s]) / 2
+        CtC = C[s].T @ C[s]
+        phi = p.step_transitions[s]
+        Q = half * CtC + phi.T @ (Q + half * CtC_next) @ phi
+        Q = 0.5 * (Q + Q.T)
+        best = max(best, float(np.linalg.eigvalsh(Q)[-1]))
+        CtC_next = CtC
+    return float(np.sqrt(max(best, 0.0)))
+
+
+def state_sweep_oracle(p, x0, u) -> np.ndarray:
+    """x(tau) by the forward sweep x <- Phi_i x + w_{i+1} B(t_{i+1}) u(t_{i+1})."""
+    B = p.sys.B(p.grid.nodes)
+    forcing = np.einsum("i,ijk,ik->ij", p.grid.weights(), B, u.values)
+    x = np.asarray(x0).reshape(p.sys.n) + forcing[0]
+    for phi, f in zip(p.step_transitions, forcing[1:]):
+        x = phi @ x + f
+    return x
+
+
+def adjoint_sweep_oracle(p, z) -> np.ndarray:
+    """Psi_tau* z at every node by the backward sweep z_i = Phi_i* z_{i+1}."""
+    z = np.asarray(z).reshape(p.sys.n)
+    Z = np.empty((p.steps + 1, p.sys.n), dtype=np.result_type(float, z.dtype))
+    Z[-1] = z
+    for i in range(p.steps - 1, -1, -1):
+        Z[i] = p.step_transitions[i].T @ Z[i + 1]
+    return np.einsum("ijk,ij->ik", p.sys.B(p.grid.nodes), Z)

@@ -104,6 +104,17 @@ class TestNonautonomousMargin:
         # integral -> 1, boundary -> 0+, so margin -> M - delta = 0 from above
         assert 0 < margin < 0.1
 
+    @pytest.mark.parametrize("c", [1e200, 2.0**-600])
+    def test_margin_is_homogeneous_in_x_across_the_float_range(self, c):
+        # ||x||^2 and ||(lambda + A) x||^2 leave the float range at these sizes;
+        # the margin itself does not
+        sys = make_system([[0.3, -0.1], [0.2, 0.4]], [[1.0], [0.0]], [[1.0, 0.0]], steps=20)
+        for lam in (1.0, 2.0 + 10.0j):
+            for x in ([1.0, 0.0], [0.6, -0.8], [3.0, 4.0]):
+                base = nonautonomous_hautus_margin(sys, lam, x, 0.5, 1.0)
+                scaled = nonautonomous_hautus_margin(sys, lam, c * np.array(x), 0.5, 1.0)
+                assert scaled == pytest.approx(c * base, rel=1e-12)
+
     def test_left_half_plane_rejected(self):
         sys = scalar_system(a=0.0)
         with pytest.raises(ValueError):

@@ -73,11 +73,11 @@ class TestBatchedStepBuild:
         sys = kind_system(rng, n, "poly", steps)
         substeps = Propagator(sys).substeps
         ctrl_gramian_lyapunov(sys)
-        # per stack: one call per RK4 stage time of each substep in the step build,
-        # one for A and one for B in the Lyapunov loop
+        # per stack: one call per distinct RK4 stage time (2K+1 per interval) in the
+        # step build, one for A and one for B in the Lyapunov loop
         step_chunks = -(-steps // (STACK_ELEMENTS // n**2))
-        lyap_chunks = -(-steps // (STACK_ELEMENTS // (3 * substeps * n**2)))
-        assert len(calls) == 3 * substeps * step_chunks + 2 * lyap_chunks
+        lyap_chunks = -(-steps // (STACK_ELEMENTS // ((2 * substeps + 1) * n**2)))
+        assert len(calls) == (2 * substeps + 1) * step_chunks + 2 * lyap_chunks
         assert len(calls) < steps  # the per-stage loops made 12 calls per substep of each interval
 
 

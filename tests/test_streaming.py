@@ -15,16 +15,21 @@ from ltvcontrol import (
     CoeffMatrixFn,
     ControlSignal,
     Propagator,
+    admissibility_constant,
     ctrl_gramian_quadrature,
     input_map_adjoint,
     obs_gramian,
 )
-from conftest import kind_system, make_system
+from conftest import BATCH_SIZES, kind_system, make_system
 from oracles import (
+    adjoint_sweep_oracle,
+    admissibility_recursion_oracle,
     ctrl_gramian_oracle,
+    ctrl_gramian_stream_oracle,
     input_map_adjoint_oracle,
     obs_gramian_oracle,
     propagate_state_oracle,
+    state_sweep_oracle,
     transitions_from_start_oracle,
     transitions_to_end_oracle,
 )
@@ -84,6 +89,22 @@ class TestAgainstListOracles:
         assert _close(p.propagate_state(x0, u), propagate_state_oracle(p, x0, u))
         assert _close(p.propagate_state(x0), transitions_to_end_oracle(p)[0] @ x0)
         assert _close(input_map_adjoint(p, z).values, input_map_adjoint_oracle(p, z))
+
+
+@pytest.mark.parametrize("n, steps", BATCH_SIZES)
+@pytest.mark.parametrize("kind", ["constant", "poly", "samples"])
+@pytest.mark.parametrize("quadrature, nonuniform", GRIDS)
+def test_sweeps_match_per_node_loops_bitwise(rng, n, steps, kind, quadrature, nonuniform):
+    p = Propagator(kind_system(rng, n, kind, steps, nonuniform, quadrature))
+    assert np.array_equal(ctrl_gramian_quadrature(p).W, ctrl_gramian_stream_oracle(p))
+    assert admissibility_constant(p) == admissibility_recursion_oracle(p)
+    x0, z = rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n)
+    values = rng.normal(size=(steps + 1, 2))
+    for v in (values, values + 1j * values[::-1]):
+        u = ControlSignal(p.grid, v)
+        assert np.array_equal(p.propagate_state(x0, u), state_sweep_oracle(p, x0, u))
+    for w in (z.real, z):
+        assert np.array_equal(input_map_adjoint(p, w).values, adjoint_sweep_oracle(p, w))
 
 
 @pytest.mark.parametrize("consumer", [
