@@ -223,10 +223,9 @@ def _frozen(args, p):
     }, {"frozen_constants.csv": (["s", "m"], zip(report.s_values, report.m_values))}
 
 
-@_command("self-check", "run the built-in invariant suite",
-          _flag("--tolerance-scale", type=_positive_float, default=1.0), spec=False)
+@_command("self-check", "run the built-in invariant suite", spec=False)
 def _selfcheck(args, sys_):
-    rows = selfcheck.self_check(tolerance_scale=args.tolerance_scale, seed=args.seed)
+    rows = selfcheck.self_check(seed=args.seed)
     width = max((len(f"{r.system}/{r.check}") for r in rows), default=10)
     for r in rows:
         status = "PASS" if r.passed else "FAIL"

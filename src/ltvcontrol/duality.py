@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gramian import COERCIVITY_TOL, coercivity_check, ctrl_gramian_quadrature
+from .gramian import COERCIVITY_TOL, GramianResult, coercivity_check, ctrl_gramian_quadrature
 from .propagate import Propagator, batches, require_finite
 from .sysmodel import ControlSignal, l2_inner
 
@@ -97,30 +97,18 @@ def admissibility_constant(p: Propagator) -> float:
     return float(np.sqrt(max(best, 0.0)))
 
 
-def null_controllability_test(p: Propagator) -> tuple[bool, float]:
-    """Range-inclusion test Ran U(tau,0) within Ran W_tau^{1/2}, with constant c.
+def null_controllability_test(gram: GramianResult, K: np.ndarray) -> tuple[bool, float]:
+    """Range-inclusion test Ran K within Ran W_tau^{1/2} for the W_tau pass gram and
+    K = U(tau,0) (gram.U_tau_0 for the quadrature pass), with constant c.
 
-    feasible iff every column of U(tau,0) projects onto the numerical range of
-    W_tau (eigenvalues above COERCIVITY_TOL * lambda_max) with residual <=
+    feasible iff every column of K projects onto the numerical range of W_tau
+    (eigenvalues above COERCIVITY_TOL * lambda_max) with residual <=
     RANGE_INCLUSION_TOL * column norm; c is the largest generalized singular
-    value of the pair (U(tau,0), W_tau^{1/2}) on that range, so
+    value of the pair (K, W_tau^{1/2}) on that range, so
     ||U(tau,0)* z|| <= c ||Psi_tau* z||_{L2} for all z. Infeasible verdicts
     report c = +inf.
     """
-    W = ctrl_gramian_quadrature(p).W
-    return _range_inclusion(W, p.transition(0, p.steps))
-
-
-def _numerical_range(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues of W above COERCIVITY_TOL * lambda_max and their eigenvector columns."""
-    lam, V = np.linalg.eigh(W)
-    mask = lam > COERCIVITY_TOL * max(float(lam[-1]), 0.0)
-    return lam[mask], V[:, mask]
-
-
-def _range_inclusion(W: np.ndarray, K: np.ndarray) -> tuple[bool, float]:
-    """The test of null_controllability_test for a given W_tau and K = U(tau,0)."""
-    lam, Vr = _numerical_range(W)
+    lam, Vr = gram.numerical_range
     if lam.size == 0:
         return False, math.inf
     resid = K - Vr @ (Vr.T @ K)
@@ -141,7 +129,7 @@ def exact_controllability_test(p: Propagator) -> DualityReport:
     controllable, lam_min = coercivity_check(gram)
     delta = float(np.sqrt(max(lam_min, 0.0)))
     adm = admissibility_constant(p)
-    null_ok, c = _range_inclusion(gram.W, p.transition(0, p.steps))
+    null_ok, c = null_controllability_test(gram, gram.U_tau_0)
     return DualityReport(
         controllable=controllable,
         lambda_min_W=lam_min,

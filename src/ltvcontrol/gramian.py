@@ -14,6 +14,7 @@ minimum eigenvalue's square root is the exact-observability constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,9 +30,18 @@ class GramianResult:
     eigenvalues: np.ndarray      # ascending
     lambda_min: float
     lambda_max: float
+    U_tau_0: np.ndarray | None = None  # U(tau, 0), handed over by the quadrature stream
+
+    @cached_property
+    def numerical_range(self) -> tuple[np.ndarray, np.ndarray]:
+        """The eigenvalues of W above COERCIVITY_TOL * lambda_max and their eigenvector
+        columns, from one eigh that every later reader shares."""
+        lam, V = np.linalg.eigh(self.W)
+        keep = lam > COERCIVITY_TOL * max(float(lam[-1]), 0.0)
+        return lam[keep], V[:, keep]
 
 
-def _finalize(W: np.ndarray) -> GramianResult:
+def _finalize(W: np.ndarray, U_tau_0: np.ndarray | None = None) -> GramianResult:
     require_finite(W, "the Gramian")
     W = 0.5 * (W + W.conj().T)
     W.setflags(write=False)
@@ -42,11 +52,13 @@ def _finalize(W: np.ndarray) -> GramianResult:
         eigenvalues=eigs,
         lambda_min=float(eigs[0]),
         lambda_max=float(eigs[-1]),
+        U_tau_0=U_tau_0,
     )
 
 
 def ctrl_gramian_quadrature(p: Propagator) -> GramianResult:
-    """W_tau by grid quadrature of U(tau,s) B(s) B(s)* U(tau,s)*, summed from s = tau to 0."""
+    """W_tau by grid quadrature of U(tau,s) B(s) B(s)* U(tau,s)*, summed from s = tau to 0;
+    the stream's last U, U(tau, 0), is handed over as U_tau_0."""
     w = p.grid.weights().tolist()[::-1]
     B = p.sys.B(p.grid.nodes)[::-1]
     W = np.zeros((p.sys.n, p.sys.n))
@@ -55,7 +67,8 @@ def ctrl_gramian_quadrature(p: Propagator) -> GramianResult:
             if wi != 0.0:
                 UB = np.dot(U, Bi)
                 W += wi * np.dot(UB, UB.T)
-    return _finalize(W)
+    U.setflags(write=False)
+    return _finalize(W, U)
 
 
 def ctrl_gramian_lyapunov(sys: LtvSystem) -> GramianResult:

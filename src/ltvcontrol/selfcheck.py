@@ -57,8 +57,9 @@ def reference_systems() -> list[tuple[str, LtvSystem]]:
     return [("scalar_decay", scalar), ("rotation_2d", rotation), ("ramp_3d", ramp)]
 
 
-def self_check(tolerance_scale: float = 1.0, seed: int = 7) -> list[CheckRow]:
-    """Run the invariant suite on the reference systems; one row per (system, check)."""
+def self_check(seed: int = 7) -> list[CheckRow]:
+    """Run the invariant suite on the reference systems; one row per (system, check),
+    each against its fixed contract tolerance."""
     gen = Lcg64(seed)
     rows: list[CheckRow] = []
     for name, sys in reference_systems():
@@ -71,30 +72,21 @@ def self_check(tolerance_scale: float = 1.0, seed: int = 7) -> list[CheckRow]:
             for j in range(i, N + 1, N // 4)
             for k in range(j, N + 1, N // 4)
         )
-        rows.append(_row(name, "cocycle_defect", defect, 1e-8 * tolerance_scale))
+        rows.append(_row(name, "cocycle_defect", defect, 1e-8))
 
         u = ControlSignal(sys.grid, np.array(
             [[gen.normal() for _ in range(sys.m)] for _ in range(N + 1)]))
         z = np.array([gen.normal() for _ in range(sys.n)])
-        rows.append(_row(
-            name, "adjoint_identity",
-            key_identity_residual(p, u, z),
-            1e-8 * tolerance_scale,
-        ))
+        rows.append(_row(name, "adjoint_identity", key_identity_residual(p, u, z), 1e-8))
 
         quad, _, residual = ctrl_gramian_cross(p)
-        rows.append(_row(
-            name, "lyapunov_vs_quadrature", residual,
-            1e-6 * (1 + float(np.linalg.norm(quad.W))) * tolerance_scale,
-        ))
+        rows.append(_row(name, "lyapunov_vs_quadrature", residual,
+                         1e-6 * (1 + float(np.linalg.norm(quad.W)))))
 
     from .hautus import averaging_identity_residual
     t = np.linspace(0.0, 1.0, 1001)
-    rows.append(_row(
-        "cosine", "averaging_identity",
-        averaging_identity_residual(np.cos(t), 1.0),
-        1e-5 * tolerance_scale,
-    ))
+    rows.append(_row("cosine", "averaging_identity",
+                     averaging_identity_residual(np.cos(t), 1.0), 1e-5))
     return rows
 
 

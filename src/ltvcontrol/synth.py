@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import _numerical_range, _range_inclusion, input_map_adjoint
+from .duality import input_map_adjoint, null_controllability_test
 from .gramian import GramianResult, coercivity_check, ctrl_gramian_quadrature
 from .propagate import Propagator, require_finite
 from .sysmodel import ControlSignal, l2_norm
@@ -59,36 +59,29 @@ def null_control(p: Propagator, x0) -> SynthesisResult:
 
 
 def _steer(p: Propagator, x0, x_tau, singular_ok: bool) -> SynthesisResult:
-    """Solve W eta = d for d = x_tau - U(tau,0) x0: by SPD factorization when W_tau
-    is coercive, else, if singular_ok, by the pseudo-inverse on Ran W_tau once the
-    range inclusion holds."""
+    """Solve W eta = d for d = x_tau - U(tau,0) x0 as eta = V (V* d / lam) over W_tau's
+    eigenpairs: all n of them when W_tau is coercive, else, if singular_ok and the
+    range inclusion holds, those of its numerical range (the pseudo-inverse on Ran W_tau)."""
     x0 = np.asarray(x0, dtype=float).reshape(p.sys.n)
     x_tau = np.asarray(x_tau, dtype=float).reshape(p.sys.n)
     gram = ctrl_gramian_quadrature(p)
     d = x_tau - p.propagate_state(x0)
     if coercivity_check(gram)[0]:
-        import scipy.linalg  # on first use only: it is most of ltvctl's start-up time
-
-        try:
-            eta = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram.W), d)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise NotControllableError(
-                f"Gramian factorization failed (condition ~ {_condition(gram):.3e}): {exc}"
-            ) from None
+        lam, V = np.linalg.eigh(gram.W)
     elif not singular_ok:
         raise NotControllableError(
             f"Gramian not coercive: lambda_min = {gram.lambda_min:.3e}, "
             f"lambda_max = {gram.lambda_max:.3e}"
         )
-    elif not _range_inclusion(gram.W, p.transition(0, p.steps))[0]:
+    elif not null_controllability_test(gram, gram.U_tau_0)[0]:
         raise NotNullControllableError(
             "range of U(tau,0) is not contained in the range of W_tau^{1/2}"
         )
     else:
-        lam, Vr = _numerical_range(gram.W)
-        eta = Vr @ ((Vr.T @ d) / lam)
+        lam, V = gram.numerical_range
     # overflow is refused by require_finite; numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
+        eta = V @ ((V.T @ d) / lam)
         require_finite(eta, "the Gramian solve")
         control = input_map_adjoint(p, eta)
         cost = l2_norm(control) ** 2

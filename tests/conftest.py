@@ -51,8 +51,8 @@ def rng():
 BATCH_SIZES = [(1, 37), (3, 50), (20, 170), (64, 21)]
 
 
-def kind_system(rng, n, kind, steps, nonuniform=False, quadrature="trapezoid"):
-    """Random system with m = 2 whose A and B are both of one coefficient kind
+def kind_system(rng, n, kind, steps, nonuniform=False, quadrature="trapezoid", m=2):
+    """Random system with m inputs whose A and B are both of one coefficient kind
     (constant, poly of degree 2, or samples on the grid), on uniform or
     random non-uniform nodes over [0, 1]."""
     grid = TimeGrid.uniform(1.0, steps, quadrature)
@@ -70,7 +70,7 @@ def kind_system(rng, n, kind, steps, nonuniform=False, quadrature="trapezoid"):
             return CoeffMatrixFn.poly(rng.normal(scale=s, size=(3, rows, cols)))
         return CoeffMatrixFn.samples(rng.normal(scale=s, size=(steps + 1, rows, cols)), grid)
 
-    return LtvSystem(n=n, m=2, p=1, A=coeff(n, n), B=coeff(n, 2),
+    return LtvSystem(n=n, m=m, p=1, A=coeff(n, n), B=coeff(n, m),
                      C=CoeffMatrixFn.constant(np.eye(n)[:1]), grid=grid)
 
 

@@ -10,6 +10,8 @@ import math
 import numpy as np
 import scipy.linalg
 
+from ltvcontrol import ctrl_gramian_quadrature, input_map_adjoint, l2_norm
+
 
 def expm_oracle(A: np.ndarray, terms: int = 24) -> np.ndarray:
     """Scaling-and-squaring Taylor series for e^A (independent of scipy)."""
@@ -299,3 +301,15 @@ def adjoint_sweep_oracle(p, z) -> np.ndarray:
     for i in range(p.steps - 1, -1, -1):
         Z[i] = p.step_transitions[i].T @ Z[i + 1]
     return np.einsum("ijk,ij->ik", p.sys.B(p.grid.nodes), Z)
+
+
+def cholesky_steer_oracle(p, x0, x_tau) -> tuple[np.ndarray, float, np.ndarray]:
+    """The minimum-norm steering solve by SPD factorization, as the library did it
+    before its eigen-range solve: eta = W_tau^{-1} d by scipy's Cholesky, with
+    d = x_tau - U(tau, 0) x0. Returns eta, the cost ||Psi_tau* eta||^2 and the
+    control values at the nodes."""
+    W = ctrl_gramian_quadrature(p).W
+    d = np.asarray(x_tau, dtype=float) - p.propagate_state(np.asarray(x0, dtype=float))
+    eta = scipy.linalg.cho_solve(scipy.linalg.cho_factor(W), d)
+    control = input_map_adjoint(p, eta)
+    return eta, l2_norm(control) ** 2, control.values

@@ -155,14 +155,14 @@ def test_criterion_5_null_controllability():
     except NotNullControllableError:
         pass
     p = Propagator(random_poly_system(rng, n=4, m=4, steps=80))
-    feasible, c = null_controllability_test(p)
-    ok &= feasible
     K = p.transition(0, p.steps)
+    feasible, c = null_controllability_test(ctrl_gramian_quadrature(p), K)
+    ok &= feasible
     for _ in range(100):
         z = rng.normal(size=4)
         ok &= np.linalg.norm(K.T @ z) <= (c + 1e-8) * l2_norm(input_map_adjoint(p, z))
-    _, c_scalar = null_controllability_test(
-        Propagator(scalar_system(a=1.0, quadrature="simpson")))
+    gram = ctrl_gramian_quadrature(Propagator(scalar_system(a=1.0, quadrature="simpson")))
+    _, c_scalar = null_controllability_test(gram, gram.U_tau_0)
     closed = np.exp(-1) / np.sqrt((1 - np.exp(-2)) / 2)
     ok &= abs(c_scalar - closed) <= 1e-5
     _verdict("5 null controllability: steering, rejection, inclusion constant", ok)

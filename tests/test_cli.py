@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ltvcontrol
-from ltvcontrol import cli, hautus
+from ltvcontrol import cli, hautus, selfcheck
 from ltvcontrol.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
@@ -419,12 +419,13 @@ class TestSelfCheck:
         assert all(row["passed"] for row in doc["checks"])
         assert "PASS" in capsys.readouterr().out
 
-    def test_impossible_tolerance_fails(self, tmp_path, capsys):
+    def test_failed_check_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(selfcheck, "cocycle_defect", lambda *args: 1.0)
         out = tmp_path / "out"
-        assert main(["self-check", "-o", str(out),
-                     "--tolerance-scale", "1e-12"]) == EXIT_SELFCHECK
+        assert main(["self-check", "-o", str(out)]) == EXIT_SELFCHECK
         doc = load_report(out)
-        assert any(not row["passed"] for row in doc["checks"])
+        assert [row["system"] for row in doc["checks"] if not row["passed"]] == [
+            "scalar_decay", "rotation_2d", "ramp_3d"]
         captured = capsys.readouterr()
         assert "FAIL" in captured.out
         assert "failed" in captured.err
@@ -464,14 +465,14 @@ class TestDeterminism:
 
 class TestColdStart:
     def test_scipy_is_imported_only_where_used(self, two_state_spec, tmp_path):
-        # analyze, gramian and hautus never load scipy; frozen-compare does (expm)
+        # analyze, gramian, hautus and synthesize never load scipy; frozen-compare does (expm)
         code = "\n".join([
             "import sys",
             "import ltvcontrol.cli as cli",
             "def scipy_loaded():",
             "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)",
             "codes = [cli.main([c, sys.argv[1], '-o', sys.argv[2] + c])",
-            "         for c in ('analyze', 'gramian', 'hautus')]",
+            "         for c in ('analyze', 'gramian', 'hautus', 'synthesize')]",
             "before = scipy_loaded()",
             "codes.append(cli.main(['frozen-compare', sys.argv[1], '-o', sys.argv[2] + 'f']))",
             "print(codes, before, scipy_loaded())",
@@ -482,7 +483,7 @@ class TestColdStart:
         done = subprocess.run([sys.executable, "-c", code, two_state_spec, str(tmp_path / "o-")],
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] False True"
+        assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False True"
 
 
 class TestFlagValues:
@@ -497,15 +498,12 @@ class TestFlagValues:
         ("hautus", ["--im", "nan"]),
         ("synthesize", ["--x0=nan,0"]),
         ("synthesize", ["--target=1,inf"]),
-        ("self-check", ["--tolerance-scale", "inf"]),
-        ("self-check", ["--tolerance-scale", "0"]),
     ])
     def test_out_of_range_value_is_a_usage_error(self, command, flags, two_state_spec,
                                                  tmp_path, capsys):
         out = tmp_path / "out"
-        spec = [] if command == "self-check" else [two_state_spec]
         with pytest.raises(SystemExit) as exc:
-            main([command, *spec, "-o", str(out), *flags])
+            main([command, two_state_spec, "-o", str(out), *flags])
         assert exc.value.code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -523,6 +521,7 @@ class TestFlagValues:
         ("synthesize", ["--coercivity-tol", "1e-3"]),
         ("gramian", ["--quadrature", "simpson"]),
         ("self-check", ["--quadrature", "simpson"]),
+        ("self-check", ["--tolerance-scale", "2"]),
     ])
     def test_flag_the_command_does_not_read_is_rejected(self, command, flags, two_state_spec,
                                                         tmp_path):

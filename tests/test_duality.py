@@ -242,13 +242,15 @@ class TestAdmissibility:
 class TestNullControllability:
     def test_zero_input_infeasible(self):
         p = Propagator(make_system(np.zeros((2, 2)), np.zeros((2, 1)), np.eye(2)[:1]))
-        feasible, c = null_controllability_test(p)
+        gram = ctrl_gramian_quadrature(p)
+        feasible, c = null_controllability_test(gram, gram.U_tau_0)
         assert not feasible
         assert math.isinf(c)
 
     def test_scalar_constant(self):
         p = Propagator(scalar_system(a=1.0, quadrature="simpson"))
-        feasible, c = null_controllability_test(p)
+        gram = ctrl_gramian_quadrature(p)
+        feasible, c = null_controllability_test(gram, gram.U_tau_0)
         closed = np.exp(-1) / np.sqrt((1 - np.exp(-2)) / 2)
         assert feasible
         assert c == pytest.approx(closed, abs=1e-5)
@@ -262,11 +264,12 @@ class TestNullControllability:
     def test_inclusion_constant_bounds_ratio(self, rng):
         sys = random_poly_system(rng, n=4, steps=80)
         p = Propagator(sys)
-        feasible, c = null_controllability_test(p)
+        gram = ctrl_gramian_quadrature(p)
+        K = p.transition(0, p.steps)
+        feasible, c = null_controllability_test(gram, K)
         if not feasible:
             pytest.skip("random draw not null controllable")
-        K = p.transition(0, p.steps)
-        W = ctrl_gramian_quadrature(p).W
+        W = gram.W
         for _ in range(100):
             z = rng.normal(size=4)
             lhs = np.linalg.norm(K.T @ z)

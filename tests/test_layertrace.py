@@ -55,7 +55,5 @@ def test_tracer_installs_records_and_uninstalls(layertrace, tmp_path):
     totals = tracer.layer_totals()
     # frozen-compare computes all of its 21 values of m(s0) in one batched call
     assert totals["hautus.frozen"]["calls"] == NUMERIC_COMMANDS.count("frozen-compare")
-    # analyze tests the range inclusion through duality._range_inclusion, untraced
-    idle = [layer for layer, row in totals.items()
-            if row["calls"] == 0 and layer != "duality.null_test"]
+    idle = [layer for layer, row in totals.items() if row["calls"] == 0]
     assert idle == []

@@ -17,7 +17,9 @@ from ltvcontrol import (
     Propagator,
     admissibility_constant,
     ctrl_gramian_quadrature,
+    exact_controllability_test,
     input_map_adjoint,
+    null_controllability_test,
     obs_gramian,
 )
 from conftest import BATCH_SIZES, kind_system, make_system
@@ -75,6 +77,19 @@ class TestAgainstListOracles:
         assert _close(gram.W, expect)
         lam = np.linalg.eigvalsh(expect)
         assert np.max(np.abs(gram.eigenvalues - lam)) <= 1e-12 * lam[-1]
+
+    def test_w_pass_hands_over_u_tau_0(self, rng, n, steps, quadrature, nonuniform):
+        p = _propagator(rng, n, steps, quadrature, nonuniform)
+        gram = ctrl_gramian_quadrature(p)
+        *_, (_, last) = p.transitions_to_end()
+        assert np.array_equal(gram.U_tau_0, last)
+        K = p.transition(0, steps)
+        assert _close(gram.U_tau_0, K)
+        feasible, c = null_controllability_test(gram, K)
+        report = exact_controllability_test(p)
+        assert report.null_controllable == feasible
+        # n = 20 and 64 with m = 2 are infeasible: c = +inf from both
+        assert report.null_inclusion_c == c or abs(report.null_inclusion_c - c) <= 1e-12 * c
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_state_and_adjoint_sweeps(self, rng, n, steps, quadrature, nonuniform, dtype):

@@ -6,6 +6,7 @@ from ltvcontrol import (
     NotControllableError,
     NotNullControllableError,
     Propagator,
+    coercivity_check,
     ctrl_gramian_quadrature,
     input_map,
     input_map_adjoint,
@@ -14,7 +15,10 @@ from ltvcontrol import (
     min_norm_control,
     null_control,
 )
-from conftest import make_system, random_poly_system, scalar_system
+from ltvcontrol import synth
+from ltvcontrol.gramian import COERCIVITY_TOL
+from conftest import BATCH_SIZES, kind_system, make_system, random_poly_system, scalar_system
+from oracles import cholesky_steer_oracle
 
 
 class TestMinNormControl:
@@ -121,3 +125,43 @@ class TestVerifySteering:
         target = rng.normal(size=4)
         res = min_norm_control(p, x0, target)
         assert np.linalg.norm(p.propagate_state(x0, res.control) - target) <= 1e-6
+
+
+def _assert_matches_cholesky(p, x0, x_tau, monkeypatch):
+    """min_norm_control's eta (the z it hands to Psi_tau*), cost and control agree
+    with the Cholesky oracle within 1e-12 cond(W) relative."""
+    etas = []
+
+    def spy(p_, z):
+        etas.append(z)
+        return input_map_adjoint(p_, z)
+
+    monkeypatch.setattr(synth, "input_map_adjoint", spy)
+    res = min_norm_control(p, x0, x_tau)
+    eta, cost, control = cholesky_steer_oracle(p, x0, x_tau)
+    tol = 1e-12 * res.condition_estimate
+    assert np.linalg.norm(etas[0] - eta) <= tol * np.linalg.norm(eta)
+    assert abs(res.cost - cost) <= tol * cost
+    assert np.linalg.norm(res.control.values - control) <= tol * np.linalg.norm(control)
+
+
+class TestEigenRangeSolve:
+    @pytest.mark.parametrize("n, steps", BATCH_SIZES)
+    @pytest.mark.parametrize("kind", ["constant", "poly", "samples"])
+    @pytest.mark.parametrize("nonuniform", [False, True], ids=["uniform", "nonuniform"])
+    def test_matches_cholesky_oracle(self, rng, monkeypatch, n, steps, kind, nonuniform):
+        p = Propagator(kind_system(rng, n, kind, steps, nonuniform, m=n))
+        _assert_matches_cholesky(p, rng.normal(size=n), rng.normal(size=n), monkeypatch)
+
+    def test_coercive_solve_keeps_every_eigenpair(self, monkeypatch):
+        # W = R diag(1, 1.1e-10) R^T: lambda_min sits just above COERCIVITY_TOL * lambda_max,
+        # so the verdict is "coercive" and the solve must still use the small eigenpair
+        c, s = np.cos(0.3), np.sin(0.3)
+        R = np.array([[c, -s], [s, c]])
+        B = R @ np.diag([1.0, np.sqrt(1.1e-10)])
+        p = Propagator(make_system(np.zeros((2, 2)), B, np.eye(2)[:1], steps=50))
+        gram = ctrl_gramian_quadrature(p)
+        assert coercivity_check(gram)[0]
+        assert gram.lambda_min < 1.2 * COERCIVITY_TOL * gram.lambda_max
+        assert gram.numerical_range[0].size == 2
+        _assert_matches_cholesky(p, [1.0, -2.0], [0.5, 3.0], monkeypatch)
