@@ -278,9 +278,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"cannot read spec: {exc}", file=_sys.stderr)
             return EXIT_VALIDATION
     out.mkdir(parents=True, exist_ok=True)
+    # the library refuses an overflowed result with NumericalRangeError; the one
+    # stderr line below reports it, and numpy's warnings would only repeat it
     try:
-        subject = sys_ if sys_ is None or args.command == "check" else Propagator(sys_)
-        code, fields, tables = args.run(args, subject)
+        with np.errstate(over="ignore", invalid="ignore"):
+            subject = sys_ if sys_ is None or args.command == "check" else Propagator(sys_)
+            code, fields, tables = args.run(args, subject)
     except NumericalRangeError as exc:
         print(f"numerically invalid: {exc}", file=_sys.stderr)
         code, fields, tables = EXIT_NUMERICAL, {

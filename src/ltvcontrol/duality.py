@@ -45,10 +45,9 @@ def input_map_adjoint(p: Propagator, z) -> ControlSignal:
     z = np.asarray(z).reshape(p.sys.n)
     Z = np.empty((p.steps + 1, p.sys.n), dtype=np.result_type(float, z.dtype))
     Z[-1] = z
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(p.steps - 1, -1, -1):
-            Z[i] = p.step_transitions[i].T @ Z[i + 1]
-        values = np.einsum("ijk,ij->ik", p.sys.B(p.grid.nodes), Z)
+    for i in range(p.steps - 1, -1, -1):
+        Z[i] = p.step_transitions[i].T @ Z[i + 1]
+    values = np.einsum("ijk,ij->ik", p.sys.B(p.grid.nodes), Z)
     require_finite(values, "the adjoint signal")
     return ControlSignal(p.grid, values)
 
@@ -83,17 +82,16 @@ def admissibility_constant(p: Propagator) -> float:
     C = p.sys.C(p.grid.nodes)
     Q = np.zeros((n, n))
     best = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for chunk in reversed(batches(p.steps, n * n)):
-            Cs = C[chunk.start:chunk.stop + 1]
-            CtC = Cs.transpose(0, 2, 1) @ Cs
-            Qs = np.empty((chunk.stop - chunk.start, n, n))
-            for j, d, phi in zip(range(len(Qs) - 1, -1, -1), half[chunk][::-1],
-                                 p.step_transitions[chunk][::-1]):
-                Q = d * CtC[j] + np.dot(np.dot(phi.T, Q + d * CtC[j + 1]), phi)
-                Qs[j] = Q = 0.5 * (Q + Q.T)
-            require_finite(Qs, "a windowed observability Gramian")
-            best = max(best, float(np.max(np.linalg.eigvalsh(Qs)[:, -1])))
+    for chunk in reversed(batches(p.steps, n * n)):
+        Cs = C[chunk.start:chunk.stop + 1]
+        CtC = Cs.transpose(0, 2, 1) @ Cs
+        Qs = np.empty((chunk.stop - chunk.start, n, n))
+        for j, d, phi in zip(range(len(Qs) - 1, -1, -1), half[chunk][::-1],
+                             p.step_transitions[chunk][::-1]):
+            Q = d * CtC[j] + np.dot(np.dot(phi.T, Q + d * CtC[j + 1]), phi)
+            Qs[j] = Q = 0.5 * (Q + Q.T)
+        require_finite(Qs, "a windowed observability Gramian")
+        best = max(best, float(np.max(np.linalg.eigvalsh(Qs)[:, -1])))
     return float(np.sqrt(max(best, 0.0)))
 
 

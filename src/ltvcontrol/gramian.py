@@ -42,8 +42,8 @@ class GramianResult:
 
 
 def _finalize(W: np.ndarray, U_tau_0: np.ndarray | None = None) -> GramianResult:
+    W = 0.5 * (W + W.conj().T)  # past about 9e307, W + W* overflows: checked after it
     require_finite(W, "the Gramian")
-    W = 0.5 * (W + W.conj().T)
     W.setflags(write=False)
     eigs = np.linalg.eigvalsh(W)
     eigs.setflags(write=False)
@@ -62,11 +62,10 @@ def ctrl_gramian_quadrature(p: Propagator) -> GramianResult:
     w = p.grid.weights().tolist()[::-1]
     B = p.sys.B(p.grid.nodes)[::-1]
     W = np.zeros((p.sys.n, p.sys.n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for wi, Bi, (_, U) in zip(w, B, p.transitions_to_end()):
-            if wi != 0.0:
-                UB = np.dot(U, Bi)
-                W += wi * np.dot(UB, UB.T)
+    for wi, Bi, (_, U) in zip(w, B, p.transitions_to_end()):
+        if wi != 0.0:
+            UB = np.dot(U, Bi)
+            W += wi * np.dot(UB, UB.T)
     U.setflags(write=False)
     return _finalize(W, U)
 
@@ -84,40 +83,39 @@ def ctrl_gramian_lyapunov(sys: LtvSystem) -> GramianResult:
     nodes = sys.grid.nodes
     dot = np.dot
     W = np.zeros((n, n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for chunk in batches(nodes.size - 1, (2 * substeps + 1) * n * n):
-            times, hs = stage_times(nodes[chunk.start:chunk.stop + 1], substeps)
-            negA = -sys.A(times.reshape(-1))
-            Bs = sys.B(times.reshape(-1))
-            BBT = Bs @ Bs.transpose(0, 2, 1)
-            # -A W - W A* equals negA W + W negA* bit for bit: negation is exact
-            stages = zip(negA, negA.transpose(0, 2, 1), BBT)
-            for h, h2, h6 in zip(hs.tolist(), (hs / 2).tolist(), (hs / 6).tolist()):
-                a, aT, q = next(stages)
-                for _, (a2, a2T, q2), (a4, a4T, q4) in zip(range(substeps), stages, stages):
-                    k1 = dot(a, W)
-                    k1 += dot(W, aT)
-                    k1 += q
-                    V = W + h2 * k1
-                    k2 = dot(a2, V)
-                    k2 += dot(V, a2T)
-                    k2 += q2
-                    V = W + h2 * k2
-                    k3 = dot(a2, V)
-                    k3 += dot(V, a2T)
-                    k3 += q2
-                    V = W + h * k3
-                    k4 = dot(a4, V)
-                    k4 += dot(V, a4T)
-                    k4 += q4
-                    k2 += k2
-                    k2 += k1
-                    k3 += k3
-                    k2 += k3
-                    k2 += k4
-                    k2 *= h6
-                    W = W + k2
-                    a, aT, q = a4, a4T, q4  # a substep's end is the next one's start
+    for chunk in batches(nodes.size - 1, (2 * substeps + 1) * n * n):
+        times, hs = stage_times(nodes[chunk.start:chunk.stop + 1], substeps)
+        negA = -sys.A(times.reshape(-1))
+        Bs = sys.B(times.reshape(-1))
+        BBT = Bs @ Bs.transpose(0, 2, 1)
+        # -A W - W A* equals negA W + W negA* bit for bit: negation is exact
+        stages = zip(negA, negA.transpose(0, 2, 1), BBT)
+        for h, h2, h6 in zip(hs.tolist(), (hs / 2).tolist(), (hs / 6).tolist()):
+            a, aT, q = next(stages)
+            for _, (a2, a2T, q2), (a4, a4T, q4) in zip(range(substeps), stages, stages):
+                k1 = dot(a, W)
+                k1 += dot(W, aT)
+                k1 += q
+                V = W + h2 * k1
+                k2 = dot(a2, V)
+                k2 += dot(V, a2T)
+                k2 += q2
+                V = W + h2 * k2
+                k3 = dot(a2, V)
+                k3 += dot(V, a2T)
+                k3 += q2
+                V = W + h * k3
+                k4 = dot(a4, V)
+                k4 += dot(V, a4T)
+                k4 += q4
+                k2 += k2
+                k2 += k1
+                k3 += k3
+                k2 += k3
+                k2 += k4
+                k2 *= h6
+                W = W + k2
+                a, aT, q = a4, a4T, q4  # a substep's end is the next one's start
     return _finalize(W)
 
 
@@ -133,11 +131,10 @@ def obs_gramian(p: Propagator) -> GramianResult:
     w = p.grid.weights().tolist()
     C = p.sys.C(p.grid.nodes)
     Q = np.zeros((p.sys.n, p.sys.n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for wi, Ci, U in zip(w, C, p.transitions_from_start()):
-            if wi != 0.0:
-                CU = np.dot(Ci, U)
-                Q += wi * np.dot(CU.T, CU)
+    for wi, Ci, U in zip(w, C, p.transitions_from_start()):
+        if wi != 0.0:
+            CU = np.dot(Ci, U)
+            Q += wi * np.dot(CU.T, CU)
     return _finalize(Q)
 
 

@@ -143,11 +143,9 @@ def _hautus_margins(sys: LtvSystem, lams: np.ndarray, X: np.ndarray,
     e = np.frexp(np.max(np.abs(X), axis=0))[1]
     scale = 2.0 ** (e - np.clip(e, -250, 1))
     X = X / scale
-    # overflow is refused by require_finite; numpy's warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        boundary = np.linalg.norm(sys.C(0.0) @ X, axis=0) / np.sqrt(2 * lams.real)[:, None]
-        margins = (boundary + M * _hautus_integral(sys, lams, X)
-                   - delta * np.linalg.norm(X, axis=0)) * scale
+    boundary = np.linalg.norm(sys.C(0.0) @ X, axis=0) / np.sqrt(2 * lams.real)[:, None]
+    margins = (boundary + M * _hautus_integral(sys, lams, X)
+               - delta * np.linalg.norm(X, axis=0)) * scale
     require_finite(margins, "a Hautus margin")
     return margins
 
@@ -217,30 +215,30 @@ def hautus_sweep(p: Propagator, grid: HautusGrid) -> HautusReport:
 
 def _frozen_gramian(A0: np.ndarray, C0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """int_0^tau e^{-A0* t} C0* C0 e^{-A0 t} dt by the grid's quadrature, for each
-    matrix of the (S, n, n) and (S, p, n) stacks A0 and C0."""
+    matrix of the (S, n, n) and (S, p, n) stacks A0 and C0.
+
+    P = e^{-A0 t_i} is swept node by node as P <- E P with E = e^{-A0 (t_{i+1} - t_i)}:
+    one stacked expm for the whole grid if it is uniform, else one per gap."""
     import scipy.linalg  # on first use only: it is most of ltvctl's start-up time
 
     nodes = grid.nodes
+    gaps = np.diff(nodes)
+    uniform = grid.is_uniform()
     w = grid.weights()
     S, n = A0.shape[:2]
     Q = np.zeros((S, n, n))
-    if grid.is_uniform():
-        E = scipy.linalg.expm(-A0 * (nodes[1] - nodes[0]))
-        P = np.broadcast_to(np.eye(n), (S, n, n))
-        for i in range(nodes.size):
-            if w[i] != 0.0:
-                CU = C0 @ P
-                Q += w[i] * (CU.mT @ CU)
-            if i < nodes.size - 1:
-                P = E @ P
-    else:
-        for i, t in enumerate(nodes):
-            if w[i] == 0.0:
-                continue
-            CU = C0 @ scipy.linalg.expm(-A0 * t)
+    P = np.broadcast_to(np.eye(n), (S, n, n))
+    for i in range(nodes.size):
+        if w[i] != 0.0:
+            CU = C0 @ P
             Q += w[i] * (CU.mT @ CU)
+        if i < gaps.size:
+            if i == 0 or not uniform:
+                E = scipy.linalg.expm(-A0 * gaps[i])
+            P = E @ P
+    Q = 0.5 * (Q + Q.mT)
     require_finite(Q, "the frozen observability Gramian")
-    return 0.5 * (Q + Q.mT)
+    return Q
 
 
 def frozen_observability_constant(sys: LtvSystem, s0: float | np.ndarray) -> float | np.ndarray:
@@ -254,12 +252,10 @@ def frozen_observability_constant(sys: LtvSystem, s0: float | np.ndarray) -> flo
     s = np.asarray(s0, dtype=float)
     times = s.reshape(-1)
     m = np.empty(times.size)
-    # overflow is refused by require_finite; numpy's warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for chunk in batches(times.size, sys.n * sys.n):
-            t = times[chunk]
-            lam = np.linalg.eigvalsh(_frozen_gramian(sys.A(t), sys.C(t), sys.grid))[:, 0]
-            m[chunk] = np.sqrt(np.where(lam < 0.0, 0.0, lam))
+    for chunk in batches(times.size, sys.n * sys.n):
+        t = times[chunk]
+        lam = np.linalg.eigvalsh(_frozen_gramian(sys.A(t), sys.C(t), sys.grid))[:, 0]
+        m[chunk] = np.sqrt(np.where(lam < 0.0, 0.0, lam))
     return float(m[0]) if s.ndim == 0 else m.reshape(s.shape)
 
 

@@ -30,7 +30,12 @@ MAX_SUBSTEPS = 64
 
 
 class NumericalRangeError(ArithmeticError):
-    """A computed matrix left the floating-point range (inf or nan); no verdict is possible."""
+    """A computed matrix left the floating-point range (inf or nan); no verdict is possible.
+
+    The library leaves numpy's error state as the caller set it, so a direct
+    caller sees numpy's overflow warning first (or a FloatingPointError in place
+    of this error under np.seterr(all="raise")); ltvctl silences both.
+    """
 
 
 def batches(count: int, item_size: int) -> list[slice]:
@@ -54,12 +59,7 @@ def stage_times(nodes: np.ndarray, substeps: int) -> tuple[np.ndarray, np.ndarra
 
 
 def require_finite(M: np.ndarray, what: str) -> None:
-    """Raise NumericalRangeError, naming what M is, unless every entry is finite.
-
-    Every pass that calls this runs under np.errstate(over="ignore",
-    invalid="ignore"): it reports their overflow, and numpy's warnings would
-    only repeat it.
-    """
+    """Raise NumericalRangeError, naming what M is, unless every entry is finite."""
     if not np.all(np.isfinite(M)):
         raise NumericalRangeError(f"{what} is not finite: the computation overflowed")
 
@@ -100,22 +100,21 @@ class Propagator:
         nodes = sys.grid.nodes
         n = sys.n
         steps = np.empty((nodes.size - 1, n, n))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for chunk in batches(steps.shape[0], n * n):
-                times, h = stage_times(nodes[chunk.start:chunk.stop + 1], self.substeps)
-                hk = h[:, None, None]
-                phi = np.broadcast_to(np.eye(n), (chunk.stop - chunk.start, n, n))
-                a = -sys.A(times[:, 0])
-                for t2, t4 in zip(times[:, 1::2].T, times[:, 2::2].T):
-                    k1 = a @ phi
-                    a = -sys.A(t2)
-                    k2 = a @ (phi + (hk / 2) * k1)
-                    k3 = a @ (phi + (hk / 2) * k2)
-                    a = -sys.A(t4)  # also -A at the next substep's start
-                    k4 = a @ (phi + hk * k3)
-                    phi = phi + (hk / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-                require_finite(phi, "a step matrix")
-                steps[chunk] = phi
+        for chunk in batches(steps.shape[0], n * n):
+            times, h = stage_times(nodes[chunk.start:chunk.stop + 1], self.substeps)
+            hk = h[:, None, None]
+            phi = np.broadcast_to(np.eye(n), (chunk.stop - chunk.start, n, n))
+            a = -sys.A(times[:, 0])
+            for t2, t4 in zip(times[:, 1::2].T, times[:, 2::2].T):
+                k1 = a @ phi
+                a = -sys.A(t2)
+                k2 = a @ (phi + (hk / 2) * k1)
+                k3 = a @ (phi + (hk / 2) * k2)
+                a = -sys.A(t4)  # also -A at the next substep's start
+                k4 = a @ (phi + hk * k3)
+                phi = phi + (hk / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            require_finite(phi, "a step matrix")
+            steps[chunk] = phi
         steps.setflags(write=False)
         self.step_transitions = steps
 
@@ -179,10 +178,9 @@ class Propagator:
                 raise ValueError(f"control dimension {u.dim} != m = {self.sys.m}")
             B = self.sys.B(self.grid.nodes)
             forcing = np.einsum("i,ijk,ik->ij", self.grid.weights(), B, u.values)
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = x + forcing[0]
-            for phi, f in zip(self.step_transitions, forcing[1:]):
-                x = np.dot(phi, x) + f
+        x = x + forcing[0]
+        for phi, f in zip(self.step_transitions, forcing[1:]):
+            x = np.dot(phi, x) + f
         require_finite(x, "the state x(tau)")
         return x
 

@@ -65,7 +65,9 @@ def _steer(p: Propagator, x0, x_tau, singular_ok: bool) -> SynthesisResult:
     x0 = np.asarray(x0, dtype=float).reshape(p.sys.n)
     x_tau = np.asarray(x_tau, dtype=float).reshape(p.sys.n)
     gram = ctrl_gramian_quadrature(p)
-    d = x_tau - p.propagate_state(x0)
+    Ux0 = gram.U_tau_0 @ x0
+    require_finite(Ux0, "the state x(tau)")
+    d = x_tau - Ux0
     if coercivity_check(gram)[0]:
         lam, V = np.linalg.eigh(gram.W)
     elif not singular_ok:
@@ -79,15 +81,13 @@ def _steer(p: Propagator, x0, x_tau, singular_ok: bool) -> SynthesisResult:
         )
     else:
         lam, V = gram.numerical_range
-    # overflow is refused by require_finite; numpy's warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        eta = V @ ((V.T @ d) / lam)
-        require_finite(eta, "the Gramian solve")
-        control = input_map_adjoint(p, eta)
-        cost = l2_norm(control) ** 2
-        gramian_cost = float(eta @ d)
-        residual = float(np.linalg.norm(p.propagate_state(x0, control) - x_tau))
-        require_finite(np.array([cost, gramian_cost, residual]), "the steering cost or residual")
+    eta = V @ ((V.T @ d) / lam)
+    require_finite(eta, "the Gramian solve")
+    control = input_map_adjoint(p, eta)
+    cost = l2_norm(control) ** 2
+    gramian_cost = float(eta @ d)
+    residual = float(np.linalg.norm(p.propagate_state(x0, control) - x_tau))
+    require_finite(np.array([cost, gramian_cost, residual]), "the steering cost or residual")
     return SynthesisResult(
         control=control,
         target_residual=residual,

@@ -77,33 +77,47 @@ def admissibility_oracle(p) -> float:
     return float(np.sqrt(max(best, 0.0)))
 
 
+def _frozen_constant(Q: np.ndarray) -> float:
+    Q = 0.5 * (Q + Q.T)
+    return float(np.sqrt(max(np.linalg.eigvalsh(Q)[0], 0.0)))
+
+
 def frozen_constant_oracle(sys, s0: float) -> float:
     """m(s0) from one frozen Gramian int_0^tau e^{-A0* t} C0* C0 e^{-A0 t} dt, A0 =
     A(s0) and C0 = C(s0), built by its own loop over the nodes.
 
     This is the bit-identity reference of the batched library pass, so it uses
-    scipy's expm: on a uniform grid P <- e^{-A0 h} P, else e^{-A0 t_i} at each node.
+    scipy's expm: P <- e^{-A0 h} P with one h on a uniform grid, else
+    P <- e^{-A0 (t_{i+1} - t_i)} P with one exponential per gap.
     """
     A0, C0 = sys.A(s0), sys.C(s0)
     nodes = sys.grid.nodes
     w = sys.grid.weights()
+    uniform = sys.grid.is_uniform()
     Q = np.zeros((sys.n, sys.n))
-    if sys.grid.is_uniform():
-        E = scipy.linalg.expm(-A0 * (nodes[1] - nodes[0]))
-        P = np.eye(sys.n)
-        for i in range(nodes.size):
-            if w[i] != 0.0:
-                CU = C0 @ P
-                Q += w[i] * (CU.T @ CU)
-            if i < nodes.size - 1:
-                P = E @ P
-    else:
-        for i, t in enumerate(nodes):
-            if w[i] != 0.0:
-                CU = C0 @ scipy.linalg.expm(-A0 * t)
-                Q += w[i] * (CU.T @ CU)
-    Q = 0.5 * (Q + Q.T)
-    return float(np.sqrt(max(np.linalg.eigvalsh(Q)[0], 0.0)))
+    P = np.eye(sys.n)
+    for i in range(nodes.size):
+        if w[i] != 0.0:
+            CU = C0 @ P
+            Q += w[i] * (CU.T @ CU)
+        if i < nodes.size - 1:
+            if i == 0 or not uniform:
+                E = scipy.linalg.expm(-A0 * (nodes[i + 1] - nodes[i]))
+            P = E @ P
+    return _frozen_constant(Q)
+
+
+def frozen_constant_per_node_oracle(sys, s0: float) -> float:
+    """m(s0) as frozen_constant_oracle, but with e^{-A0 t_i} taken by its own expm at
+    every node rather than as a product of per-gap exponentials."""
+    A0, C0 = sys.A(s0), sys.C(s0)
+    w = sys.grid.weights()
+    Q = np.zeros((sys.n, sys.n))
+    for wi, t in zip(w, sys.grid.nodes):
+        if wi != 0.0:
+            CU = C0 @ scipy.linalg.expm(-A0 * t)
+            Q += wi * (CU.T @ CU)
+    return _frozen_constant(Q)
 
 
 def hautus_integral_oracle(sys, lam, X) -> np.ndarray:

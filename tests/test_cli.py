@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import os
 import re
@@ -204,6 +205,13 @@ class TestNumericallyInvalid:
                           [[1.0, 1.0]], steps=50)
         self._assert_refused("synthesize", spec, flags, what, tmp_path, capsys)
 
+    @pytest.mark.parametrize("command", ["gramian", "synthesize", "frozen-compare"])
+    def test_gramian_past_half_the_float_range_is_refused(self, command, tmp_path, capsys):
+        # W = Q = tau = 1.7e308 is finite, but its symmetrization (W + W*) / 2 is not
+        spec = write_spec(tmp_path / "spec.json", [[0.0]], [[1.0]], [[1.0]], tau=1.7e308,
+                          steps=4)
+        self._assert_refused(command, spec, [], "the Gramian", tmp_path, capsys)
+
     @staticmethod
     def _assert_refused(command, spec, flags, what, tmp_path, capsys):
         out = tmp_path / "out"
@@ -392,10 +400,12 @@ class TestFrozenCompare:
         assert csv[0] == "s,m"
         assert len(csv) == 1 + 5  # stride 50 over 200 steps, endpoint included
 
-    def test_frozen_overflow_is_the_only_stderr_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("nodes", [None, (np.linspace(0.0, 1.0, 51) ** 2).tolist()])
+    def test_frozen_overflow_is_the_only_stderr_line(self, nodes, tmp_path, capsys):
         # A(t) = diag(-600 t, 1): Q_tau is finite, the frozen Gramian at s = 1 is not
         path = tmp_path / "spec.json"
-        write_spec(path, np.zeros((2, 2)), [[1.0], [1.0]], [[1.0, 1.0]], steps=50)
+        extra = {} if nodes is None else {"nodes": nodes}
+        write_spec(path, np.zeros((2, 2)), [[1.0], [1.0]], [[1.0, 1.0]], steps=50, **extra)
         doc = json.loads(path.read_text())
         doc["A"] = {"kind": "poly", "data": [[[0.0, 0.0], [0.0, 1.0]],
                                              [[-600.0, 0.0], [0.0, 0.0]]]}
@@ -484,6 +494,25 @@ class TestColdStart:
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False True"
+
+    def test_numpy_error_state_is_set_in_one_place(self):
+        # the library refuses overflow with NumericalRangeError and leaves numpy's
+        # warnings alone; ltvctl silences them once, around the whole subcommand.
+        # inf_norm_bound returns inf by contract, so it silences its own overflow
+        def sites(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    yield from sites(child, scope + [child.name])
+                    continue
+                if (isinstance(child, ast.Attribute) and child.attr == "errstate"
+                        or isinstance(child, ast.Name) and child.id == "errstate"):
+                    yield ".".join(scope)
+                yield from sites(child, scope)
+
+        found = sorted(site for path in Path(ltvcontrol.__file__).parent.glob("*.py")
+                       for site in sites(ast.parse(path.read_text(encoding="utf-8")),
+                                         [path.stem]))
+        assert found == ["cli.main", "sysmodel.CoeffMatrixFn.inf_norm_bound"]
 
 
 class TestFlagValues:

