@@ -52,7 +52,6 @@ from .sysmodel import (
     l2_inner,
     l2_norm,
     parse_system,
-    serialize_system,
 )
 
 __version__ = "0.1.0"

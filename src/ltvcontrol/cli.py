@@ -50,10 +50,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
         return None if math.isinf(x) or math.isnan(x) else x
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     return obj

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gramian import COERCIVITY_TOL, GramianResult, coercivity_check, ctrl_gramian_quadrature
-from .propagate import Propagator, batches, require_finite
+from .propagate import Propagator, batches, pow2_scale, require_finite
 from .sysmodel import ControlSignal, l2_inner
 
 RANGE_INCLUSION_TOL = 1e-8
@@ -109,13 +109,16 @@ def null_controllability_test(gram: GramianResult, K: np.ndarray) -> tuple[bool,
     lam, Vr = gram.numerical_range
     if lam.size == 0:
         return False, math.inf
-    resid = K - Vr @ (Vr.T @ K)
-    col_norms = np.linalg.norm(K, axis=0)
-    res_norms = np.linalg.norm(resid, axis=0)
+    VtK = Vr.T @ K
+    # each column of K and of its residual divided by the same exact power of two, so a
+    # huge U(tau,0) cannot pass as inf <= tol * inf
+    scale = pow2_scale(K, axis=0)
+    col_norms = np.linalg.norm(K / scale, axis=0)
+    res_norms = np.linalg.norm((K - Vr @ VtK) / scale, axis=0)
     feasible = bool(np.all(res_norms <= RANGE_INCLUSION_TOL * np.maximum(col_norms, 1e-300)))
     if not feasible:
         return False, math.inf
-    scaled = (Vr.T @ K) / np.sqrt(lam)[:, None]
+    scaled = VtK / np.sqrt(lam)[:, None]
     c = float(np.linalg.norm(scaled, 2))
     return True, c
 

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .propagate import Propagator, batches, require_finite, rk4_substeps, stage_times
+from .propagate import Propagator, batches, pow2_scale, require_finite, rk4_substeps, stage_times
 from .sysmodel import LtvSystem
 
 COERCIVITY_TOL = 1e-10
@@ -120,10 +120,13 @@ def ctrl_gramian_lyapunov(sys: LtvSystem) -> GramianResult:
 
 
 def ctrl_gramian_cross(p: Propagator) -> tuple[GramianResult, GramianResult, float]:
-    """Both controllability methods and the Frobenius norm of their difference."""
+    """Both controllability methods and the Frobenius norm of their difference, taken
+    on the difference scaled by an exact power of two so that it cannot overflow."""
     quad = ctrl_gramian_quadrature(p)
     lyap = ctrl_gramian_lyapunov(p.sys)
-    return quad, lyap, float(np.linalg.norm(quad.W - lyap.W))
+    diff = quad.W - lyap.W
+    scale = pow2_scale(diff)
+    return quad, lyap, float(np.linalg.norm(diff / scale) * scale)
 
 
 def obs_gramian(p: Propagator) -> GramianResult:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .duality import admissibility_constant
 from .gramian import observability_constant
-from .propagate import Propagator, batches, require_finite
+from .propagate import Propagator, batches, pow2_scale, require_finite
 from .rng import Lcg64
 from .sysmodel import LtvSystem, TimeGrid
 
@@ -138,10 +138,8 @@ def _hautus_margins(sys: LtvSystem, lams: np.ndarray, X: np.ndarray,
     """Margins ||C(0)x|| / sqrt(2 Re lambda) + M * integral - delta ||x|| for every
     frequency of lams (rows) and column x of X (columns); raises
     NumericalRangeError if any of them is not finite."""
-    # x -> x / 2^k is exact and the margin homogeneous: bring each column's largest
-    # entry into [2^-250, 2) (k = 0 for unit vectors) so that every norm stays finite
-    e = np.frexp(np.max(np.abs(X), axis=0))[1]
-    scale = 2.0 ** (e - np.clip(e, -250, 1))
+    # the margin is homogeneous in x: scale each column exactly (by 1 for unit vectors)
+    scale = pow2_scale(X, axis=0)
     X = X / scale
     boundary = np.linalg.norm(sys.C(0.0) @ X, axis=0) / np.sqrt(2 * lams.real)[:, None]
     margins = (boundary + M * _hautus_integral(sys, lams, X)

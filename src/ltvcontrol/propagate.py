@@ -64,6 +64,14 @@ def require_finite(M: np.ndarray, what: str) -> None:
         raise NumericalRangeError(f"{what} is not finite: the computation overflowed")
 
 
+def pow2_scale(X: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """Exact powers of two that bring the largest |entry| of X (per slice along axis, or
+    of all X) into [2^-250, 2), and are 1 where it already is: x -> x / 2^k is exact, so
+    the norms of X / scale stay finite and, times scale, are those of X."""
+    e = np.frexp(np.max(np.abs(X), axis=axis))[1]
+    return 2.0 ** (e - np.clip(e, -250, 1))
+
+
 def rk4_substeps(sys: LtvSystem) -> int:
     """RK4 substeps per interval for sys: K = max(4, ceil(h_max * ||A||_inf)),
     with ||A||_inf bounded from the coefficient data.

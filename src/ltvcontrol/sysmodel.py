@@ -31,16 +31,12 @@ class SpecFormatError(ValueError):
         super().__init__(f"{field_path}: {message}")
 
 
-def _as_float_array(data, field_path: str, ndim: int) -> np.ndarray:
+def _as_float_array(data, field_path: str) -> np.ndarray:
+    # rank and finiteness are the constructors' rules (TimeGrid, CoeffMatrixFn)
     try:
-        arr = np.asarray(data, dtype=float)
+        return np.asarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SpecFormatError(field_path, f"not a numeric array: {exc}") from None
-    if arr.ndim != ndim:
-        raise SpecFormatError(field_path, f"expected {ndim}-dimensional array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise SpecFormatError(field_path, "contains non-finite entries")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -55,13 +51,13 @@ class TimeGrid:
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 3:
-            raise ValueError("grid needs at least 3 nodes (N >= 2)")
+            raise ValueError(f"grid needs a 1-d array of at least 3 nodes, got shape {nodes.shape}")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("grid nodes must be finite")
         if nodes[0] != 0.0:
             raise ValueError("grid must start at t = 0")
         if not np.all(np.diff(nodes) > 0):
             raise ValueError("grid nodes must be strictly increasing")
-        if not np.all(np.isfinite(nodes)):
-            raise ValueError("grid nodes must be finite")
         if self.quadrature not in QUADRATURE_RULES:
             raise ValueError(f"unknown quadrature rule {self.quadrature!r}")
         if self.quadrature == "simpson" and not self.is_uniform():
@@ -283,14 +279,6 @@ class ControlSignal:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    @classmethod
-    def zero(cls, grid: TimeGrid, dim: int) -> "ControlSignal":
-        return cls(grid, np.zeros((grid.steps + 1, dim)))
-
-    @classmethod
-    def from_function(cls, grid: TimeGrid, fn) -> "ControlSignal":
-        return cls(grid, np.array([np.atleast_1d(fn(t)) for t in grid.nodes]))
-
 
 def l2_norm(signal: ControlSignal) -> float:
     """L2(0, tau) norm of the signal, by the grid's quadrature rule."""
@@ -315,23 +303,17 @@ def _parse_coeff(obj, name: str, rows: int, cols: int, grid: TimeGrid) -> CoeffM
     if not isinstance(obj, dict):
         raise SpecFormatError(name, "coefficient must be an object with 'kind' and 'data'")
     _refuse_unknown(obj, COEFF_FIELDS, f"{name}.")
-    kind = obj.get("kind")
-    if kind not in ("constant", "poly", "samples"):
-        raise SpecFormatError(f"{name}.kind", f"expected constant|poly|samples, got {kind!r}")
     if "data" not in obj:
         raise SpecFormatError(f"{name}.data", "missing")
-    ndim = 2 if kind == "constant" else 3
-    data = _as_float_array(obj["data"], f"{name}.data", ndim)
-    if data.shape[-2:] != (rows, cols):
-        raise SpecFormatError(name, f"expected a {rows}x{cols} matrix shape, got {data.shape[-2:]}")
+    # converted outside the try: a SpecFormatError is a ValueError and names .data
+    data = _as_float_array(obj["data"], f"{name}.data")
     try:
-        if kind == "constant":
-            return CoeffMatrixFn.constant(data, tau=grid.tau)
-        if kind == "poly":
-            return CoeffMatrixFn.poly(data, tau=grid.tau)
-        return CoeffMatrixFn.samples(data, grid)
+        fn = CoeffMatrixFn(obj.get("kind"), data, grid=grid, tau=grid.tau)
     except ValueError as exc:
         raise SpecFormatError(name, str(exc)) from None
+    if (fn.rows, fn.cols) != (rows, cols):
+        raise SpecFormatError(name, f"expected a {rows}x{cols} matrix shape, got {data.shape[-2:]}")
+    return fn
 
 
 def _refuse_unknown(obj: dict, fields: tuple[str, ...], prefix: str = "") -> None:
@@ -387,7 +369,7 @@ def parse_system(spec_text: str) -> LtvSystem:
 
     nodes = None
     if "nodes" in doc:
-        nodes = _as_float_array(doc["nodes"], "nodes", 1)
+        nodes = _as_float_array(doc["nodes"], "nodes")
         if nodes.size != steps + 1:
             raise SpecFormatError("nodes", f"expected {steps + 1} nodes for steps={steps}")
     try:
@@ -406,25 +388,3 @@ def parse_system(spec_text: str) -> LtvSystem:
         coeffs[name] = _parse_coeff(doc[name], name, rows, cols, grid)
 
     return LtvSystem(n=n, m=m, p=p, A=coeffs["A"], B=coeffs["B"], C=coeffs["C"], grid=grid)
-
-
-def serialize_system(sys: LtvSystem) -> str:
-    """Serialize to the JSON spec format; round-trips all coefficient evaluations."""
-
-    def coeff_obj(fn: CoeffMatrixFn) -> dict:
-        return {"kind": fn.kind, "data": fn.data.tolist()}
-
-    doc = {
-        "n": sys.n,
-        "m": sys.m,
-        "p": sys.p,
-        "tau": sys.tau,
-        "steps": sys.grid.steps,
-        "quadrature": sys.grid.quadrature,
-        "A": coeff_obj(sys.A),
-        "B": coeff_obj(sys.B),
-        "C": coeff_obj(sys.C),
-    }
-    if not sys.grid.is_uniform():
-        doc["nodes"] = sys.grid.nodes.tolist()
-    return json.dumps(doc, indent=2, sort_keys=True)

@@ -306,6 +306,19 @@ class TestAnalyze:
         assert doc["controllable"] is False
         assert doc["null_inclusion_c"] is None  # inf serialized as null
 
+    @pytest.mark.parametrize("a", [300.0, 360.0, 400.0, 600.0])
+    def test_huge_unreachable_mode_is_not_null_controllable(self, a, tmp_path, capsys):
+        # U(tau, 0) = diag(e^a, e^-1) with B = e2: Ran U(tau, 0) is not in Ran W however
+        # large e^a; unscaled column norms were inf <= 1e-8 * inf ("null=yes") from a = 355
+        spec = write_spec(tmp_path / "spec.json", np.diag([-a, 1.0]), [[0.0], [1.0]],
+                          [[0.0, 1.0]], steps=50)
+        out = tmp_path / "out"
+        assert main(["analyze", spec, "-o", str(out)]) == EXIT_INFEASIBLE
+        assert capsys.readouterr().out.rstrip().endswith("null=no")
+        doc = load_report(out)
+        assert doc["null_controllable"] is False
+        assert doc["null_inclusion_c"] is None
+
 
 class TestGramian:
     def test_scalar_report_and_csv(self, simpson_scalar_spec, tmp_path):
@@ -319,6 +332,17 @@ class TestGramian:
         csv = (out / "gramian_eigenvalues.csv").read_text().splitlines()
         assert csv[0] == "index,eigenvalue"
         assert float(csv[1].split(",")[1]) == pytest.approx(W, abs=1e-7)
+
+    def test_cross_residual_of_a_huge_gramian_is_finite(self, tmp_path, capsys):
+        # A = 0, B = 1, tau = 1e200: W = 1e200 fits in a float, its square does not
+        spec = write_spec(tmp_path / "spec.json", [[0.0]], [[1.0]], [[1.0]], tau=1e200,
+                          steps=50)
+        out = tmp_path / "out"
+        assert main(["gramian", spec, "-o", str(out)]) == EXIT_OK
+        assert "cross residual inf" not in capsys.readouterr().out
+        doc = load_report(out)
+        lam_max = doc["controllability"]["quadrature"]["lambda_max"]
+        assert 0.0 <= doc["cross_residual"] <= 1e-12 * lam_max
 
 
 class TestSynthesize:
@@ -587,3 +611,27 @@ class TestReadmeFlags:
                    for opt in action.option_strings if opt.startswith("--")}
         assert options - named == set(), "flags missing from README"
         assert named - options == set(), "README names flags no subcommand has"
+
+
+class TestExports:
+    """Every name ltvcontrol exports is used by the package or named in README."""
+
+    def test_every_export_is_used_or_documented(self):
+        root = Path(__file__).resolve().parents[1]
+        package = root / "src" / "ltvcontrol"
+        init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+        exported = {alias.asname or alias.name for node in init.body
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        used = set()  # names read or imported, not merely defined or mentioned in a docstring
+        for path in package.glob("*.py"):
+            if path.name == "__init__.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    used.update(alias.name for alias in node.names)
+        readme = set(re.findall(r"\w+", (root / "README.md").read_text(encoding="utf-8")))
+        assert exported - used - readme == set(), "exports nothing uses and README omits"

@@ -187,7 +187,7 @@ class TestAutonomousReduction:
 class TestPropagateState:
     def test_zero_everything(self):
         p = Propagator(scalar_system(a=0.0))
-        u = ControlSignal.zero(p.grid, 1)
+        u = ControlSignal(p.grid, np.zeros((201, 1)))
         assert p.propagate_state([0.0], u)[0] == 0.0
 
     def test_integrator_of_unit_input(self):
@@ -203,7 +203,7 @@ class TestPropagateState:
         p = Propagator(scalar_system(steps=100))
         other = scalar_system(steps=50)
         with pytest.raises(ValueError):
-            p.propagate_state([0.0], ControlSignal.zero(other.grid, 1))
+            p.propagate_state([0.0], ControlSignal(other.grid, np.zeros((51, 1))))
 
     @pytest.mark.parametrize("quadrature, nonuniform", [
         ("trapezoid", False), ("trapezoid", True), ("simpson", False)])

@@ -117,6 +117,16 @@ class TestNullControl:
             min_norm_control(p, [1.0, 1.0], [0.0, 0.0])
 
 
+    @pytest.mark.parametrize("a", [300.0, 360.0, 400.0, 600.0])
+    def test_huge_unreachable_mode_is_not_null_controllable(self, a):
+        # A = diag(-a, 1): B never reaches the first mode, which grows as e^{a tau}; past
+        # a of about 355 its squared column norm overflows, and the range test must still
+        # compare the scaled norms, without computing any inf
+        p = Propagator(make_system(np.diag([-a, 1.0]), [[0.0], [1.0]], [[0.0, 1.0]], steps=50))
+        with np.errstate(all="raise"), pytest.raises(NotNullControllableError):
+            null_control(p, [1.0, 1.0])
+
+
 class TestVerifySteering:
     def test_synthesized_control_steers(self, rng):
         sys = random_poly_system(rng, n=4, m=4, steps=80)

@@ -14,7 +14,6 @@ from ltvcontrol import (
     eval_coeff,
     l2_norm,
     parse_system,
-    serialize_system,
 )
 from ltvcontrol.sysmodel import MAX_STEPS
 from oracles import eval_coeff_oracle, poly_eval_naive
@@ -41,6 +40,30 @@ SPEC_DOCS = st.dictionaries(
     st.sampled_from(["n", "m", "p", "tau", "steps", "quadrature", "nodes", "A", "B", "C"]),
     JSON_VALUES | COEFFS, max_size=4,
 ).map(lambda fields: {**json.loads(MINIMAL_SPEC), **fields})
+
+NAN, INF = float("nan"), float("inf")
+# (field, value) replaced in a 3-step minimal spec, the field path the refusal must name
+# (or start with), and a part of its message; rank, finiteness, kind, degree and sample
+# count are refused by the constructors, shape and node count by the parser
+REFUSALS = [
+    ("A", {"kind": "linear", "data": [[0.0]]}, "A", "unknown coefficient kind 'linear'"),
+    ("A", {"data": [[0.0]]}, "A", "unknown coefficient kind None"),
+    ("A", {"kind": "constant", "data": [[[0.0]]]}, "A", "2-d matrix"),
+    ("A", {"kind": "poly", "data": [[0.0]]}, "A", "3-d coefficient stack"),
+    ("A", {"kind": "samples", "data": [[0.0]]}, "A", "one matrix per grid node"),
+    ("B", {"kind": "constant", "data": [[NAN]]}, "B", "must be finite"),
+    ("B", {"kind": "poly", "data": [[[0.0]], [[INF]]]}, "B", "must be finite"),
+    ("B", {"kind": "samples", "data": [[[0.0]]] * 3 + [[[-INF]]]}, "B", "must be finite"),
+    ("C", {"kind": "constant", "data": [[0.0], [0.0, 1.0]]}, "C.data", "not a numeric array"),
+    ("C", {"kind": "constant", "data": [["one"]]}, "C.data", "not a numeric array"),
+    ("C", {"kind": "constant", "data": [[1.0, 0.0]]}, "C", "1x1 matrix shape"),
+    ("A", {"kind": "poly", "data": [[[0.0]]] * 10}, "A", "degree capped at 8"),
+    ("A", {"kind": "samples", "data": [[[0.0]]] * 3}, "A", "one matrix per grid node"),
+    ("nodes", [[0.0, 0.1], [0.5, 1.0]], "nodes", "1-d array"),
+    ("nodes", [0.0, NAN, 0.5, 1.0], "nodes", "must be finite"),
+    ("nodes", [0.0, 0.1, 0.5, INF], "nodes", "must be finite"),
+    ("nodes", 1.0, "nodes", "expected 4 nodes"),
+]
 
 
 class TestTimeGrid:
@@ -183,7 +206,7 @@ class TestCoeffMatrixFn:
 class TestSignals:
     def test_zero_signal_norm(self):
         g = TimeGrid.uniform(1.0, 100)
-        assert l2_norm(ControlSignal.zero(g, 2)) == 0.0
+        assert l2_norm(ControlSignal(g, np.zeros((101, 2)))) == 0.0
 
     def test_constant_signal_norm(self):
         g = TimeGrid.uniform(1.0, 100)
@@ -192,7 +215,7 @@ class TestSignals:
 
     def test_ramp_signal_norm(self):
         g = TimeGrid.uniform(1.0, 1000)
-        s = ControlSignal.from_function(g, lambda t: t)
+        s = ControlSignal(g, g.nodes)
         assert l2_norm(s) == pytest.approx(np.sqrt(1 / 3), abs=1e-6)
 
     @settings(max_examples=100, deadline=None)
@@ -296,6 +319,13 @@ class TestParseSystem:
             parse_system(json.dumps(doc))
         assert exc.value.field_path == "A.extra"
 
+    @pytest.mark.parametrize("field, value, path, message", REFUSALS)
+    def test_refusal_names_coefficient_or_nodes(self, field, value, path, message):
+        doc = {**json.loads(MINIMAL_SPEC), "steps": 3, field: value}
+        with pytest.raises(SpecFormatError, match=message) as exc:
+            parse_system(json.dumps(doc))
+        assert exc.value.field_path == path
+
     @settings(max_examples=300, deadline=None)
     @given(text=st.text(max_size=40) | JSON_VALUES.map(json.dumps) | SPEC_DOCS.map(json.dumps))
     @example(text=MINIMAL_SPEC.replace('"tau": 1.0', '"tau": 1' + "0" * 400))
@@ -318,7 +348,11 @@ class TestParseSystem:
     def test_roundtrip_bit_identical(self, rng):
         from conftest import random_poly_system
         sys = random_poly_system(rng, steps=50)
-        clone = parse_system(serialize_system(sys))
+        doc = {"n": sys.n, "m": sys.m, "p": sys.p, "tau": sys.tau, "steps": sys.grid.steps}
+        for name in ("A", "B", "C"):
+            fn = getattr(sys, name)
+            doc[name] = {"kind": fn.kind, "data": fn.data.tolist()}
+        clone = parse_system(json.dumps(doc))
         for t in sys.grid.nodes:
             assert np.array_equal(sys.A(t), clone.A(t))
             assert np.array_equal(sys.B(t), clone.B(t))
