@@ -25,13 +25,14 @@ averaging identity f(0) = (1/sigma) int f - int (1/t^2) int (f(t) - f(s)).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .duality import admissibility_constant
 from .gramian import observability_constant
-from .propagate import Propagator, batches, pow2_scale, require_finite
+from .propagate import Propagator, batches, pow2_scale, require_finite, rk4_steps, rk4_substeps
 from .rng import Lcg64
 from .sysmodel import LtvSystem, TimeGrid
 
@@ -211,29 +212,27 @@ def hautus_sweep(p: Propagator, grid: HautusGrid) -> HautusReport:
 
 # --- frozen-parameter comparison ---------------------------------------------
 
-def _frozen_gramian(A0: np.ndarray, C0: np.ndarray, grid: TimeGrid) -> np.ndarray:
+def _frozen_gramian(A0: np.ndarray, C0: np.ndarray, grid: TimeGrid, substeps: int) -> np.ndarray:
     """int_0^tau e^{-A0* t} C0* C0 e^{-A0 t} dt by the grid's quadrature, for each
     matrix of the (S, n, n) and (S, p, n) stacks A0 and C0.
 
-    P = e^{-A0 t_i} is swept node by node as P <- E P with E = e^{-A0 (t_{i+1} - t_i)}:
-    one stacked expm for the whole grid if it is uniform, else one per gap."""
-    import scipy.linalg  # on first use only: it is most of ltvctl's start-up time
-
-    nodes = grid.nodes
-    gaps = np.diff(nodes)
-    uniform = grid.is_uniform()
-    w = grid.weights()
-    S, n = A0.shape[:2]
-    Q = np.zeros((S, n, n))
-    P = np.broadcast_to(np.eye(n), (S, n, n))
-    for i in range(nodes.size):
-        if w[i] != 0.0:
+    P ~ e^{-A0 t_i} is swept node by node as P <- E P, where E ~ e^{-A0 (t_{i+1} - t_i)} is
+    the Propagator's RK4 step with -A0 at every stage time: one E per stack on a uniform
+    grid, else one per gap, built for batches of gaps at once."""
+    h = np.diff(grid.nodes) / substeps
+    stages = itertools.repeat(-A0)
+    if grid.is_uniform():
+        steps = itertools.repeat(rk4_steps(stages, h[0], substeps), h.size)
+    else:
+        steps = itertools.chain.from_iterable(rk4_steps(stages, h[chunk, None], substeps)
+                                              for chunk in batches(h.size, A0.size))
+    Q = np.zeros(A0.shape)
+    P = np.eye(A0.shape[-1])
+    for w, E in zip(grid.weights(), itertools.chain([P], steps)):  # E = I at t_0
+        P = E @ P
+        if w != 0.0:
             CU = C0 @ P
-            Q += w[i] * (CU.mT @ CU)
-        if i < gaps.size:
-            if i == 0 or not uniform:
-                E = scipy.linalg.expm(-A0 * gaps[i])
-            P = E @ P
+            Q += w * (CU.mT @ CU)
     Q = 0.5 * (Q + Q.mT)
     require_finite(Q, "the frozen observability Gramian")
     return Q
@@ -243,16 +242,17 @@ def frozen_observability_constant(sys: LtvSystem, s0: float | np.ndarray) -> flo
     """m(s0) = sqrt(lambda_min) of the frozen-coefficient observability Gramian
     at time s0; independent of s0 for autonomous systems.
 
-    s0 is one time (the result is a float) or an array of times (the result is
-    an array of the same shape). All of them are computed in stacks of
-    batches(S, n*n) values of s0, each value bit-identical to its own call.
-    """
+    s0 is one time (the result is a float) or an array of times (the result is an array
+    of the same shape), computed in stacks of batches(S, n*n) values of s0, each value
+    bit-identical to its own call. The RK4 steps take K = rk4_substeps(sys), so a grid
+    too coarse for A is refused (NumericalRangeError) as the Propagator refuses it."""
     s = np.asarray(s0, dtype=float)
     times = s.reshape(-1)
+    substeps = rk4_substeps(sys)
     m = np.empty(times.size)
     for chunk in batches(times.size, sys.n * sys.n):
         t = times[chunk]
-        lam = np.linalg.eigvalsh(_frozen_gramian(sys.A(t), sys.C(t), sys.grid))[:, 0]
+        lam = np.linalg.eigvalsh(_frozen_gramian(sys.A(t), sys.C(t), sys.grid, substeps))[:, 0]
         m[chunk] = np.sqrt(np.where(lam < 0.0, 0.0, lam))
     return float(m[0]) if s.ndim == 0 else m.reshape(s.shape)
 
@@ -275,10 +275,8 @@ def frozen_vs_ltv_report(p: Propagator, stride: int = 1) -> FrozenComparison:
         raise ValueError(f"stride must be at least 1, got {stride}")
     sys = p.sys
     delta = observability_constant(p)
-    idx = list(range(0, sys.grid.steps + 1, stride))
-    if idx[-1] != sys.grid.steps:
-        idx.append(sys.grid.steps)
-    s_values = sys.grid.nodes[idx]
+    N = sys.grid.steps
+    s_values = sys.grid.nodes[np.append(np.arange(0, N, stride), N)]  # every stride-th, and tau
     m_values = frozen_observability_constant(sys, s_values)
     return FrozenComparison(
         s_values=s_values,

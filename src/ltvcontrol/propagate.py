@@ -94,6 +94,24 @@ def rk4_substeps(sys: LtvSystem) -> int:
     return max(MIN_SUBSTEPS, math.ceil(need))
 
 
+def rk4_steps(neg_a, h, substeps: int) -> np.ndarray:
+    """Phi ~ U(t + Kh, t) of x' = -A(t) x by K = substeps RK4 substeps of length h, for a
+    stack of intervals: the iterator neg_a yields -A at the 2K+1 stage times of
+    stage_times in column order, each a stack of matrices; h broadcasts against them."""
+    a = next(neg_a)
+    hk = np.asarray(h)[..., None, None]
+    phi = np.broadcast_to(np.eye(a.shape[-1]), np.broadcast_shapes(a.shape, hk.shape))
+    for _ in range(substeps):
+        k1 = a @ phi
+        a = next(neg_a)
+        k2 = a @ (phi + (hk / 2) * k1)
+        k3 = a @ (phi + (hk / 2) * k2)
+        a = next(neg_a)  # also -A at the next substep's start
+        k4 = a @ (phi + hk * k3)
+        phi = phi + (hk / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return phi
+
+
 class Propagator:
     """Discretized evolution family of one LtvSystem, held as its step matrices,
     each integrated with rk4_substeps(sys) RK4 substeps.
@@ -106,23 +124,11 @@ class Propagator:
         self.substeps = rk4_substeps(sys)
 
         nodes = sys.grid.nodes
-        n = sys.n
-        steps = np.empty((nodes.size - 1, n, n))
-        for chunk in batches(steps.shape[0], n * n):
+        steps = np.empty((nodes.size - 1, sys.n, sys.n))
+        for chunk in batches(steps.shape[0], sys.n * sys.n):
             times, h = stage_times(nodes[chunk.start:chunk.stop + 1], self.substeps)
-            hk = h[:, None, None]
-            phi = np.broadcast_to(np.eye(n), (chunk.stop - chunk.start, n, n))
-            a = -sys.A(times[:, 0])
-            for t2, t4 in zip(times[:, 1::2].T, times[:, 2::2].T):
-                k1 = a @ phi
-                a = -sys.A(t2)
-                k2 = a @ (phi + (hk / 2) * k1)
-                k3 = a @ (phi + (hk / 2) * k2)
-                a = -sys.A(t4)  # also -A at the next substep's start
-                k4 = a @ (phi + hk * k3)
-                phi = phi + (hk / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            require_finite(phi, "a step matrix")
-            steps[chunk] = phi
+            steps[chunk] = rk4_steps((-sys.A(t) for t in times.T), h, self.substeps)
+            require_finite(steps[chunk], "a step matrix")
         steps.setflags(write=False)
         self.step_transitions = steps
 

@@ -155,10 +155,6 @@ class CoeffMatrixFn:
     def poly(cls, coeffs, tau: float | None = None) -> "CoeffMatrixFn":
         return cls("poly", np.asarray(coeffs, dtype=float), tau=tau)
 
-    @classmethod
-    def samples(cls, values, grid: TimeGrid) -> "CoeffMatrixFn":
-        return cls("samples", np.asarray(values, dtype=float), grid=grid, tau=grid.tau)
-
     @property
     def rows(self) -> int:
         return self.data.shape[-2]

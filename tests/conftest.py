@@ -68,7 +68,8 @@ def kind_system(rng, n, kind, steps, nonuniform=False, quadrature="trapezoid", m
             return CoeffMatrixFn.constant(rng.normal(scale=s, size=(rows, cols)))
         if kind == "poly":
             return CoeffMatrixFn.poly(rng.normal(scale=s, size=(3, rows, cols)))
-        return CoeffMatrixFn.samples(rng.normal(scale=s, size=(steps + 1, rows, cols)), grid)
+        return CoeffMatrixFn("samples", rng.normal(scale=s, size=(steps + 1, rows, cols)),
+                             grid=grid, tau=grid.tau)
 
     return LtvSystem(n=n, m=m, p=1, A=coeff(n, n), B=coeff(n, m),
                      C=CoeffMatrixFn.constant(np.eye(n)[:1]), grid=grid)

@@ -11,6 +11,7 @@ import numpy as np
 import scipy.linalg
 
 from ltvcontrol import ctrl_gramian_quadrature, input_map_adjoint, l2_norm
+from ltvcontrol.propagate import rk4_substeps
 
 
 def expm_oracle(A: np.ndarray, terms: int = 24) -> np.ndarray:
@@ -86,11 +87,12 @@ def frozen_constant_oracle(sys, s0: float) -> float:
     """m(s0) from one frozen Gramian int_0^tau e^{-A0* t} C0* C0 e^{-A0 t} dt, A0 =
     A(s0) and C0 = C(s0), built by its own loop over the nodes.
 
-    This is the bit-identity reference of the batched library pass, so it uses
-    scipy's expm: P <- e^{-A0 h} P with one h on a uniform grid, else
-    P <- e^{-A0 (t_{i+1} - t_i)} P with one exponential per gap.
+    This is the bit-identity reference of the batched library pass, so it takes the
+    Propagator's step: E ~ e^{-A0 h} by K = rk4_substeps(sys) RK4 substeps, one
+    substep at a time, and P <- E P with one E on a uniform grid, else one per gap.
     """
-    A0, C0 = sys.A(s0), sys.C(s0)
+    a, C0 = -sys.A(s0), sys.C(s0)
+    substeps = rk4_substeps(sys)
     nodes = sys.grid.nodes
     w = sys.grid.weights()
     uniform = sys.grid.is_uniform()
@@ -102,14 +104,17 @@ def frozen_constant_oracle(sys, s0: float) -> float:
             Q += w[i] * (CU.T @ CU)
         if i < nodes.size - 1:
             if i == 0 or not uniform:
-                E = scipy.linalg.expm(-A0 * (nodes[i + 1] - nodes[i]))
+                h = (nodes[i + 1] - nodes[i]) / substeps
+                E = np.eye(sys.n)
+                for _ in range(substeps):
+                    E = rk4_substep(E, a, a, a, h)
             P = E @ P
     return _frozen_constant(Q)
 
 
 def frozen_constant_per_node_oracle(sys, s0: float) -> float:
-    """m(s0) as frozen_constant_oracle, but with e^{-A0 t_i} taken by its own expm at
-    every node rather than as a product of per-gap exponentials."""
+    """m(s0) as frozen_constant_oracle, but with e^{-A0 t_i} taken by scipy's expm at
+    every node rather than as a product of per-gap RK4 steps."""
     A0, C0 = sys.A(s0), sys.C(s0)
     w = sys.grid.weights()
     Q = np.zeros((sys.n, sys.n))
@@ -215,17 +220,19 @@ def eval_coeff_oracle(f, t: float) -> np.ndarray:
     return (1 - theta) * f.data[j - 1] + theta * f.data[j]
 
 
+def rk4_substep(phi, a0, a_half, a1, h) -> np.ndarray:
+    """One RK4 substep of phi' = a(t) phi given a at the substep's start, middle and end."""
+    k1 = a0 @ phi
+    k2 = a_half @ (phi + (h / 2) * k1)
+    k3 = a_half @ (phi + (h / 2) * k2)
+    k4 = a1 @ (phi + h * k3)
+    return phi + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def step_transitions_oracle(sys, substeps: int) -> list:
     """Phi_i ~ U(t_{i+1}, t_i) integrated by RK4 one interval and one stage at a time."""
     def A(t):
         return eval_coeff_oracle(sys.A, t)
-
-    def step(phi, t, h):
-        k1 = -A(t) @ phi
-        k2 = -A(t + h / 2) @ (phi + (h / 2) * k1)
-        k3 = -A(t + h / 2) @ (phi + (h / 2) * k2)
-        k4 = -A(t + h) @ (phi + h * k3)
-        return phi + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     nodes = sys.grid.nodes
     steps = []
@@ -234,7 +241,7 @@ def step_transitions_oracle(sys, substeps: int) -> list:
         h = (nodes[i + 1] - nodes[i]) / substeps
         t = nodes[i]
         for _ in range(substeps):
-            phi = step(phi, t, h)
+            phi = rk4_substep(phi, -A(t), -A(t + h / 2), -A(t + h), h)
             t += h
         steps.append(phi)
     return steps

@@ -499,17 +499,13 @@ class TestDeterminism:
 
 class TestColdStart:
     def test_scipy_is_imported_only_where_used(self, two_state_spec, tmp_path):
-        # analyze, gramian, hautus and synthesize never load scipy; frozen-compare does (expm)
+        # no subcommand loads scipy: numpy is the only runtime dependency
         code = "\n".join([
             "import sys",
             "import ltvcontrol.cli as cli",
-            "def scipy_loaded():",
-            "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)",
-            "codes = [cli.main([c, sys.argv[1], '-o', sys.argv[2] + c])",
-            "         for c in ('analyze', 'gramian', 'hautus', 'synthesize')]",
-            "before = scipy_loaded()",
-            "codes.append(cli.main(['frozen-compare', sys.argv[1], '-o', sys.argv[2] + 'f']))",
-            "print(codes, before, scipy_loaded())",
+            "codes = [cli.main([c, sys.argv[1], '-o', sys.argv[2] + c]) for c in",
+            "         ('analyze', 'gramian', 'hautus', 'synthesize', 'frozen-compare')]",
+            "print(codes, any(m.split('.')[0] == 'scipy' for m in sys.modules))",
         ])
         src = str(Path(ltvcontrol.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -517,7 +513,18 @@ class TestColdStart:
         done = subprocess.run([sys.executable, "-c", code, two_state_spec, str(tmp_path / "o-")],
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False True"
+        assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False"
+
+    def test_no_module_imports_scipy(self):
+        package = Path(ltvcontrol.__file__).resolve().parent
+        imported = set()
+        for path in package.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    imported.update((path.name, alias.name) for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    imported.add((path.name, node.module))
+        assert {(f, m) for f, m in imported if m.split(".")[0] == "scipy"} == set()
 
     def test_numpy_error_state_is_set_in_one_place(self):
         # the library refuses overflow with NumericalRangeError and leaves numpy's

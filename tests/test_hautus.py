@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from ltvcontrol import (
 from ltvcontrol.duality import admissibility_constant
 from conftest import kind_system, make_system, scalar_system
 from ltvcontrol.hautus import _hautus_integral
-from ltvcontrol.propagate import batches
+from ltvcontrol.propagate import STACK_ELEMENTS, batches
 from oracles import (
     frozen_constant_oracle,
     frozen_constant_per_node_oracle,
@@ -295,6 +296,13 @@ class TestFrozenConstants:
         with pytest.raises(ValueError):
             frozen_observability_constant(scalar_system(), 2.0)
 
+    def test_grid_too_coarse_for_rk4_is_refused(self):
+        # h * ||A|| = 100 needs more than MAX_SUBSTEPS: refused as the Propagator refuses it
+        sys = make_system([[1000.0]], [[1.0]], [[1.0]], steps=10)
+        for compute in (Propagator, lambda sys: frozen_observability_constant(sys, 0.5)):
+            with pytest.raises(NumericalRangeError, match="RK4 substeps"):
+                compute(sys)
+
     @pytest.mark.parametrize("nodes", [None, np.linspace(0.0, 1.0, 51) ** 2])
     def test_overflow_is_refused(self, nodes):
         sys = make_system(np.diag([-900.0, 1.0]), [[1.0], [1.0]], [[1.0, 1.0]], steps=50,
@@ -331,9 +339,19 @@ def frozen_kind_system(rng, n, kind, steps, grid):
     elif kind == "poly":
         C = CoeffMatrixFn.poly(rng.normal(size=(2, 2, n)))
     else:
-        C = CoeffMatrixFn.samples(rng.normal(size=(steps + 1, 2, n)), sys.grid)
+        C = CoeffMatrixFn("samples", rng.normal(size=(steps + 1, 2, n)), grid=sys.grid,
+                          tau=sys.grid.tau)
     quadrature = "simpson" if grid == "simpson" else "trapezoid"
     return dataclasses.replace(sys, p=2, C=C, grid=TimeGrid(sys.grid.nodes, quadrature))
+
+
+def assert_matches_per_node_expm(rng, sys):
+    """frozen_observability_constant at nine times, nodes and off-node, within 1e-9
+    relative (1e-12 absolute) of one scipy expm per node."""
+    s0 = np.concatenate([[0.0, 1.0], sys.grid.nodes[[1, sys.grid.steps // 2]],
+                         rng.uniform(0.0, 1.0, size=5)])
+    expect = [frozen_constant_per_node_oracle(sys, s) for s in s0]
+    assert frozen_observability_constant(sys, s0) == pytest.approx(expect, rel=1e-9, abs=1e-12)
 
 
 class TestFrozenBatch:
@@ -355,14 +373,31 @@ class TestFrozenBatch:
     @pytest.mark.parametrize("n, steps", [(1, 37), (3, 50), (20, 40), (64, 21)])
     @pytest.mark.parametrize("kind", ["constant", "poly", "samples"])
     def test_nonuniform_gap_product_matches_per_node_expm(self, rng, n, steps, kind):
-        # e^{-A0 t_i} as a product of per-gap exponentials against one expm per node;
-        # at n = 20 and 64 (p = 2) both give m = 0 exactly, hence the absolute floor
-        sys = frozen_kind_system(rng, n, kind, steps, "nonuniform")
-        s0 = np.concatenate([[0.0, 1.0], sys.grid.nodes[[1, steps // 2]],
-                             rng.uniform(0.0, 1.0, size=5)])
-        expect = [frozen_constant_per_node_oracle(sys, s) for s in s0]
-        assert frozen_observability_constant(sys, s0) == pytest.approx(expect, rel=1e-9,
-                                                                       abs=1e-12)
+        # e^{-A0 t_i} as a product of per-gap RK4 steps against scipy's expm per node
+        # (at most 6.4e-10 relative in these cases); at n = 20 and 64 (p = 2) both
+        # give m = 0 exactly, hence the absolute floor
+        assert_matches_per_node_expm(rng, frozen_kind_system(rng, n, kind, steps, "nonuniform"))
+
+    @pytest.mark.parametrize("n, steps", [(1, 37), (3, 50), (20, 40), (64, 21)])
+    @pytest.mark.parametrize("grid", ["trapezoid", "simpson"])
+    @pytest.mark.parametrize("kind", ["constant", "poly", "samples"])
+    def test_uniform_step_power_matches_per_node_expm(self, rng, n, steps, grid, kind):
+        # e^{-A0 t_i} as the i-th power of one RK4 step: at most 1.1e-10 relative
+        # to scipy's expm per node in these cases
+        assert_matches_per_node_expm(rng, frozen_kind_system(rng, n, kind, steps, grid))
+
+    def test_nonuniform_pass_memory_is_bounded(self, rng):
+        # 81 values of s0 fill one (S, n, n) stack of about STACK_ELEMENTS floats; the
+        # per-gap steps are built in batches of gaps, so the pass holds a few such
+        # stacks (measured: 13) where one (gaps, S, n, n) stack would hold 200
+        sys = kind_system(rng, 20, "poly", 200, nonuniform=True)
+        tracemalloc.start()
+        try:
+            frozen_observability_constant(sys, np.linspace(0.0, 1.0, 81))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * STACK_ELEMENTS * 8
 
     def test_scalar_and_array_contract(self, rng):
         sys = frozen_kind_system(rng, 3, "poly", 40, "trapezoid")

@@ -119,7 +119,7 @@ class TestCoeffMatrixFn:
 
     def test_piecewise_linear_interp(self):
         grid = TimeGrid(np.array([0.0, 0.5, 1.0]))
-        f = CoeffMatrixFn.samples([[[0.0]], [[1.0]], [[2.0]]], grid)
+        f = CoeffMatrixFn("samples", [[[0.0]], [[1.0]], [[2.0]]], grid=grid, tau=grid.tau)
         assert f(0.5)[0, 0] == pytest.approx(1.0)
         assert f(0.25)[0, 0] == pytest.approx(0.5)
         assert f(1.0)[0, 0] == pytest.approx(2.0)
@@ -161,7 +161,8 @@ class TestCoeffMatrixFn:
     def test_inf_norm_bound_values(self):
         assert CoeffMatrixFn.constant([[1.0, -2.0], [0.5, 0.0]]).inf_norm_bound() == 3.0
         grid = TimeGrid(np.array([0.0, 0.5, 2.0]))
-        samples = CoeffMatrixFn.samples([[[1.0, 0.0]], [[-4.0, 1.0]], [[2.0, 2.0]]], grid)
+        samples = CoeffMatrixFn("samples", [[[1.0, 0.0]], [[-4.0, 1.0]], [[2.0, 2.0]]],
+                                grid=grid, tau=grid.tau)
         assert samples.inf_norm_bound() == 5.0
         # A(t) = A_0 + A_1 t - A_2 t^2 on [0, 2]: row sums of |A_0| + 2 |A_1| + 4 |A_2|
         poly = CoeffMatrixFn.poly([[[1.0, 0.0]], [[0.0, -1.0]], [[-1.0, 0.0]]], tau=2.0)
