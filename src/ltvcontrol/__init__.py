@@ -12,7 +12,6 @@ from .duality import (
 )
 from .gramian import (
     GramianResult,
-    coercivity_check,
     ctrl_gramian_cross,
     ctrl_gramian_lyapunov,
     ctrl_gramian_quadrature,

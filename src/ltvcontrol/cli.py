@@ -221,7 +221,7 @@ def _frozen(args, p):
 
 @_command("self-check", "run the built-in invariant suite", spec=False)
 def _selfcheck(args, sys_):
-    rows = selfcheck.self_check(seed=args.seed)
+    rows = selfcheck.self_check()
     width = max((len(f"{r.system}/{r.check}") for r in rows), default=10)
     for r in rows:
         status = "PASS" if r.passed else "FAIL"

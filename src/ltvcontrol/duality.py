@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gramian import COERCIVITY_TOL, GramianResult, coercivity_check, ctrl_gramian_quadrature
+from .gramian import COERCIVITY_TOL, GramianResult, ctrl_gramian_quadrature
 from .propagate import Propagator, batches, pow2_scale, require_finite
 from .sysmodel import ControlSignal, l2_inner
 
@@ -95,17 +95,19 @@ def admissibility_constant(p: Propagator) -> float:
     return float(np.sqrt(max(best, 0.0)))
 
 
-def null_controllability_test(gram: GramianResult, K: np.ndarray) -> tuple[bool, float]:
+def null_controllability_test(gram: GramianResult) -> tuple[bool, float]:
     """Range-inclusion test Ran K within Ran W_tau^{1/2} for the W_tau pass gram and
-    K = U(tau,0) (gram.U_tau_0 for the quadrature pass), with constant c.
+    K = gram.U_tau_0 = U(tau,0), with constant c.
 
     feasible iff every column of K projects onto the numerical range of W_tau
-    (eigenvalues above COERCIVITY_TOL * lambda_max) with residual <=
-    RANGE_INCLUSION_TOL * column norm; c is the largest generalized singular
-    value of the pair (K, W_tau^{1/2}) on that range, so
-    ||U(tau,0)* z|| <= c ||Psi_tau* z||_{L2} for all z. Infeasible verdicts
-    report c = +inf.
+    (gram.numerical_range) with residual <= RANGE_INCLUSION_TOL * column norm; c is
+    the largest generalized singular value of the pair (K, W_tau^{1/2}) on that range,
+    so ||U(tau,0)* z|| <= c ||Psi_tau* z||_{L2} for all z. Infeasible verdicts report
+    c = +inf. Raises ValueError for a Gramian without U(tau, 0) (Lyapunov W, Q_tau).
     """
+    K = gram.U_tau_0
+    if K is None:
+        raise ValueError("the range test needs U(tau, 0) from ctrl_gramian_quadrature")
     lam, Vr = gram.numerical_range
     if lam.size == 0:
         return False, math.inf
@@ -127,15 +129,12 @@ def exact_controllability_test(p: Propagator) -> DualityReport:
     """Full duality verdict: coercivity of W_tau, duality constant, admissibility,
     and the null-controllability range test, all at the one threshold COERCIVITY_TOL."""
     gram = ctrl_gramian_quadrature(p)
-    controllable, lam_min = coercivity_check(gram)
-    delta = float(np.sqrt(max(lam_min, 0.0)))
-    adm = admissibility_constant(p)
-    null_ok, c = null_controllability_test(gram, gram.U_tau_0)
+    null_ok, c = null_controllability_test(gram)
     return DualityReport(
-        controllable=controllable,
-        lambda_min_W=lam_min,
-        obs_constant_delta=delta,
-        admissibility_M=adm,
+        controllable=gram.coercive,
+        lambda_min_W=gram.lambda_min,
+        obs_constant_delta=float(np.sqrt(max(gram.lambda_min, 0.0))),
+        admissibility_M=admissibility_constant(p),
         null_controllable=null_ok,
         null_inclusion_c=c,
     )

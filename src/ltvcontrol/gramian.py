@@ -14,7 +14,6 @@ minimum eigenvalue's square root is the exact-observability constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,34 +25,44 @@ COERCIVITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class GramianResult:
+    """W and its one eigen-decomposition, from which every verdict on W is read."""
+
     W: np.ndarray
-    eigenvalues: np.ndarray      # ascending
-    lambda_min: float
-    lambda_max: float
+    eigenvalues: np.ndarray      # ascending, from one eigh of W
+    eigenvectors: np.ndarray     # their columns
     U_tau_0: np.ndarray | None = None  # U(tau, 0), handed over by the quadrature stream
 
-    @cached_property
+    @property
+    def lambda_min(self) -> float:
+        return float(self.eigenvalues[0])
+
+    @property
+    def lambda_max(self) -> float:
+        return float(self.eigenvalues[-1])
+
+    @property
     def numerical_range(self) -> tuple[np.ndarray, np.ndarray]:
-        """The eigenvalues of W above COERCIVITY_TOL * lambda_max and their eigenvector
-        columns, from one eigh that every later reader shares."""
-        lam, V = np.linalg.eigh(self.W)
-        keep = lam > COERCIVITY_TOL * max(float(lam[-1]), 0.0)
-        return lam[keep], V[:, keep]
+        """The eigenvalues above COERCIVITY_TOL * max(lambda_max, 0) and their eigenvector
+        columns: a suffix of the ascending eigenpairs."""
+        cut = COERCIVITY_TOL * max(self.lambda_max, 0.0)
+        k = int(np.searchsorted(self.eigenvalues, cut, side="right"))
+        return self.eigenvalues[k:], self.eigenvectors[:, k:]
+
+    @property
+    def coercive(self) -> bool:
+        """The coercivity rule: lambda_min > COERCIVITY_TOL * max(lambda_max, 0), so
+        lambda_max > 0; that is, the numerical range holds all n eigenpairs."""
+        return self.numerical_range[0].size == self.eigenvalues.size
 
 
 def _finalize(W: np.ndarray, U_tau_0: np.ndarray | None = None) -> GramianResult:
     W = 0.5 * (W + W.conj().T)  # past about 9e307, W + W* overflows: checked after it
     require_finite(W, "the Gramian")
     W.setflags(write=False)
-    eigs = np.linalg.eigvalsh(W)
-    eigs.setflags(write=False)
-    return GramianResult(
-        W=W,
-        eigenvalues=eigs,
-        lambda_min=float(eigs[0]),
-        lambda_max=float(eigs[-1]),
-        U_tau_0=U_tau_0,
-    )
+    lam, V = np.linalg.eigh(W)
+    lam.setflags(write=False)
+    V.setflags(write=False)
+    return GramianResult(W=W, eigenvalues=lam, eigenvectors=V, U_tau_0=U_tau_0)
 
 
 def ctrl_gramian_quadrature(p: Propagator) -> GramianResult:
@@ -63,9 +72,8 @@ def ctrl_gramian_quadrature(p: Propagator) -> GramianResult:
     B = p.sys.B(p.grid.nodes)[::-1]
     W = np.zeros((p.sys.n, p.sys.n))
     for wi, Bi, (_, U) in zip(w, B, p.transitions_to_end()):
-        if wi != 0.0:
-            UB = np.dot(U, Bi)
-            W += wi * np.dot(UB, UB.T)
+        UB = np.dot(U, Bi)
+        W += wi * np.dot(UB, UB.T)
     U.setflags(write=False)
     return _finalize(W, U)
 
@@ -135,9 +143,8 @@ def obs_gramian(p: Propagator) -> GramianResult:
     C = p.sys.C(p.grid.nodes)
     Q = np.zeros((p.sys.n, p.sys.n))
     for wi, Ci, U in zip(w, C, p.transitions_from_start()):
-        if wi != 0.0:
-            CU = np.dot(Ci, U)
-            Q += wi * np.dot(CU.T, CU)
+        CU = np.dot(Ci, U)
+        Q += wi * np.dot(CU.T, CU)
     return _finalize(Q)
 
 
@@ -145,8 +152,3 @@ def observability_constant(p: Propagator) -> float:
     """delta = sqrt(lambda_min(Q_tau)), the exact-observability constant."""
     return float(np.sqrt(max(obs_gramian(p).lambda_min, 0.0)))
 
-
-def coercivity_check(g: GramianResult) -> tuple[bool, float]:
-    """Coercive iff lambda_min > COERCIVITY_TOL * lambda_max (relative threshold)."""
-    coercive = g.lambda_min > COERCIVITY_TOL * max(g.lambda_max, 0.0) and g.lambda_max > 0.0
-    return bool(coercive), g.lambda_min

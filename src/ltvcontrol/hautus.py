@@ -230,9 +230,8 @@ def _frozen_gramian(A0: np.ndarray, C0: np.ndarray, grid: TimeGrid, substeps: in
     P = np.eye(A0.shape[-1])
     for w, E in zip(grid.weights(), itertools.chain([P], steps)):  # E = I at t_0
         P = E @ P
-        if w != 0.0:
-            CU = C0 @ P
-            Q += w * (CU.mT @ CU)
+        CU = C0 @ P
+        Q += w * (CU.mT @ CU)
     Q = 0.5 * (Q + Q.mT)
     require_finite(Q, "the frozen observability Gramian")
     return Q

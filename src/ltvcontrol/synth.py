@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import input_map_adjoint, null_controllability_test
-from .gramian import GramianResult, coercivity_check, ctrl_gramian_quadrature
+from .gramian import ctrl_gramian_quadrature
 from .propagate import Propagator, require_finite
 from .sysmodel import ControlSignal, l2_norm
 
@@ -35,12 +35,6 @@ class SynthesisResult:
     condition_estimate: float    # lambda_max / lambda_min of W_tau
 
 
-def _condition(gram: GramianResult) -> float:
-    if gram.lambda_min <= 0:
-        return np.inf
-    return gram.lambda_max / gram.lambda_min
-
-
 def min_norm_control(p: Propagator, x0, x_tau) -> SynthesisResult:
     """Minimum-energy control steering x0 to x_tau at time tau.
 
@@ -59,28 +53,22 @@ def null_control(p: Propagator, x0) -> SynthesisResult:
 
 
 def _steer(p: Propagator, x0, x_tau, singular_ok: bool) -> SynthesisResult:
-    """Solve W eta = d for d = x_tau - U(tau,0) x0 as eta = V (V* d / lam) over W_tau's
-    eigenpairs: all n of them when W_tau is coercive, else, if singular_ok and the
-    range inclusion holds, those of its numerical range (the pseudo-inverse on Ran W_tau)."""
+    """Solve W eta = d for d = x_tau - U(tau,0) x0 as eta = V (V* d / lam) over the
+    eigenpairs of W_tau's numerical range: all n of them when W_tau is coercive, else, if
+    singular_ok and the range inclusion holds, the pseudo-inverse on Ran W_tau."""
     x0 = np.asarray(x0, dtype=float).reshape(p.sys.n)
     x_tau = np.asarray(x_tau, dtype=float).reshape(p.sys.n)
     gram = ctrl_gramian_quadrature(p)
     Ux0 = gram.U_tau_0 @ x0
     require_finite(Ux0, "the state x(tau)")
     d = x_tau - Ux0
-    if coercivity_check(gram)[0]:
-        lam, V = np.linalg.eigh(gram.W)
-    elif not singular_ok:
-        raise NotControllableError(
-            f"Gramian not coercive: lambda_min = {gram.lambda_min:.3e}, "
-            f"lambda_max = {gram.lambda_max:.3e}"
-        )
-    elif not null_controllability_test(gram, gram.U_tau_0)[0]:
+    if not (gram.coercive or singular_ok):
+        raise NotControllableError(f"Gramian not coercive: lambda_min = {gram.lambda_min:.3e}, "
+                                   f"lambda_max = {gram.lambda_max:.3e}")
+    if not (gram.coercive or null_controllability_test(gram)[0]):
         raise NotNullControllableError(
-            "range of U(tau,0) is not contained in the range of W_tau^{1/2}"
-        )
-    else:
-        lam, V = gram.numerical_range
+            "range of U(tau,0) is not contained in the range of W_tau^{1/2}")
+    lam, V = gram.numerical_range
     eta = V @ ((V.T @ d) / lam)
     require_finite(eta, "the Gramian solve")
     control = input_map_adjoint(p, eta)
@@ -93,6 +81,6 @@ def _steer(p: Propagator, x0, x_tau, singular_ok: bool) -> SynthesisResult:
         target_residual=residual,
         cost=cost,
         gramian_cost=gramian_cost,
-        condition_estimate=_condition(gram),
+        condition_estimate=gram.lambda_max / gram.lambda_min if gram.lambda_min > 0 else np.inf,
     )
 

@@ -86,7 +86,11 @@ class TimeGrid:
         """Quadrature weights over all nodes for integrals on [0, tau]."""
         nodes = self.nodes
         if self.quadrature == "trapezoid":
-            return _trapezoid_weights(nodes)
+            d = np.diff(nodes)
+            w = np.zeros(nodes.size)
+            w[:-1] += d / 2
+            w[1:] += d / 2
+            return w
         # composite Simpson; an odd trailing interval gets one trapezoid panel
         N = self.steps
         even = N - N % 2
@@ -101,14 +105,6 @@ class TimeGrid:
             w[N - 1] += h / 2
             w[N] += h / 2
         return w
-
-
-def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
-    d = np.diff(nodes)
-    w = np.zeros(nodes.size)
-    w[:-1] += d / 2
-    w[1:] += d / 2
-    return w
 
 
 @dataclass(frozen=True)

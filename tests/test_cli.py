@@ -320,6 +320,58 @@ class TestAnalyze:
         assert doc["null_inclusion_c"] is None
 
 
+# W of A = 0, this B and tau = 1 has lambda_min on COERCIVITY_TOL * lambda_max to the last
+# bits: two LAPACK routines put it on opposite sides of the threshold
+NEAR_THRESHOLD_B = [[-0.9891358653025177, 0.06774204707087983, 1.1065685740971209e-06],
+                    [-0.12230921947886081, -0.6715545142675148, -2.542868935170846e-06],
+                    [0.08155179214898535, -0.18554123376103981, 9.607763713235447e-06]]
+
+
+class TestOneSpectrum:
+    """analyze, synthesize and null_control read one eigen-decomposition of W."""
+
+    @pytest.fixture
+    def near_threshold_spec(self, tmp_path):
+        return write_spec(tmp_path / "near.json", np.zeros((3, 3)), NEAR_THRESHOLD_B,
+                          [[1.0, 0.0, 0.0]], steps=10)
+
+    def test_verdicts_agree_at_the_threshold(self, near_threshold_spec, tmp_path, capsys):
+        p = ltvcontrol.Propagator(ltvcontrol.parse_system(Path(near_threshold_spec).read_text()))
+        report = ltvcontrol.exact_controllability_test(p)
+        assert report.null_controllable or not report.controllable
+        code = EXIT_OK if report.controllable else EXIT_INFEASIBLE
+        assert main(["analyze", near_threshold_spec, "-o", str(tmp_path / "a")]) == code
+        line = capsys.readouterr().out.rstrip()
+        assert line.startswith("controllable:" if report.controllable else "NOT controllable:")
+        assert line.endswith("null=yes" if report.null_controllable else "null=no")
+        assert main(["synthesize", near_threshold_spec, "-o", str(tmp_path / "s"),
+                     "--x0=1,0,0"]) == code
+        try:
+            ltvcontrol.null_control(p, [1.0, 0.0, 0.0])
+            steered = True
+        except ltvcontrol.NotNullControllableError:
+            steered = False
+        assert steered == report.null_controllable
+
+    @pytest.mark.parametrize("command", ["analyze", "synthesize"])
+    def test_one_eigh_of_w_and_no_eigvalsh(self, command, two_state_spec, tmp_path,
+                                           monkeypatch):
+        # the stacked eigvalsh of the admissibility windows is (chunk, n, n), not counted
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(a, *args, **kwargs):
+                if np.ndim(a) == 2:
+                    calls.append(name)
+                return fn(a, *args, **kwargs)
+            return wrapped
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        assert main([command, two_state_spec, "-o", str(tmp_path / "out")]) == EXIT_OK
+        assert calls == ["eigh"]
+
+
 class TestGramian:
     def test_scalar_report_and_csv(self, simpson_scalar_spec, tmp_path):
         out = tmp_path / "out"
@@ -463,6 +515,14 @@ class TestSelfCheck:
         captured = capsys.readouterr()
         assert "FAIL" in captured.out
         assert "failed" in captured.err
+
+    def test_report_does_not_depend_on_seed(self, tmp_path):
+        reports = []
+        for seed in ("1", "5"):
+            out = tmp_path / seed
+            assert main(["self-check", "-o", str(out), "--seed", seed]) == EXIT_OK
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestDeterminism:

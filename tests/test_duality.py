@@ -9,6 +9,7 @@ from ltvcontrol import (
     NumericalRangeError,
     Propagator,
     admissibility_constant,
+    ctrl_gramian_lyapunov,
     ctrl_gramian_quadrature,
     exact_controllability_test,
     input_map,
@@ -16,6 +17,7 @@ from ltvcontrol import (
     key_identity_residual,
     l2_norm,
     null_controllability_test,
+    obs_gramian,
 )
 from conftest import make_system, random_poly_system, scalar_system
 from oracles import admissibility_oracle, kalman_rank
@@ -243,17 +245,24 @@ class TestNullControllability:
     def test_zero_input_infeasible(self):
         p = Propagator(make_system(np.zeros((2, 2)), np.zeros((2, 1)), np.eye(2)[:1]))
         gram = ctrl_gramian_quadrature(p)
-        feasible, c = null_controllability_test(gram, gram.U_tau_0)
+        feasible, c = null_controllability_test(gram)
         assert not feasible
         assert math.isinf(c)
 
     def test_scalar_constant(self):
         p = Propagator(scalar_system(a=1.0, quadrature="simpson"))
         gram = ctrl_gramian_quadrature(p)
-        feasible, c = null_controllability_test(gram, gram.U_tau_0)
+        feasible, c = null_controllability_test(gram)
         closed = np.exp(-1) / np.sqrt((1 - np.exp(-2)) / 2)
         assert feasible
         assert c == pytest.approx(closed, abs=1e-5)
+
+    def test_needs_the_quadrature_pass(self):
+        # the Lyapunov W and Q_tau carry no U(tau, 0) to test
+        p = Propagator(scalar_system(a=1.0))
+        for gram in (ctrl_gramian_lyapunov(p.sys), obs_gramian(p)):
+            with pytest.raises(ValueError, match="U\\(tau, 0\\)"):
+                null_controllability_test(gram)
 
     def test_controllable_implies_feasible(self, rng):
         sys = random_poly_system(rng, n=3, steps=80)
@@ -265,8 +274,8 @@ class TestNullControllability:
         sys = random_poly_system(rng, n=4, steps=80)
         p = Propagator(sys)
         gram = ctrl_gramian_quadrature(p)
-        K = p.transition(0, p.steps)
-        feasible, c = null_controllability_test(gram, K)
+        K = gram.U_tau_0
+        feasible, c = null_controllability_test(gram)
         if not feasible:
             pytest.skip("random draw not null controllable")
         W = gram.W

@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltvcontrol import (
     GramianResult,
     NumericalRangeError,
     Propagator,
-    coercivity_check,
     ctrl_gramian_cross,
     ctrl_gramian_lyapunov,
     ctrl_gramian_quadrature,
+    exact_controllability_test,
     obs_gramian,
 )
 from conftest import (BATCH_SIZES, kind_system, make_system, random_poly_system, scalar_system,
                       stiffened)
+from ltvcontrol.gramian import COERCIVITY_TOL
 from ltvcontrol.propagate import rk4_substeps
 from oracles import lyapunov_oracle
 
@@ -117,19 +120,42 @@ class TestObservabilityGramian:
 class TestCoercivity:
     def test_identity(self):
         g = _fake_gramian(np.eye(2))
-        assert coercivity_check(g) == (True, 1.0)
+        assert g.coercive
+        assert g.lambda_min == 1.0
 
     def test_rank_deficient(self):
         g = _fake_gramian(np.diag([1.0, 0.0]))
-        coercive, lam = coercivity_check(g)
-        assert not coercive
-        assert lam == 0.0
+        assert not g.coercive
+        assert g.lambda_min == 0.0
 
     def test_scalar_value(self):
         g = _fake_gramian(np.array([[0.432332]]))
-        coercive, lam = coercivity_check(g)
-        assert coercive
-        assert lam == pytest.approx(0.432332)
+        assert g.coercive
+        assert g.lambda_min == pytest.approx(0.432332)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(min_value=3, max_value=6),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           rel=st.floats(min_value=-1e-6, max_value=1e-6))
+    def test_verdict_and_numerical_range_read_one_spectrum(self, n, seed, rel):
+        # W = Q diag(lam) Q^T with lambda_min within 1e-6 relative of COERCIVITY_TOL *
+        # lambda_max (the W of A = 0, B = Q diag(sqrt(lam)), tau = 1): the verdict, the
+        # range and the reported lambda_min fall on one side of the threshold together
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        lam = np.sort(rng.uniform(0.5, 2.0, size=n))
+        lam[0] = COERCIVITY_TOL * lam[-1] * (1.0 + rel)
+        p = Propagator(make_system(np.zeros((n, n)), Q * np.sqrt(lam), np.eye(n)[:1],
+                                   steps=10))
+        g = ctrl_gramian_quadrature(p)
+        kept, V = g.numerical_range
+        assert g.coercive == (kept.size == n)
+        assert g.coercive == (g.lambda_min > COERCIVITY_TOL * g.lambda_max > 0.0)
+        assert np.array_equal(kept, g.eigenvalues[n - kept.size:])
+        assert np.array_equal(V, g.eigenvectors[:, n - kept.size:])
+        report = exact_controllability_test(p)
+        assert report.controllable == g.coercive
+        assert report.null_controllable or not report.controllable
 
 
 class TestGramianProperties:
@@ -164,14 +190,11 @@ class TestGramianProperties:
         A = np.zeros((3, 3))
         B = np.array([[1.0], [0.0], [0.0]])
         g = ctrl_gramian_quadrature(Propagator(make_system(A, B, np.eye(3)[:1], steps=100)))
-        coercive, _ = coercivity_check(g)
-        assert not coercive
-        lam, V = np.linalg.eigh(g.W)
-        z = V[:, 0]
+        assert not g.coercive
+        z = g.eigenvectors[:, 0]
         assert z @ g.W @ z <= 1e-8
 
 
 def _fake_gramian(W):
-    eigs = np.linalg.eigvalsh(W)
-    return GramianResult(W=W, eigenvalues=eigs, lambda_min=float(eigs[0]),
-                         lambda_max=float(eigs[-1]))
+    lam, V = np.linalg.eigh(W)
+    return GramianResult(W=W, eigenvalues=lam, eigenvectors=V)

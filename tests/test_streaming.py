@@ -85,7 +85,7 @@ class TestAgainstListOracles:
         assert np.array_equal(gram.U_tau_0, last)
         K = p.transition(0, steps)
         assert _close(gram.U_tau_0, K)
-        feasible, c = null_controllability_test(gram, K)
+        feasible, c = null_controllability_test(gram)
         report = exact_controllability_test(p)
         assert report.null_controllable == feasible
         # n = 20 and 64 with m = 2 are infeasible: c = +inf from both
