@@ -33,7 +33,6 @@ from .hautus import (
     russell_weiss_min_margin,
 )
 from .propagate import NumericalRangeError, Propagator, cocycle_defect
-from .rng import Lcg64
 from .synth import (
     NotControllableError,
     NotNullControllableError,

@@ -163,7 +163,7 @@ def _synthesize(args, p):
         return EXIT_VALIDATION, None, {}
     try:
         result = synth.min_norm_control(p, x0, target)
-    except (synth.NotControllableError, synth.NotNullControllableError) as exc:
+    except synth.NotControllableError as exc:
         print(f"infeasible: {exc}", file=_sys.stderr)
         return EXIT_INFEASIBLE, {"verdict": type(exc).__name__, "error": str(exc)}, {}
     print(f"steered with cost {result.cost:.6g}, residual {result.target_residual:.3g}")

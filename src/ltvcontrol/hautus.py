@@ -26,6 +26,7 @@ averaging identity f(0) = (1/sigma) int f - int (1/t^2) int (f(t) - f(s)).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,6 @@ import numpy as np
 from .duality import admissibility_constant
 from .gramian import observability_constant
 from .propagate import Propagator, batches, pow2_scale, require_finite, rk4_steps, rk4_substeps
-from .rng import Lcg64
 from .sysmodel import LtvSystem, TimeGrid
 
 
@@ -71,13 +71,35 @@ def default_hautus_grid(n: int, seed: int = 1, n_vectors: int = 50,
                         re_bounds: tuple[float, float] = (0.1, 10.0),
                         re_points: int = 7,
                         im_values: tuple[float, ...] = (0.0, 1.0, -1.0, 10.0, -10.0)) -> HautusGrid:
-    """Logarithmic Re(lambda) sweep crossed with fixed imaginary offsets,
-    plus seeded random unit test vectors."""
+    """Logarithmic Re(lambda) sweep crossed with fixed imaginary offsets, plus
+    n_vectors unit test vectors: each is n consecutive normals of the seed's LCG
+    stream, drawn again when its norm is at most 1e-12, divided by that norm."""
     res = np.geomspace(re_bounds[0], re_bounds[1], re_points)
     lambdas = np.array([complex(r, im) for r in res for im in im_values])
-    gen = Lcg64(seed)
-    vectors = np.array([gen.unit_vector(n) for _ in range(n_vectors)])
-    return HautusGrid(lambdas, vectors)
+    normals = _lcg_normals(seed)
+    vectors = []
+    while len(vectors) < n_vectors:
+        v = np.fromiter(normals, float, n)
+        norm = np.linalg.norm(v)
+        if norm > 1e-12:
+            vectors.append(v / norm)
+    return HautusGrid(lambdas, np.array(vectors))
+
+
+def _lcg_normals(seed: int):
+    """Normals of the documented stream: state <- (6364136223846793005 state +
+    1442695040888963407) mod 2^64 from seed mod 2^64; each two states give uniforms
+    from their top 53 bits, u1 shifted into (0, 1] so that log(u1) is finite, and
+    Box-Muller yields r cos(2 pi u2), then r sin(2 pi u2), with r = sqrt(-2 log u1)."""
+    state = seed % 2**64
+    while True:
+        state = (6364136223846793005 * state + 1442695040888963407) % 2**64
+        u1 = ((state >> 11) + 1) * 2.0**-53
+        state = (6364136223846793005 * state + 1442695040888963407) % 2**64
+        u2 = (state >> 11) * 2.0**-53
+        r = math.sqrt(-2.0 * math.log(u1))
+        yield r * math.cos(2.0 * math.pi * u2)
+        yield r * math.sin(2.0 * math.pi * u2)
 
 
 # --- classical left half-plane form ----------------------------------------

@@ -238,6 +238,9 @@ class LtvSystem:
         ):
             if (fn.rows, fn.cols) != shape:
                 raise ValueError(f"{name} has shape {(fn.rows, fn.cols)}, expected {shape}")
+            # off its own grid a samples coefficient would extrapolate past inf_norm_bound
+            if fn.kind == "samples" and not np.array_equal(fn.grid.nodes, self.grid.nodes):
+                raise ValueError(f"{name} is sampled on another grid than the system's")
             if fn.tau is None or fn.tau != self.grid.tau:
                 object.__setattr__(self, name, fn.with_tau(self.grid.tau))
 

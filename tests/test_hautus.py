@@ -443,6 +443,8 @@ class TestWitnessTime:
         samples = [(s, 0.1) for s in np.linspace(0, 1, 11)]
         with pytest.raises(ValueError):
             find_witness_time(samples, 0.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="at least two points"):
+            find_witness_time([(0.5, 2.0)], 0.0, 1.0, 1.0, 1.0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=3, max_size=40),
@@ -481,6 +483,8 @@ class TestAveragingIdentity:
     def test_bad_sigma(self):
         with pytest.raises(ValueError):
             averaging_identity_residual(np.ones(10), 0.0)
+        with pytest.raises(ValueError, match="at least 3"):
+            averaging_identity_residual(np.ones(2), 1.0)
 
 
 class TestHautusGridValidation:
@@ -491,3 +495,23 @@ class TestHautusGridValidation:
     def test_rejects_non_unit_vectors(self):
         with pytest.raises(ValueError):
             HautusGrid(np.array([1.0 + 0j]), np.array([[2.0]]))
+
+
+class TestTestVectors:
+    def test_vectors_follow_the_documented_stream(self):
+        # n = 3 is odd, so the second vector starts with the sin normal of a pair
+        vectors = default_hautus_grid(3, seed=1, n_vectors=2).test_vectors
+        assert np.array_equal(vectors, [
+            [-0.8834401631709827, -0.05227990572138873, -0.46561818000824473],
+            [0.6785472393163735, -0.7345529767175043, -0.0023597482030560733],
+        ])
+
+    def test_seed_is_taken_mod_2_64(self):
+        for seed in (-1, 2**70 + 3):
+            assert np.array_equal(default_hautus_grid(3, seed=seed).test_vectors,
+                                  default_hautus_grid(3, seed=seed % 2**64).test_vectors)
+
+    def test_vanishing_draw_is_drawn_again(self, monkeypatch):
+        normals = iter([0.0, 1e-13, 3.0, 4.0])
+        monkeypatch.setattr("ltvcontrol.hautus._lcg_normals", lambda seed: normals)
+        assert np.array_equal(default_hautus_grid(2, n_vectors=1).test_vectors, [[0.6, 0.8]])

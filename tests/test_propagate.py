@@ -40,6 +40,8 @@ class TestTransition:
         p = Propagator(scalar_system())
         with pytest.raises(ValueError):
             p.transition(5, 2)
+        with pytest.raises(IndexError, match="out of range"):
+            p.transition(0, p.steps + 1)
 
 
 class TestBatchedStepBuild:
@@ -204,6 +206,8 @@ class TestPropagateState:
         other = scalar_system(steps=50)
         with pytest.raises(ValueError):
             p.propagate_state([0.0], ControlSignal(other.grid, np.zeros((51, 1))))
+        with pytest.raises(ValueError, match="control dimension 2 != m = 1"):
+            p.propagate_state([0.0], ControlSignal(p.sys.grid, np.zeros((101, 2))))
 
     @pytest.mark.parametrize("quadrature, nonuniform", [
         ("trapezoid", False), ("trapezoid", True), ("simpson", False)])

@@ -12,6 +12,7 @@ from ltvcontrol import (
     SpecFormatError,
     TimeGrid,
     eval_coeff,
+    l2_inner,
     l2_norm,
     parse_system,
 )
@@ -44,7 +45,8 @@ SPEC_DOCS = st.dictionaries(
 NAN, INF = float("nan"), float("inf")
 # (field, value) replaced in a 3-step minimal spec, the field path the refusal must name
 # (or start with), and a part of its message; rank, finiteness, kind, degree and sample
-# count are refused by the constructors, shape and node count by the parser
+# count are refused by the constructors, shape, node count, last node, the state
+# dimension cap and a missing data field by the parser
 REFUSALS = [
     ("A", {"kind": "linear", "data": [[0.0]]}, "A", "unknown coefficient kind 'linear'"),
     ("A", {"data": [[0.0]]}, "A", "unknown coefficient kind None"),
@@ -63,6 +65,9 @@ REFUSALS = [
     ("nodes", [0.0, NAN, 0.5, 1.0], "nodes", "must be finite"),
     ("nodes", [0.0, 0.1, 0.5, INF], "nodes", "must be finite"),
     ("nodes", 1.0, "nodes", "expected 4 nodes"),
+    ("nodes", [0.0, 0.1, 0.5, 0.9], "nodes", "does not match tau"),
+    ("n", 65, "n", "capped at 64"),
+    ("A", {"kind": "constant"}, "A.data", "missing"),
 ]
 
 
@@ -82,6 +87,8 @@ class TestTimeGrid:
             TimeGrid(np.array([0.1, 0.5, 1.0]))  # must start at 0
         with pytest.raises(ValueError):
             TimeGrid(np.array([0.0, 0.5, 0.4, 1.0]))  # not increasing
+        with pytest.raises(ValueError, match="unknown quadrature rule 'gauss'"):
+            TimeGrid(np.array([0.0, 0.5, 1.0]), "gauss")
 
     def test_trapezoid_weights_sum_to_tau(self):
         g = TimeGrid.uniform(3.0, 7)
@@ -158,6 +165,10 @@ class TestCoeffMatrixFn:
         with pytest.raises(ValueError):
             CoeffMatrixFn.poly(np.zeros((10, 1, 1)))
 
+    def test_samples_need_a_grid(self):
+        with pytest.raises(ValueError, match="needs a grid"):
+            CoeffMatrixFn("samples", np.zeros((3, 1, 1)))
+
     def test_inf_norm_bound_values(self):
         assert CoeffMatrixFn.constant([[1.0, -2.0], [0.5, 0.0]]).inf_norm_bound() == 3.0
         grid = TimeGrid(np.array([0.0, 0.5, 2.0]))
@@ -204,6 +215,44 @@ class TestCoeffMatrixFn:
                 assert np.abs(f(t) - expect).max() <= 1e-13 * scale
 
 
+class TestLtvSystem:
+    ONE = CoeffMatrixFn.constant([[1.0]])
+
+    @pytest.mark.parametrize("dims, message", [
+        ((0, 1, 1), "n, m, p must be >= 1"),
+        ((1, 1, 0), "n, m, p must be >= 1"),
+        ((65, 1, 1), "capped at 64"),
+        ((1, 2, 1), r"B has shape \(1, 1\), expected \(1, 2\)"),
+    ])
+    def test_constructor_refusals(self, dims, message):
+        n, m, p = dims
+        with pytest.raises(ValueError, match=message):
+            LtvSystem(n=n, m=m, p=p, A=self.ONE, B=self.ONE, C=self.ONE,
+                      grid=TimeGrid.uniform(1.0, 10))
+
+    @pytest.mark.parametrize("nodes", [
+        np.linspace(0.0, 0.5, 11),                       # would extrapolate past 0.5
+        np.linspace(0.0, 1.0, 21),
+        np.concatenate([[0.0], np.linspace(0.05, 1.0, 10)]),
+    ])
+    def test_samples_on_another_grid_are_refused(self, nodes):
+        # samples 0 except 1 at the last node of [0, 0.5]: on [0, 1] the interpolant
+        # would reach A(1) = 11 while inf_norm_bound() reads 1 from the data
+        data = np.zeros((nodes.size, 1, 1))
+        data[-1] = 1.0
+        foreign = TimeGrid(nodes)
+        A = CoeffMatrixFn("samples", data, grid=foreign, tau=foreign.tau)
+        with pytest.raises(ValueError, match="another grid"):
+            LtvSystem(n=1, m=1, p=1, A=A, B=self.ONE, C=self.ONE,
+                      grid=TimeGrid.uniform(1.0, 10))
+
+    def test_samples_on_equal_nodes_are_accepted(self):
+        grid = TimeGrid.uniform(1.0, 10)
+        A = CoeffMatrixFn("samples", np.ones((11, 1, 1)), grid=TimeGrid.uniform(1.0, 10))
+        sys = LtvSystem(n=1, m=1, p=1, A=A, B=self.ONE, C=self.ONE, grid=grid)
+        assert sys.A.tau == 1.0 and sys.A(1.0)[0, 0] == 1.0
+
+
 class TestSignals:
     def test_zero_signal_norm(self):
         g = TimeGrid.uniform(1.0, 100)
@@ -233,6 +282,14 @@ class TestSignals:
         g = TimeGrid.uniform(1.0, 10)
         with pytest.raises(ValueError):
             ControlSignal(g, np.zeros((5, 1)))
+        with pytest.raises(ValueError, match="must be finite"):
+            ControlSignal(g, np.full((11, 1), np.nan))
+
+    def test_inner_product_rejects_another_grid(self):
+        u = ControlSignal(TimeGrid.uniform(1.0, 10), np.ones((11, 1)))
+        v = ControlSignal(TimeGrid.uniform(2.0, 10), np.ones((11, 1)))
+        with pytest.raises(ValueError, match="different grids"):
+            l2_inner(u, v)
 
 
 class TestParseSystem:
@@ -319,6 +376,14 @@ class TestParseSystem:
         with pytest.raises(SpecFormatError) as exc:
             parse_system(json.dumps(doc))
         assert exc.value.field_path == "A.extra"
+
+    @pytest.mark.parametrize("name", ["A", "B", "C"])
+    def test_missing_coefficient(self, name):
+        doc = json.loads(MINIMAL_SPEC)
+        del doc[name]
+        with pytest.raises(SpecFormatError, match="missing") as exc:
+            parse_system(json.dumps(doc))
+        assert exc.value.field_path == name
 
     @pytest.mark.parametrize("field, value, path, message", REFUSALS)
     def test_refusal_names_coefficient_or_nodes(self, field, value, path, message):
