@@ -3,7 +3,8 @@
 All numeric output is written with shortest round-trip decimal representation
 so two runs with the same config and seed produce byte-identical files.
 Exit codes: 0 success, 1 self-check failure, 2 spec validation error (an
-undecodable spec file included) or a rejected flag value, 3 infeasibility
+undecodable spec file included), a rejected flag value or an output that
+cannot be written, 3 infeasibility
 verdict (NotControllable and friends; the verdict is still written), 4 a
 computed matrix or result overflowed, or the grid is too coarse for A (verdict
 "numerically_invalid"; no numbers are reported).
@@ -34,6 +35,9 @@ EXIT_SELFCHECK = 1
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
+
+# margins in one hautus table (re-points x im values x vectors): the default is 1750
+MAX_MARGINS = 2**20
 
 
 def _fmt(x: float) -> str:
@@ -184,6 +188,11 @@ def _synthesize(args, p):
           _flag("--im", type=_nonempty_vector, default=[0.0, 1.0, -1.0, 10.0, -10.0]),
           _flag("--vectors", type=_positive_int, default=50, help="random unit test vectors"))
 def _hautus(args, p):
+    margins = args.re_points * len(args.im) * args.vectors
+    if margins > MAX_MARGINS:
+        print(f"the margin table would hold {margins} margins (--re-points x --im values "
+              f"x --vectors); at most {MAX_MARGINS} are allowed", file=_sys.stderr)
+        return EXIT_VALIDATION, None, {}
     grid = hautus.default_hautus_grid(
         p.sys.n, seed=args.seed, n_vectors=args.vectors,
         re_bounds=(args.re_min, args.re_max), re_points=args.re_points,
@@ -255,6 +264,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cannot_write(exc: OSError) -> int:
+    print(f"cannot write output: {exc}", file=_sys.stderr)
+    return EXIT_VALIDATION
+
+
+def _write_outputs(out: Path, code: int, report: dict | None, tables: dict) -> int:
+    """Write report.json (unless report is None) and the CSV tables into out, creating
+    it; returns code, or EXIT_VALIDATION when the directory or a file cannot be written."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        if report is not None:
+            _write_json(out / "report.json", report)
+        for name, (header, rows) in tables.items():
+            _write_csv(out / name, header, rows)
+    except OSError as exc:
+        return _cannot_write(exc)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     """Parse argv, run one subcommand, write its report and CSVs; returns the exit code."""
     args = build_parser().parse_args(argv)
@@ -265,15 +293,16 @@ def main(argv: list[str] | None = None) -> int:
             sys_ = parse_system(Path(args.spec).read_text(encoding="utf-8"))
         except (SpecFormatError, UnicodeDecodeError) as exc:
             print(f"spec validation error: {exc}", file=_sys.stderr)
-            out.mkdir(parents=True, exist_ok=True)
-            _write_json(out / "report.json", {
+            return _write_outputs(out, EXIT_VALIDATION, {
                 "command": args.command, "valid": False, "error": str(exc),
-            })
-            return EXIT_VALIDATION
+            }, {})
         except OSError as exc:
             print(f"cannot read spec: {exc}", file=_sys.stderr)
             return EXIT_VALIDATION
-    out.mkdir(parents=True, exist_ok=True)
+    try:  # an output directory that cannot be made is refused before any work
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _cannot_write(exc)
     # the library refuses an overflowed result with NumericalRangeError; the one
     # stderr line below reports it, and numpy's warnings would only repeat it
     try:
@@ -284,6 +313,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerically invalid: {exc}", file=_sys.stderr)
         code, fields, tables = EXIT_NUMERICAL, {
             "verdict": "numerically_invalid", "error": str(exc)}, {}
+    report = None
     if fields is not None:
         report = {"command": args.command, **fields}
         if sys_ is not None:
@@ -292,10 +322,7 @@ def main(argv: list[str] | None = None) -> int:
                 "tau": sys_.tau, "steps": sys_.grid.steps,
                 "quadrature": sys_.grid.quadrature,
             }
-        _write_json(out / "report.json", report)
-    for name, (header, rows) in tables.items():
-        _write_csv(out / name, header, rows)
-    return code
+    return _write_outputs(out, code, report, tables)
 
 
 if __name__ == "__main__":

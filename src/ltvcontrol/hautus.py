@@ -36,6 +36,10 @@ from .gramian import observability_constant
 from .propagate import Propagator, batches, pow2_scale, require_finite, rk4_steps, rk4_substeps
 from .sysmodel import LtvSystem, TimeGrid
 
+# a stack of s0 of the uniform frozen pass holds its segment sums in this many
+# STACK_ELEMENTS, about what the RK4 temporaries of one per-node stack held
+UNIFORM_STACKS = 4
+
 
 @dataclass(frozen=True)
 class HautusGrid:
@@ -238,24 +242,58 @@ def _frozen_gramian(A0: np.ndarray, C0: np.ndarray, grid: TimeGrid, substeps: in
     """int_0^tau e^{-A0* t} C0* C0 e^{-A0 t} dt by the grid's quadrature, for each
     matrix of the (S, n, n) and (S, p, n) stacks A0 and C0.
 
-    P ~ e^{-A0 t_i} is swept node by node as P <- E P, where E ~ e^{-A0 (t_{i+1} - t_i)} is
-    the Propagator's RK4 step with -A0 at every stage time: one E per stack on a uniform
-    grid, else one per gap, built for batches of gaps at once."""
+    e^{-A0 t_i} is a product of steps E ~ e^{-A0 (t_{i+1} - t_i)}, the Propagator's RK4
+    step with -A0 at every stage time. A uniform grid has one E per stack, so
+    e^{-A0 t_i} = E^i and the sum is taken by segments (_segmented_sum). Non-uniform
+    nodes take one E per gap, built for batches of gaps at once, and sweep
+    P ~ e^{-A0 t_i} node by node as P <- E P."""
     h = np.diff(grid.nodes) / substeps
     stages = itertools.repeat(-A0)
     if grid.is_uniform():
-        steps = itertools.repeat(rk4_steps(stages, h[0], substeps), h.size)
+        Q = _segmented_sum(rk4_steps(stages, h[0], substeps), C0, grid.weights())
     else:
         steps = itertools.chain.from_iterable(rk4_steps(stages, h[chunk, None], substeps)
                                               for chunk in batches(h.size, A0.size))
-    Q = np.zeros(A0.shape)
-    P = np.eye(A0.shape[-1])
-    for w, E in zip(grid.weights(), itertools.chain([P], steps)):  # E = I at t_0
-        P = E @ P
-        CU = C0 @ P
-        Q += w * (CU.mT @ CU)
+        Q = np.zeros(A0.shape)
+        P = np.eye(A0.shape[-1])
+        for w, E in zip(grid.weights(), itertools.chain([P], steps)):  # E = I at t_0
+            P = E @ P
+            CU = C0 @ P
+            Q += w * (CU.mT @ CU)
     Q = 0.5 * (Q + Q.mT)
     require_finite(Q, "the frozen observability Gramian")
+    return Q
+
+
+def _segments(nodes: int) -> tuple[int, int]:
+    """Segment length L = ceil(sqrt(nodes)) of _segmented_sum and the number of segments;
+    their sum, the matrices held per stacked E, is then least."""
+    L = math.isqrt(nodes - 1) + 1
+    return L, -(-nodes // L)
+
+
+def _segmented_sum(E: np.ndarray, C0: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i w_i (C0 E^i)* (C0 E^i) over the nodes i of the weights w, for each matrix of
+    the (S, n, n) and (S, p, n) stacks E and C0, in about 3 L + 2 segments stacked
+    products where a node sweep takes 3 per node.
+
+    With i = sL + j (_segments): Y_j = (C0 E^j)* (C0 E^j) for j < L from one sweep P <- E P
+    from P = I, whose last P is F = E^L; Z_s = sum_j w_{sL+j} Y_j, one product for all
+    segments; and the sum by Horner from the last segment down, Q <- Z_s + F* Q F."""
+    L, segments = _segments(w.size)
+    S, n = E.shape[0], E.shape[-1]
+    Y = np.empty((S, L, n * n))
+    P = np.eye(n)
+    for j in range(L):
+        CP = C0 @ P
+        Y[:, j] = (CP.mT @ CP).reshape(S, n * n)
+        P = E @ P
+    weights = np.zeros(segments * L)
+    weights[:w.size] = w
+    Z = (weights.reshape(segments, L) @ Y).reshape(S, segments, n, n)
+    Q = Z[:, -1]
+    for s in range(segments - 2, -1, -1):
+        Q = Z[:, s] + P.mT @ Q @ P
     return Q
 
 
@@ -264,14 +302,20 @@ def frozen_observability_constant(sys: LtvSystem, s0: float | np.ndarray) -> flo
     at time s0; independent of s0 for autonomous systems.
 
     s0 is one time (the result is a float) or an array of times (the result is an array
-    of the same shape), computed in stacks of batches(S, n*n) values of s0, each value
-    bit-identical to its own call. The RK4 steps take K = rk4_substeps(sys), so a grid
-    too coarse for A is refused (NumericalRangeError) as the Propagator refuses it."""
+    of the same shape), computed in stacks of values of s0, each value bit-identical to
+    its own call. On non-uniform nodes a stack holds batches(S, n*n) values; on a uniform
+    grid _segmented_sum holds L + segments matrices per value, and a stack holds them in
+    UNIFORM_STACKS times STACK_ELEMENTS entries. The RK4 steps take K = rk4_substeps(sys),
+    so a grid too coarse for A is refused (NumericalRangeError) as the Propagator
+    refuses it."""
     s = np.asarray(s0, dtype=float)
     times = s.reshape(-1)
     substeps = rk4_substeps(sys)
+    per_s0 = sys.n * sys.n
+    if sys.grid.is_uniform():
+        per_s0 = -(-per_s0 * sum(_segments(sys.grid.nodes.size)) // UNIFORM_STACKS)
     m = np.empty(times.size)
-    for chunk in batches(times.size, sys.n * sys.n):
+    for chunk in batches(times.size, per_s0):
         t = times[chunk]
         lam = np.linalg.eigvalsh(_frozen_gramian(sys.A(t), sys.C(t), sys.grid, substeps))[:, 0]
         m[chunk] = np.sqrt(np.where(lam < 0.0, 0.0, lam))

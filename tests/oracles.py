@@ -83,13 +83,13 @@ def _frozen_constant(Q: np.ndarray) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(Q)[0], 0.0)))
 
 
-def frozen_constant_oracle(sys, s0: float) -> float:
-    """m(s0) from one frozen Gramian int_0^tau e^{-A0* t} C0* C0 e^{-A0 t} dt, A0 =
-    A(s0) and C0 = C(s0), built by its own loop over the nodes.
+def frozen_gramian_oracle(sys, s0: float) -> np.ndarray:
+    """The frozen Gramian int_0^tau e^{-A0* t} C0* C0 e^{-A0 t} dt, A0 = A(s0) and
+    C0 = C(s0), summed by its own loop over the nodes and not symmetrized.
 
-    This is the bit-identity reference of the batched library pass, so it takes the
-    Propagator's step: E ~ e^{-A0 h} by K = rk4_substeps(sys) RK4 substeps, one
-    substep at a time, and P <- E P with one E on a uniform grid, else one per gap.
+    It takes the Propagator's step: E ~ e^{-A0 h} by K = rk4_substeps(sys) RK4
+    substeps, one substep at a time, and P <- E P with one E on a uniform grid, else
+    one per gap.
     """
     a, C0 = -sys.A(s0), sys.C(s0)
     substeps = rk4_substeps(sys)
@@ -109,7 +109,18 @@ def frozen_constant_oracle(sys, s0: float) -> float:
                 for _ in range(substeps):
                     E = rk4_substep(E, a, a, a, h)
             P = E @ P
-    return _frozen_constant(Q)
+    return Q
+
+
+def frozen_constant_oracle(sys, s0: float) -> float:
+    """m(s0) = sqrt(lambda_min) of frozen_gramian_oracle(sys, s0).
+
+    This is the bit-identity reference of the library pass on non-uniform grids, which
+    sweeps node by node as it does. On uniform grids it is the within-bound reference:
+    the library sums the powers of E by segments, so m^2 moves by roundoff against
+    the Gramian's scale lambda_max.
+    """
+    return _frozen_constant(frozen_gramian_oracle(sys, s0))
 
 
 def frozen_constant_per_node_oracle(sys, s0: float) -> float:

@@ -464,6 +464,25 @@ class TestHautus:
                       - doc["delta"] * np.linalg.norm(x))
             assert margin == pytest.approx(expect, rel=1e-12)
 
+    @pytest.mark.parametrize("flags", [
+        ["--re-points", "1000000000000"],
+        ["--vectors", "1000000000000"],
+        ["--re-points", "1", "--im", "0", "--vectors", str(cli.MAX_MARGINS + 1)],
+    ])
+    def test_margin_table_past_the_cap_is_refused(self, flags, two_state_spec, tmp_path,
+                                                  capsys, monkeypatch):
+        def no_draw(seed):
+            raise AssertionError("a test vector was drawn")
+
+        monkeypatch.setattr(hautus, "_lcg_normals", no_draw)
+        out = tmp_path / "out"
+        assert main(["hautus", two_state_spec, "-o", str(out), *flags]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("the margin table would hold ")
+        assert err[0].endswith(f"at most {cli.MAX_MARGINS} are allowed")
+        assert not (out / "report.json").exists()
+
 
 class TestFrozenCompare:
     def test_autonomous_scalar(self, simpson_scalar_spec, tmp_path):
@@ -649,6 +668,38 @@ class TestFlagValues:
         with pytest.raises(SystemExit) as exc:
             main([command, *spec, "-o", str(tmp_path / "out"), *flags])
         assert exc.value.code == EXIT_VALIDATION
+
+
+class TestOutputDir:
+    @pytest.mark.parametrize("command", ["check", "analyze"])
+    def test_output_dir_that_is_a_file(self, command, scalar_spec, tmp_path, capsys):
+        target = tmp_path / "some_file.json"
+        target.write_text("{}")
+        assert main([command, scalar_spec, "-o", str(target)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused before the subcommand runs
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("cannot write output: ")
+        assert target.read_text() == "{}"
+
+    @pytest.mark.parametrize("command, name", [("check", "report.json"),
+                                               ("frozen-compare", "frozen_constants.csv")])
+    def test_output_file_that_cannot_be_written(self, command, name, scalar_spec, tmp_path,
+                                                capsys):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main([command, scalar_spec, "-o", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("cannot write output: ")
+
+    def test_spec_error_report_that_cannot_be_written(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.json", [[1.0]], [[1.0]], [[1.0]], quadrture="simpson")
+        target = tmp_path / "some_file.json"
+        target.write_text("{}")
+        assert main(["check", spec, "-o", str(target)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "spec validation error: quadrture: unknown field"
+        assert len(err) == 2 and err[1].startswith("cannot write output: ")
 
 
 class TestSchemaConformance:

@@ -30,6 +30,7 @@ from ltvcontrol.propagate import STACK_ELEMENTS, batches
 from oracles import (
     frozen_constant_oracle,
     frozen_constant_per_node_oracle,
+    frozen_gramian_oracle,
     hautus_integral_oracle,
 )
 
@@ -355,7 +356,9 @@ def assert_matches_per_node_expm(rng, sys):
 
 
 class TestFrozenBatch:
-    """All m(s0) come from one stacked pass, bit-identical to one loop per s0."""
+    """All m(s0) come from one stacked pass per stack of s0, each bit-identical to its own
+    call. Non-uniform grids sweep node by node, bit-identical to one loop per s0; uniform
+    grids sum the powers of one step by segments, within roundoff of that loop."""
 
     @pytest.mark.parametrize("n, steps", [(1, 37), (3, 50), (20, 40), (64, 21)])
     @pytest.mark.parametrize("grid", ["trapezoid", "simpson", "nonuniform"])
@@ -368,7 +371,14 @@ class TestFrozenBatch:
                                    rng.uniform(0.0, 1.0, size=5)])
         s0 = np.resize(distinct, 90)
         expect = np.resize([frozen_constant_oracle(sys, s) for s in distinct], 90)
-        assert np.array_equal(frozen_observability_constant(sys, s0), expect)
+        got = frozen_observability_constant(sys, s0)
+        if grid == "nonuniform":
+            assert np.array_equal(got, expect)
+        else:
+            # against the Gramian's scale: lambda_min itself can sit at the roundoff floor
+            scale = np.resize([np.linalg.eigvalsh(frozen_gramian_oracle(sys, s))[-1]
+                               for s in distinct], 90)
+            assert np.all(np.abs(got**2 - expect**2) <= 1e-13 * scale)
 
     @pytest.mark.parametrize("n, steps", [(1, 37), (3, 50), (20, 40), (64, 21)])
     @pytest.mark.parametrize("kind", ["constant", "poly", "samples"])
@@ -399,11 +409,31 @@ class TestFrozenBatch:
             tracemalloc.stop()
         assert peak < 24 * STACK_ELEMENTS * 8
 
-    def test_scalar_and_array_contract(self, rng):
-        sys = frozen_kind_system(rng, 3, "poly", 40, "trapezoid")
-        s0 = np.array([0.0, 0.3, 0.75, 1.0])
+    def test_uniform_pass_memory_is_bounded(self, rng):
+        # the verdict shape: 51 values of s0 at n = 20, N = 500. The segmented pass holds
+        # L + segments = 45 matrices per s0, so it takes the s0 in stacks of 7
+        # (measured peak 1.2 MB; the per-node sweep held 1.7 MB); holding them for all
+        # 51 values at once would peak near 8.6 MB
+        sys = frozen_kind_system(rng, 20, "poly", 500, "trapezoid")
+        s0 = sys.grid.nodes[::10]
+        tracemalloc.start()
+        try:
+            frozen_observability_constant(sys, s0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * STACK_ELEMENTS * 8
+
+    @pytest.mark.parametrize("n, steps, kind", [(3, 40, "poly"), (20, 500, "constant")])
+    def test_scalar_and_array_contract(self, rng, n, steps, kind):
+        # at n = 20, N = 500 a uniform stack holds 7 values of s0, so the 16 values span
+        # three chunks; C has full rank, so m > 0 and == is a real check
+        sys = frozen_kind_system(rng, n, kind, steps, "trapezoid")
+        sys = dataclasses.replace(sys, p=n, C=CoeffMatrixFn.poly(rng.normal(size=(2, n, n))))
+        s0 = np.concatenate([[0.0, 0.3, 0.75, 1.0], rng.uniform(0.0, 1.0, size=12)])
         values = frozen_observability_constant(sys, s0)
-        assert isinstance(values, np.ndarray) and values.shape == (4,)
+        assert isinstance(values, np.ndarray) and values.shape == (16,)
+        assert np.all(values > 0)
         for s, m in zip(s0, values):
             scalar = frozen_observability_constant(sys, s)
             assert type(scalar) is float
