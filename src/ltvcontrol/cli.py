@@ -110,9 +110,9 @@ def _flag(*names: str, **kwargs):
 
 
 def _command(name: str, help: str, *flags, spec: bool = True):
-    """Register fn(args, subject) -> (exit code, report fields or None, {csv: (header, rows)});
-    subject is the system's Propagator, except for check (the system) and for
-    commands without a spec (None)."""
+    """Register fn(args, sys_) -> (exit code, report fields or None, {csv: (header, rows)});
+    sys_ is the parsed system, or None for a command without a spec. A numeric
+    command builds its Propagator after its own flag checks."""
     def register(fn):
         _COMMANDS[name] = (help, spec, flags, fn)
         return fn
@@ -126,8 +126,8 @@ def _check(args, sys_):
 
 
 @_command("analyze", "duality/controllability report")
-def _analyze(args, p):
-    report = duality.exact_controllability_test(p)
+def _analyze(args, sys_):
+    report = duality.exact_controllability_test(Propagator(sys_))
     verdict = "controllable" if report.controllable else "NOT controllable"
     print(f"{verdict}: lambda_min(W)={report.lambda_min_W:.6g} "
           f"delta={report.obs_constant_delta:.6g} M={report.admissibility_M:.6g} "
@@ -136,7 +136,8 @@ def _analyze(args, p):
 
 
 @_command("gramian", "Gramians by both methods")
-def _gramian(args, p):
+def _gramian(args, sys_):
+    p = Propagator(sys_)
     quad, lyap, residual = gramian.ctrl_gramian_cross(p)
     obs = gramian.obs_gramian(p)
     print(f"W eigenvalues in [{quad.lambda_min:.6g}, {quad.lambda_max:.6g}], "
@@ -157,8 +158,7 @@ def _gramian(args, p):
 @_command("synthesize", "minimum-norm steering control",
           _flag("--x0", type=_vector, default=None, help="initial state, comma separated"),
           _flag("--target", type=_vector, default=None, help="target state, comma separated"))
-def _synthesize(args, p):
-    sys_ = p.sys
+def _synthesize(args, sys_):
     x0 = np.asarray(args.x0 if args.x0 is not None else np.zeros(sys_.n), dtype=float)
     target = np.asarray(args.target if args.target is not None else np.zeros(sys_.n),
                         dtype=float)
@@ -166,7 +166,7 @@ def _synthesize(args, p):
         print(f"x0/target must have dimension n={sys_.n}", file=_sys.stderr)
         return EXIT_VALIDATION, None, {}
     try:
-        result = synth.min_norm_control(p, x0, target)
+        result = synth.min_norm_control(Propagator(sys_), x0, target)
     except synth.NotControllableError as exc:
         print(f"infeasible: {exc}", file=_sys.stderr)
         return EXIT_INFEASIBLE, {"verdict": type(exc).__name__, "error": str(exc)}, {}
@@ -187,18 +187,18 @@ def _synthesize(args, p):
           _flag("--re-points", type=_positive_int, default=7),
           _flag("--im", type=_nonempty_vector, default=[0.0, 1.0, -1.0, 10.0, -10.0]),
           _flag("--vectors", type=_positive_int, default=50, help="random unit test vectors"))
-def _hautus(args, p):
+def _hautus(args, sys_):
     margins = args.re_points * len(args.im) * args.vectors
     if margins > MAX_MARGINS:
         print(f"the margin table would hold {margins} margins (--re-points x --im values "
               f"x --vectors); at most {MAX_MARGINS} are allowed", file=_sys.stderr)
         return EXIT_VALIDATION, None, {}
     grid = hautus.default_hautus_grid(
-        p.sys.n, seed=args.seed, n_vectors=args.vectors,
+        sys_.n, seed=args.seed, n_vectors=args.vectors,
         re_bounds=(args.re_min, args.re_max), re_points=args.re_points,
         im_values=tuple(args.im),
     )
-    report = hautus.hautus_sweep(p, grid)
+    report = hautus.hautus_sweep(Propagator(sys_), grid)
     print(f"min margin {report.min_margin:.6g} at lambda={report.witness_lambda} "
           f"(delta={report.delta:.6g}, M={report.admissibility_M:.6g})")
     rows = [(float(lam.real), float(lam.imag), ix, report.margins[a, ix])
@@ -219,8 +219,8 @@ def _hautus(args, p):
 
 @_command("frozen-compare", "frozen-coefficient constants m(s) vs delta",
           _flag("--stride", type=_positive_int, default=1))
-def _frozen(args, p):
-    report = hautus.frozen_vs_ltv_report(p, stride=args.stride)
+def _frozen(args, sys_):
+    report = hautus.frozen_vs_ltv_report(Propagator(sys_), stride=args.stride)
     print(f"inf_s m(s) = {report.inf_frozen:.6g}, delta = {report.delta_ltv:.6g}")
     return EXIT_OK, {
         "inf_frozen": report.inf_frozen,
@@ -307,8 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     # stderr line below reports it, and numpy's warnings would only repeat it
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            subject = sys_ if sys_ is None or args.command == "check" else Propagator(sys_)
-            code, fields, tables = args.run(args, subject)
+            code, fields, tables = args.run(args, sys_)
     except NumericalRangeError as exc:
         print(f"numerically invalid: {exc}", file=_sys.stderr)
         code, fields, tables = EXIT_NUMERICAL, {

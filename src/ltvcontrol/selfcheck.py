@@ -30,28 +30,22 @@ def reference_systems() -> list[tuple[str, LtvSystem]]:
     # Simpson keeps the quadrature Gramian inside the 1e-6 agreement budget
     grid = TimeGrid.uniform(1.0, 200, quadrature="simpson")
     scalar = LtvSystem(
-        n=1, m=1, p=1,
-        A=CoeffMatrixFn.constant([[1.0]]),
-        B=CoeffMatrixFn.constant([[1.0]]),
-        C=CoeffMatrixFn.constant([[1.0]]),
-        grid=grid,
+        CoeffMatrixFn.constant([[1.0]], grid),
+        CoeffMatrixFn.constant([[1.0]], grid),
+        CoeffMatrixFn.constant([[1.0]], grid),
     )
     rotation = LtvSystem(
-        n=2, m=1, p=2,
-        A=CoeffMatrixFn.poly([[[0.3, 1.0], [-1.0, 0.3]], [[0.2, 0.0], [0.0, -0.1]]]),
-        B=CoeffMatrixFn.constant([[0.0], [1.0]]),
-        C=CoeffMatrixFn.constant([[1.0, 0.0], [0.0, 1.0]]),
-        grid=grid,
+        CoeffMatrixFn.poly([[[0.3, 1.0], [-1.0, 0.3]], [[0.2, 0.0], [0.0, -0.1]]], grid),
+        CoeffMatrixFn.constant([[0.0], [1.0]], grid),
+        CoeffMatrixFn.constant([[1.0, 0.0], [0.0, 1.0]], grid),
     )
     ramp = LtvSystem(
-        n=3, m=2, p=1,
-        A=CoeffMatrixFn.poly([
+        CoeffMatrixFn.poly([
             [[0.5, 0.1, 0.0], [0.0, 0.4, 0.2], [0.1, 0.0, 0.6]],
             [[0.0, 0.2, 0.0], [0.2, 0.0, 0.0], [0.0, 0.0, -0.3]],
-        ]),
-        B=CoeffMatrixFn.constant([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]),
-        C=CoeffMatrixFn.constant([[1.0, 1.0, 0.0]]),
-        grid=grid,
+        ], grid),
+        CoeffMatrixFn.constant([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]], grid),
+        CoeffMatrixFn.constant([[1.0, 1.0, 0.0]], grid),
     )
     return [("scalar_decay", scalar), ("rotation_2d", rotation), ("ramp_3d", ramp)]
 

@@ -109,17 +109,16 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class CoeffMatrixFn:
-    """Matrix-valued coefficient function on [0, tau].
+    """Matrix-valued coefficient function on the horizon [0, tau] of its grid.
 
     ``kind`` is one of ``constant`` (data is rows x cols), ``poly`` (data is
     (d+1) x rows x cols, coefficient of t^j at index j, d <= 8) or ``samples``
-    (data is (N+1) x rows x cols on ``grid``, linearly interpolated).
+    (data is (N+1) x rows x cols, one matrix per grid node, linearly interpolated).
     """
 
     kind: str
     data: np.ndarray
-    grid: TimeGrid | None = None
-    tau: float | None = None
+    grid: TimeGrid
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
@@ -134,8 +133,6 @@ class CoeffMatrixFn:
             if data.shape[0] - 1 > MAX_POLY_DEGREE:
                 raise ValueError(f"polynomial degree capped at {MAX_POLY_DEGREE}")
         elif self.kind == "samples":
-            if self.grid is None:
-                raise ValueError("sampled coefficient needs a grid")
             if data.ndim != 3 or data.shape[0] != self.grid.steps + 1:
                 raise ValueError("sampled coefficient needs one matrix per grid node")
         else:
@@ -144,12 +141,12 @@ class CoeffMatrixFn:
             raise ValueError("coefficient entries must be finite")
 
     @classmethod
-    def constant(cls, matrix, tau: float | None = None) -> "CoeffMatrixFn":
-        return cls("constant", np.atleast_2d(np.asarray(matrix, dtype=float)), tau=tau)
+    def constant(cls, matrix, grid: TimeGrid) -> "CoeffMatrixFn":
+        return cls("constant", np.atleast_2d(np.asarray(matrix, dtype=float)), grid)
 
     @classmethod
-    def poly(cls, coeffs, tau: float | None = None) -> "CoeffMatrixFn":
-        return cls("poly", np.asarray(coeffs, dtype=float), tau=tau)
+    def poly(cls, coeffs, grid: TimeGrid) -> "CoeffMatrixFn":
+        return cls("poly", np.asarray(coeffs, dtype=float), grid)
 
     @property
     def rows(self) -> int:
@@ -162,9 +159,6 @@ class CoeffMatrixFn:
     def __call__(self, t) -> np.ndarray:
         return eval_coeff(self, t)
 
-    def with_tau(self, tau: float) -> "CoeffMatrixFn":
-        return CoeffMatrixFn(self.kind, self.data, grid=self.grid, tau=tau)
-
     def inf_norm_bound(self) -> float:
         """Upper bound of the max-row-sum norm ||f(t)||_inf over t in [0, tau], read
         from data alone: linear interpolation cannot exceed its nodes, and a
@@ -173,9 +167,10 @@ class CoeffMatrixFn:
         entries = np.abs(self.data)
         with np.errstate(over="ignore"):
             if self.kind == "poly":
+                tau = self.grid.tau
                 acc = entries[-1]
                 for coeff in entries[-2::-1]:
-                    acc = acc * float(self.tau) + coeff
+                    acc = acc * tau + coeff
                 entries = acc
             return float(entries.sum(axis=-1).max())
 
@@ -191,10 +186,10 @@ def eval_coeff(f: CoeffMatrixFn, t) -> np.ndarray:
     if times.ndim > 1:
         raise ValueError("times must be a scalar or a 1-d array")
     ts = times.reshape(-1)
-    if f.tau is not None:
-        outside = ~((ts >= -1e-12) & (ts <= f.tau * (1 + 1e-12) + 1e-12))
-        if np.any(outside):
-            raise ValueError(f"time {float(ts[outside][0])} outside [0, {f.tau}]")
+    tau = f.grid.tau
+    outside = ~((ts >= -1e-12) & (ts <= tau * (1 + 1e-12) + 1e-12))
+    if np.any(outside):
+        raise ValueError(f"time {float(ts[outside][0])} outside [0, {tau}]")
     shape = (ts.size,) + f.data.shape[-2:]
     if f.kind == "constant":
         out = np.broadcast_to(f.data, shape)
@@ -216,15 +211,18 @@ def eval_coeff(f: CoeffMatrixFn, t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LtvSystem:
-    """Finite-dimensional triple (A(t), B(t), C(t)) with a time grid on [0, tau]."""
+    """Finite-dimensional triple (A(t), B(t), C(t)) on the time grid of A, over [0, tau];
+    B and C must be on the same grid."""
 
-    n: int
-    m: int
-    p: int
     A: CoeffMatrixFn
     B: CoeffMatrixFn
     C: CoeffMatrixFn
-    grid: TimeGrid
+
+    n = property(lambda self: self.A.rows)
+    m = property(lambda self: self.B.cols)
+    p = property(lambda self: self.C.rows)
+    grid = property(lambda self: self.A.grid)
+    tau = property(lambda self: self.grid.tau)
 
     def __post_init__(self):
         if min(self.n, self.m, self.p) < 1:
@@ -238,15 +236,10 @@ class LtvSystem:
         ):
             if (fn.rows, fn.cols) != shape:
                 raise ValueError(f"{name} has shape {(fn.rows, fn.cols)}, expected {shape}")
-            # off its own grid a samples coefficient would extrapolate past inf_norm_bound
-            if fn.kind == "samples" and not np.array_equal(fn.grid.nodes, self.grid.nodes):
-                raise ValueError(f"{name} is sampled on another grid than the system's")
-            if fn.tau is None or fn.tau != self.grid.tau:
-                object.__setattr__(self, name, fn.with_tau(self.grid.tau))
-
-    @property
-    def tau(self) -> float:
-        return self.grid.tau
+            # TimeGrid's dataclass == would compare node arrays elementwise
+            if (fn.grid.quadrature != self.grid.quadrature
+                    or not np.array_equal(fn.grid.nodes, self.grid.nodes)):
+                raise ValueError(f"{name} is on another grid than A's")
 
 
 @dataclass(frozen=True)
@@ -303,7 +296,7 @@ def _parse_coeff(obj, name: str, rows: int, cols: int, grid: TimeGrid) -> CoeffM
     # converted outside the try: a SpecFormatError is a ValueError and names .data
     data = _as_float_array(obj["data"], f"{name}.data")
     try:
-        fn = CoeffMatrixFn(obj.get("kind"), data, grid=grid, tau=grid.tau)
+        fn = CoeffMatrixFn(obj.get("kind"), data, grid)
     except ValueError as exc:
         raise SpecFormatError(name, str(exc)) from None
     if (fn.rows, fn.cols) != (rows, cols):
@@ -382,4 +375,4 @@ def parse_system(spec_text: str) -> LtvSystem:
             raise SpecFormatError(name, "missing")
         coeffs[name] = _parse_coeff(doc[name], name, rows, cols, grid)
 
-    return LtvSystem(n=n, m=m, p=p, A=coeffs["A"], B=coeffs["B"], C=coeffs["C"], grid=grid)
+    return LtvSystem(coeffs["A"], coeffs["B"], coeffs["C"])

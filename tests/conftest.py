@@ -10,18 +10,24 @@ sys.path.insert(0, str(Path(__file__).parent))
 from ltvcontrol import CoeffMatrixFn, LtvSystem, TimeGrid
 
 
-def make_system(A, B, C, tau=1.0, steps=200, quadrature="trapezoid", nodes=None):
-    """Build an LtvSystem from constant matrices or CoeffMatrixFn instances."""
-    grid = TimeGrid(nodes, quadrature) if nodes is not None else TimeGrid.uniform(
+def make_grid(tau=1.0, steps=200, quadrature="trapezoid", nodes=None):
+    return TimeGrid(nodes, quadrature) if nodes is not None else TimeGrid.uniform(
         tau, steps, quadrature)
+
+
+def make_system(A, B, C, tau=1.0, steps=200, quadrature="trapezoid", nodes=None, grid=None):
+    """Build an LtvSystem from constant matrices or CoeffMatrixFn instances on grid
+    (by default make_grid(tau, steps, quadrature, nodes)); an instance must be on it."""
+    grid = grid if grid is not None else make_grid(tau, steps, quadrature, nodes)
 
     def coerce(M):
         if isinstance(M, CoeffMatrixFn):
             return M
-        return CoeffMatrixFn.constant(np.atleast_2d(np.asarray(M, dtype=float)))
+        return CoeffMatrixFn.constant(np.atleast_2d(np.asarray(M, dtype=float)), grid)
 
-    A, B, C = coerce(A), coerce(B), coerce(C)
-    return LtvSystem(n=A.rows, m=B.cols, p=C.rows, A=A, B=B, C=C, grid=grid)
+    sys = LtvSystem(coerce(A), coerce(B), coerce(C))
+    assert sys.grid.quadrature == grid.quadrature and np.array_equal(sys.grid.nodes, grid.nodes)
+    return sys
 
 
 def scalar_system(a=1.0, b=1.0, c=1.0, tau=1.0, steps=200, quadrature="trapezoid"):
@@ -35,10 +41,11 @@ def random_poly_system(rng, n=None, degree=None, m=None, p=None, steps=200,
     m = m if m is not None else int(rng.integers(1, n + 1))
     p = p if p is not None else int(rng.integers(1, n + 1))
     degree = degree if degree is not None else int(rng.integers(0, 4))
-    A = CoeffMatrixFn.poly(rng.uniform(-scale, scale, size=(degree + 1, n, n)))
-    B = CoeffMatrixFn.constant(rng.uniform(-1, 1, size=(n, m)))
-    C = CoeffMatrixFn.constant(rng.uniform(-1, 1, size=(p, n)))
-    return make_system(A, B, C, steps=steps, quadrature=quadrature)
+    grid = make_grid(steps=steps, quadrature=quadrature)
+    A = CoeffMatrixFn.poly(rng.uniform(-scale, scale, size=(degree + 1, n, n)), grid)
+    B = CoeffMatrixFn.constant(rng.uniform(-1, 1, size=(n, m)), grid)
+    C = CoeffMatrixFn.constant(rng.uniform(-1, 1, size=(p, n)), grid)
+    return LtvSystem(A, B, C)
 
 
 @pytest.fixture
@@ -65,14 +72,12 @@ def kind_system(rng, n, kind, steps, nonuniform=False, quadrature="trapezoid", m
 
     def coeff(rows, cols):
         if kind == "constant":
-            return CoeffMatrixFn.constant(rng.normal(scale=s, size=(rows, cols)))
+            return CoeffMatrixFn.constant(rng.normal(scale=s, size=(rows, cols)), grid)
         if kind == "poly":
-            return CoeffMatrixFn.poly(rng.normal(scale=s, size=(3, rows, cols)))
-        return CoeffMatrixFn("samples", rng.normal(scale=s, size=(steps + 1, rows, cols)),
-                             grid=grid, tau=grid.tau)
+            return CoeffMatrixFn.poly(rng.normal(scale=s, size=(3, rows, cols)), grid)
+        return CoeffMatrixFn("samples", rng.normal(scale=s, size=(steps + 1, rows, cols)), grid)
 
-    return LtvSystem(n=n, m=m, p=1, A=coeff(n, n), B=coeff(n, m),
-                     C=CoeffMatrixFn.constant(np.eye(n)[:1]), grid=grid)
+    return LtvSystem(coeff(n, n), coeff(n, m), CoeffMatrixFn.constant(np.eye(n)[:1], grid))
 
 
 def stiffened(sys, need):
@@ -80,4 +85,4 @@ def stiffened(sys, need):
     need: the Propagator then takes max(4, ceil(need)) substeps per interval."""
     A = sys.A
     scale = need / (np.max(np.diff(sys.grid.nodes)) * A.inf_norm_bound())
-    return dataclasses.replace(sys, A=CoeffMatrixFn(A.kind, A.data * scale, A.grid, A.tau))
+    return dataclasses.replace(sys, A=CoeffMatrixFn(A.kind, A.data * scale, A.grid))

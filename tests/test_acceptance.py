@@ -32,7 +32,7 @@ from ltvcontrol import (
 from ltvcontrol.cli import main as cli_main
 from ltvcontrol.hautus import _hautus_integral
 from ltvcontrol.synth import NotNullControllableError
-from conftest import make_system, random_poly_system, scalar_system
+from conftest import make_grid, make_system, random_poly_system, scalar_system
 from oracles import expm_oracle, kalman_rank
 from test_duality import random_constant_system
 from test_hautus import random_dissipative_system
@@ -98,7 +98,7 @@ def test_criterion_3_duality_verdicts_and_identities():
     for trial in range(100):
         n = int(rng.integers(2, 6))
         sys_ = random_constant_system(rng, n, deficient=trial % 2 == 0)
-        sys_ = make_system(sys_.A, sys_.B, sys_.C, steps=40)
+        sys_ = make_system(sys_.A.data, sys_.B.data, sys_.C.data, steps=40)
         p = Propagator(sys_)
         coercive = ctrl_gramian_quadrature(p).lambda_min > 1e-10
         oracle = kalman_rank(sys_.A(0.0), sys_.B(0.0)) == n
@@ -240,8 +240,8 @@ def test_criterion_9_frozen_vs_ltv():
         report = frozen_vs_ltv_report(Propagator(sys_), stride=50)
         ok &= abs(report.inf_frozen - report.delta_ltv) <= 1e-8
     from ltvcontrol import CoeffMatrixFn
-    ramp = make_system(CoeffMatrixFn.poly([[[0.0]], [[1.0]]]), [[1.0]], [[1.0]],
-                       steps=200, quadrature="simpson")
+    A = CoeffMatrixFn.poly([[[0.0]], [[1.0]]], make_grid(steps=200, quadrature="simpson"))
+    ramp = make_system(A, [[1.0]], [[1.0]], grid=A.grid)
     m0 = frozen_observability_constant(ramp, 0.0)
     m1 = frozen_observability_constant(ramp, 1.0)
     report = frozen_vs_ltv_report(Propagator(ramp), stride=20)

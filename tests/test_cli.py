@@ -268,6 +268,21 @@ class TestStiffSpec:
             "is too coarse for A (157 uniform steps would pass)"]
         assert [f.name for f in out.iterdir()] == ["report.json"]
 
+    @pytest.mark.parametrize("command, flags, message", [
+        ("synthesize", ["--x0=1,2"], "x0/target must have dimension n=1"),
+        ("hautus", ["--vectors", "1000000", "--re-points", "100"],
+         "the margin table would hold 500000000 margins (--re-points x --im values x "
+         f"--vectors); at most {cli.MAX_MARGINS} are allowed"),
+    ])
+    def test_usage_refusal_comes_before_the_step_build(self, command, flags, message,
+                                                         tmp_path, capsys):
+        # the grid is too coarse for A, so a step build would exit 4 first
+        spec = write_spec(tmp_path / "spec.json", [[1e4]], [[1.0]], [[1.0]], steps=10)
+        out = tmp_path / "out"
+        assert main([command, spec, "-o", str(out), *flags]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not (out / "report.json").exists()
+
 
 class TestAnalyze:
     def test_controllable_scalar(self, scalar_spec, tmp_path):

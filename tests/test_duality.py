@@ -19,7 +19,7 @@ from ltvcontrol import (
     null_controllability_test,
     obs_gramian,
 )
-from conftest import make_system, random_poly_system, scalar_system
+from conftest import make_grid, make_system, random_poly_system, scalar_system
 from oracles import admissibility_oracle, kalman_rank
 
 
@@ -224,10 +224,10 @@ class TestAdmissibility:
                 if not uniform:
                     nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, steps))])
                     nodes /= nodes[-1]
-                A = CoeffMatrixFn.poly(rng.uniform(-0.5, 0.5, size=(3, n, n)))
-                C = CoeffMatrixFn.poly(rng.uniform(-1, 1, size=(2, max(1, n // 2), n)))
-                sys = make_system(A, np.eye(n)[:, :1], C, steps=steps,
-                                  quadrature=quadrature, nodes=nodes)
+                grid = make_grid(steps=steps, quadrature=quadrature, nodes=nodes)
+                A = CoeffMatrixFn.poly(rng.uniform(-0.5, 0.5, size=(3, n, n)), grid)
+                C = CoeffMatrixFn.poly(rng.uniform(-1, 1, size=(2, max(1, n // 2), n)), grid)
+                sys = make_system(A, np.eye(n)[:, :1], C, grid=grid)
                 p = Propagator(sys)
                 expect = admissibility_oracle(p)
                 assert admissibility_constant(p) == pytest.approx(expect, rel=1e-12, abs=0.0)

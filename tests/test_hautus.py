@@ -11,7 +11,6 @@ from ltvcontrol import (
     HautusGrid,
     NumericalRangeError,
     Propagator,
-    TimeGrid,
     averaging_identity_residual,
     default_hautus_grid,
     find_witness_time,
@@ -24,7 +23,7 @@ from ltvcontrol import (
     russell_weiss_min_margin,
 )
 from ltvcontrol.duality import admissibility_constant
-from conftest import kind_system, make_system, scalar_system
+from conftest import kind_system, make_grid, make_system, scalar_system
 from ltvcontrol.hautus import _hautus_integral
 from ltvcontrol.propagate import STACK_ELEMENTS, batches
 from oracles import (
@@ -39,10 +38,11 @@ def random_dissipative_system(rng, n=3, steps=100, quadrature="trapezoid"):
     """Exactly observable system whose A(t) stays symmetric PSD on [0, tau]."""
     R0 = rng.normal(size=(n, n)) * 0.4
     R1 = rng.normal(size=(n, n)) * 0.3
-    A = CoeffMatrixFn.poly(np.stack([R0.T @ R0, R1.T @ R1]))
+    grid = make_grid(steps=steps, quadrature=quadrature)
+    A = CoeffMatrixFn.poly(np.stack([R0.T @ R0, R1.T @ R1]), grid)
     C = rng.uniform(-1, 1, size=(n, n)) + 0.5 * np.eye(n)
     B = np.eye(n)[:, :1]
-    return make_system(A, B, C, steps=steps, quadrature=quadrature)
+    return make_system(A, B, C, grid=grid)
 
 
 class TestRussellWeiss:
@@ -158,9 +158,8 @@ class TestHautusIntegral:
     @pytest.mark.parametrize("grid", ["trapezoid", "simpson", "nodes"])
     @pytest.mark.parametrize("kind", ["constant", "poly", "samples"])
     def test_matches_per_frequency_oracle(self, rng, n, steps, cols, grid, kind):
-        sys = kind_system(rng, n, kind, steps, nonuniform=grid == "nodes")
-        if grid == "simpson":
-            sys = dataclasses.replace(sys, grid=TimeGrid(sys.grid.nodes, "simpson"))
+        sys = kind_system(rng, n, kind, steps, nonuniform=grid == "nodes",
+                          quadrature="simpson" if grid == "simpson" else "trapezoid")
         assert len(batches(sys.grid.nodes.size, n * cols)) > 1
         for complex_x in (False, True):
             X = random_columns(rng, n, cols, complex_x)
@@ -287,8 +286,8 @@ class TestFrozenConstants:
         assert max(values) - min(values) <= 1e-10
 
     def test_ramp_generator_endpoints(self):
-        sys = make_system(CoeffMatrixFn.poly([[[0.0]], [[1.0]]]), [[1.0]], [[1.0]],
-                          steps=200, quadrature="simpson")
+        ramp = CoeffMatrixFn.poly([[[0.0]], [[1.0]]], make_grid(steps=200, quadrature="simpson"))
+        sys = make_system(ramp, [[1.0]], [[1.0]], grid=ramp.grid)
         assert frozen_observability_constant(sys, 0.0) == pytest.approx(1.0, abs=1e-5)
         assert frozen_observability_constant(sys, 1.0) == pytest.approx(
             np.sqrt((1 - np.exp(-2)) / 2), abs=1e-5)
@@ -318,8 +317,8 @@ class TestFrozenConstants:
         assert report.inf_frozen == pytest.approx(report.delta_ltv, abs=1e-8)
 
     def test_ramp_reports_both_positive(self):
-        sys = make_system(CoeffMatrixFn.poly([[[0.0]], [[1.0]]]), [[1.0]], [[1.0]],
-                          steps=200, quadrature="simpson")
+        ramp = CoeffMatrixFn.poly([[[0.0]], [[1.0]]], make_grid(steps=200, quadrature="simpson"))
+        sys = make_system(ramp, [[1.0]], [[1.0]], grid=ramp.grid)
         report = frozen_vs_ltv_report(Propagator(sys), stride=20)
         assert report.inf_frozen > 0
         assert report.delta_ltv > 0
@@ -334,16 +333,16 @@ class TestFrozenConstants:
 def frozen_kind_system(rng, n, kind, steps, grid):
     """kind_system with C(t) of the same kind as A (p = 2) on a uniform trapezoid,
     uniform Simpson or non-uniform grid."""
-    sys = kind_system(rng, n, kind, steps, nonuniform=grid == "nonuniform")
-    if kind == "constant":
-        C = CoeffMatrixFn.constant(rng.normal(size=(2, n)))
-    elif kind == "poly":
-        C = CoeffMatrixFn.poly(rng.normal(size=(2, 2, n)))
-    else:
-        C = CoeffMatrixFn("samples", rng.normal(size=(steps + 1, 2, n)), grid=sys.grid,
-                          tau=sys.grid.tau)
     quadrature = "simpson" if grid == "simpson" else "trapezoid"
-    return dataclasses.replace(sys, p=2, C=C, grid=TimeGrid(sys.grid.nodes, quadrature))
+    sys = kind_system(rng, n, kind, steps, nonuniform=grid == "nonuniform",
+                      quadrature=quadrature)
+    if kind == "constant":
+        C = CoeffMatrixFn.constant(rng.normal(size=(2, n)), sys.grid)
+    elif kind == "poly":
+        C = CoeffMatrixFn.poly(rng.normal(size=(2, 2, n)), sys.grid)
+    else:
+        C = CoeffMatrixFn("samples", rng.normal(size=(steps + 1, 2, n)), sys.grid)
+    return dataclasses.replace(sys, C=C)
 
 
 def assert_matches_per_node_expm(rng, sys):
@@ -429,7 +428,7 @@ class TestFrozenBatch:
         # at n = 20, N = 500 a uniform stack holds 7 values of s0, so the 16 values span
         # three chunks; C has full rank, so m > 0 and == is a real check
         sys = frozen_kind_system(rng, n, kind, steps, "trapezoid")
-        sys = dataclasses.replace(sys, p=n, C=CoeffMatrixFn.poly(rng.normal(size=(2, n, n))))
+        sys = dataclasses.replace(sys, C=CoeffMatrixFn.poly(rng.normal(size=(2, n, n)), sys.grid))
         s0 = np.concatenate([[0.0, 0.3, 0.75, 1.0], rng.uniform(0.0, 1.0, size=12)])
         values = frozen_observability_constant(sys, s0)
         assert isinstance(values, np.ndarray) and values.shape == (16,)

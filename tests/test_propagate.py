@@ -11,8 +11,8 @@ from ltvcontrol import (
     sysmodel,
 )
 from ltvcontrol.propagate import STACK_ELEMENTS
-from conftest import (BATCH_SIZES, kind_system, make_system, random_poly_system, scalar_system,
-                      stiffened)
+from conftest import (BATCH_SIZES, kind_system, make_grid, make_system, random_poly_system,
+                      scalar_system, stiffened)
 from oracles import expm_oracle, propagate_state_oracle, step_transitions_oracle
 
 
@@ -31,7 +31,7 @@ class TestTransition:
         assert p.transition(0, 200)[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-9)
 
     def test_ramp_scalar_closed_form(self):
-        sys = make_system(CoeffMatrixFn.poly([[[0.0]], [[1.0]]]), [[1.0]], [[1.0]])
+        sys = make_system(CoeffMatrixFn.poly([[[0.0]], [[1.0]]], make_grid()), [[1.0]], [[1.0]])
         p = Propagator(sys)
         # x' = -t x  =>  U(1, 0) = exp(-1/2)
         assert p.transition(0, 200)[0, 0] == pytest.approx(np.exp(-0.5), abs=1e-8)
@@ -106,8 +106,8 @@ class TestStepPolicy:
 
     def test_largest_gap_sets_the_count(self):
         nodes = np.array([0.0, 0.1, 0.5, 1.0])
-        sys = make_system(CoeffMatrixFn.poly([[[0.0]], [[20.0]]]), [[1.0]], [[1.0]],
-                          nodes=nodes)
+        A = CoeffMatrixFn.poly([[[0.0]], [[20.0]]], make_grid(nodes=nodes))
+        sys = make_system(A, [[1.0]], [[1.0]], grid=A.grid)
         assert Propagator(sys).substeps == 10  # 0.5 * (0 + 20 * tau)
 
     def test_symmetric_psd_steps_are_contractions(self, rng):
@@ -140,15 +140,15 @@ class TestStepPolicy:
 
     def test_zero_padded_poly_on_a_long_horizon(self):
         # tau^8 overflows, but zero coefficients bound nothing: A = 0, K = 4
-        A = CoeffMatrixFn.poly([[[0.0]]] * 9)
-        p = Propagator(make_system(A, [[1.0]], [[1.0]], tau=1e40, steps=10))
+        A = CoeffMatrixFn.poly([[[0.0]]] * 9, make_grid(tau=1e40, steps=10))
+        p = Propagator(make_system(A, [[1.0]], [[1.0]], grid=A.grid))
         assert p.substeps == 4
         assert np.array_equal(p.step_transitions, np.ones((10, 1, 1)))
 
     def test_non_finite_bound_is_refused(self):
         # tau^8 overflows the polynomial bound; the refusal names no step count
-        A = CoeffMatrixFn.poly([[[0.0]]] * 8 + [[[1.0]]])
-        sys = make_system(A, [[1.0]], [[1.0]], tau=1e40, steps=10)
+        A = CoeffMatrixFn.poly([[[0.0]]] * 8 + [[[1.0]]], make_grid(tau=1e40, steps=10))
+        sys = make_system(A, [[1.0]], [[1.0]], grid=A.grid)
         with pytest.raises(NumericalRangeError, match="no grid of at most 100000 steps"):
             Propagator(sys)
 
@@ -220,10 +220,10 @@ class TestPropagateState:
                 nodes /= nodes[-1]
             n = int(rng.integers(1, 6))
             m = int(rng.integers(1, 4))
-            A = CoeffMatrixFn.poly(rng.uniform(-0.5, 0.5, size=(3, n, n)))
-            B = CoeffMatrixFn.poly(rng.uniform(-1, 1, size=(2, n, m)))
-            sys = make_system(A, B, np.eye(n)[:1], steps=steps, quadrature=quadrature,
-                              nodes=nodes)
+            grid = make_grid(steps=steps, quadrature=quadrature, nodes=nodes)
+            A = CoeffMatrixFn.poly(rng.uniform(-0.5, 0.5, size=(3, n, n)), grid)
+            B = CoeffMatrixFn.poly(rng.uniform(-1, 1, size=(2, n, m)), grid)
+            sys = make_system(A, B, np.eye(n)[:1], grid=grid)
             p = Propagator(sys)
             values = rng.normal(size=(steps + 1, m))
             if dtype is complex:

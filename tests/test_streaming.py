@@ -22,7 +22,7 @@ from ltvcontrol import (
     null_controllability_test,
     obs_gramian,
 )
-from conftest import BATCH_SIZES, kind_system, make_system
+from conftest import BATCH_SIZES, kind_system, make_grid, make_system
 from oracles import (
     adjoint_sweep_oracle,
     admissibility_recursion_oracle,
@@ -46,10 +46,11 @@ def _propagator(rng, n, steps, quadrature, nonuniform):
         nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, steps))])
         nodes /= nodes[-1]
     s = 1 / np.sqrt(n)
-    A = CoeffMatrixFn.poly(rng.normal(scale=s, size=(3, n, n)))
-    B = CoeffMatrixFn.poly(rng.normal(scale=s, size=(2, n, 2)))
-    C = CoeffMatrixFn.poly(rng.normal(scale=s, size=(2, 2, n)))
-    return Propagator(make_system(A, B, C, steps=steps, quadrature=quadrature, nodes=nodes))
+    grid = make_grid(steps=steps, quadrature=quadrature, nodes=nodes)
+    A = CoeffMatrixFn.poly(rng.normal(scale=s, size=(3, n, n)), grid)
+    B = CoeffMatrixFn.poly(rng.normal(scale=s, size=(2, n, 2)), grid)
+    C = CoeffMatrixFn.poly(rng.normal(scale=s, size=(2, 2, n)), grid)
+    return Propagator(make_system(A, B, C, grid=grid))
 
 
 def _close(actual, expect, tol=1e-12):

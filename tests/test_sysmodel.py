@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -68,7 +69,11 @@ REFUSALS = [
     ("nodes", [0.0, 0.1, 0.5, 0.9], "nodes", "does not match tau"),
     ("n", 65, "n", "capped at 64"),
     ("A", {"kind": "constant"}, "A.data", "missing"),
+    ("A", 3, "A", "coefficient must be an object"),
 ]
+
+GRID = TimeGrid.uniform(1.0, 10)
+LONG = TimeGrid.uniform(1e300, 10)
 
 
 class TestTimeGrid:
@@ -116,23 +121,23 @@ class TestTimeGrid:
 
 class TestCoeffMatrixFn:
     def test_constant(self):
-        f = CoeffMatrixFn.constant([[2.0, 0.0], [0.0, 3.0]], tau=1.0)
+        f = CoeffMatrixFn.constant([[2.0, 0.0], [0.0, 3.0]], GRID)
         for t in (0.0, 0.37, 1.0):
             assert np.array_equal(f(t), [[2.0, 0.0], [0.0, 3.0]])
 
     def test_poly_identity_ramp(self):
-        f = CoeffMatrixFn.poly([np.zeros((2, 2)), np.eye(2)], tau=1.0)
+        f = CoeffMatrixFn.poly([np.zeros((2, 2)), np.eye(2)], GRID)
         assert np.allclose(f(0.25), 0.25 * np.eye(2))
 
     def test_piecewise_linear_interp(self):
         grid = TimeGrid(np.array([0.0, 0.5, 1.0]))
-        f = CoeffMatrixFn("samples", [[[0.0]], [[1.0]], [[2.0]]], grid=grid, tau=grid.tau)
+        f = CoeffMatrixFn("samples", [[[0.0]], [[1.0]], [[2.0]]], grid)
         assert f(0.5)[0, 0] == pytest.approx(1.0)
         assert f(0.25)[0, 0] == pytest.approx(0.5)
         assert f(1.0)[0, 0] == pytest.approx(2.0)
 
     def test_out_of_domain(self):
-        f = CoeffMatrixFn.constant([[1.0]], tau=1.0)
+        f = CoeffMatrixFn.constant([[1.0]], GRID)
         with pytest.raises(ValueError):
             eval_coeff(f, 1.5)
         with pytest.raises(ValueError):
@@ -144,7 +149,7 @@ class TestCoeffMatrixFn:
         data = {"constant": rng.normal(size=(3, 2)),
                 "poly": rng.normal(size=(4, 3, 2)),
                 "samples": rng.normal(size=(grid.steps + 1, 3, 2))}[kind]
-        f = CoeffMatrixFn(kind, data, grid=grid if kind == "samples" else None, tau=grid.tau)
+        f = CoeffMatrixFn(kind, data, grid)
         between = (grid.nodes[1:] + grid.nodes[:-1]) / 2
         times = np.concatenate([grid.nodes, between, rng.uniform(0, 2.0, 7),
                                 [grid.tau * (1 + 1e-12)]])
@@ -155,7 +160,7 @@ class TestCoeffMatrixFn:
         assert all(np.array_equal(eval_coeff(f, t), e) for t, e in zip(times, expect))
 
     def test_array_times_out_of_domain(self):
-        f = CoeffMatrixFn.constant([[1.0]], tau=1.0)
+        f = CoeffMatrixFn.constant([[1.0]], GRID)
         with pytest.raises(ValueError, match="outside"):
             eval_coeff(f, np.array([0.0, 0.5, 1.5]))
         with pytest.raises(ValueError):
@@ -163,30 +168,29 @@ class TestCoeffMatrixFn:
 
     def test_degree_cap(self):
         with pytest.raises(ValueError):
-            CoeffMatrixFn.poly(np.zeros((10, 1, 1)))
+            CoeffMatrixFn.poly(np.zeros((10, 1, 1)), GRID)
 
     def test_samples_need_a_grid(self):
-        with pytest.raises(ValueError, match="needs a grid"):
+        with pytest.raises(TypeError, match="grid"):
             CoeffMatrixFn("samples", np.zeros((3, 1, 1)))
 
     def test_inf_norm_bound_values(self):
-        assert CoeffMatrixFn.constant([[1.0, -2.0], [0.5, 0.0]]).inf_norm_bound() == 3.0
+        assert CoeffMatrixFn.constant([[1.0, -2.0], [0.5, 0.0]], GRID).inf_norm_bound() == 3.0
         grid = TimeGrid(np.array([0.0, 0.5, 2.0]))
-        samples = CoeffMatrixFn("samples", [[[1.0, 0.0]], [[-4.0, 1.0]], [[2.0, 2.0]]],
-                                grid=grid, tau=grid.tau)
+        samples = CoeffMatrixFn("samples", [[[1.0, 0.0]], [[-4.0, 1.0]], [[2.0, 2.0]]], grid)
         assert samples.inf_norm_bound() == 5.0
         # A(t) = A_0 + A_1 t - A_2 t^2 on [0, 2]: row sums of |A_0| + 2 |A_1| + 4 |A_2|
-        poly = CoeffMatrixFn.poly([[[1.0, 0.0]], [[0.0, -1.0]], [[-1.0, 0.0]]], tau=2.0)
+        poly = CoeffMatrixFn.poly([[[1.0, 0.0]], [[0.0, -1.0]], [[-1.0, 0.0]]], grid)
         assert poly.inf_norm_bound() == 7.0
         # zero coefficients add nothing however large tau^j: no 0 * inf
         with np.errstate(all="raise"):
-            assert CoeffMatrixFn.poly([[[0.0]]] * 9, tau=1e300).inf_norm_bound() == 0.0
-            padded = CoeffMatrixFn.poly([[[2.0, -1.0]]] + [[[0.0, 0.0]]] * 8, tau=1e300)
+            assert CoeffMatrixFn.poly([[[0.0]]] * 9, LONG).inf_norm_bound() == 0.0
+            padded = CoeffMatrixFn.poly([[[2.0, -1.0]]] + [[[0.0, 0.0]]] * 8, LONG)
             assert padded.inf_norm_bound() == 3.0
 
     def test_inf_norm_bound_overflow_is_infinite(self):
         with np.errstate(all="raise"):  # the bound warns about nothing
-            bound = CoeffMatrixFn.poly([[[0.0]]] * 8 + [[[1.0]]], tau=1e300).inf_norm_bound()
+            bound = CoeffMatrixFn.poly([[[0.0]]] * 8 + [[[1.0]]], LONG).inf_norm_bound()
         assert bound == np.inf
 
     @pytest.mark.parametrize("kind", ["constant", "poly", "samples"])
@@ -195,7 +199,7 @@ class TestCoeffMatrixFn:
         data = {"constant": rng.normal(size=(3, 3)),
                 "poly": rng.normal(size=(4, 3, 3)),
                 "samples": rng.normal(size=(grid.steps + 1, 3, 3))}[kind]
-        f = CoeffMatrixFn(kind, data, grid=grid if kind == "samples" else None, tau=grid.tau)
+        f = CoeffMatrixFn(kind, data, grid)
         times = np.concatenate([np.linspace(0.0, 3.0, 1001), grid.nodes])
         norms = np.abs(f(times)).sum(axis=2).max(axis=1)
         monkeypatch.setattr("ltvcontrol.sysmodel.eval_coeff", None)  # read from data only
@@ -208,7 +212,7 @@ class TestCoeffMatrixFn:
         for _ in range(20):
             d = int(rng.integers(0, 9))
             coeffs = rng.uniform(-1, 1, size=(d + 1, 3, 3))
-            f = CoeffMatrixFn.poly(coeffs, tau=1.0)
+            f = CoeffMatrixFn.poly(coeffs, GRID)
             for t in rng.uniform(0, 1, size=5):
                 expect = poly_eval_naive(coeffs, t)
                 scale = max(np.abs(expect).max(), 1e-30)
@@ -216,19 +220,39 @@ class TestCoeffMatrixFn:
 
 
 class TestLtvSystem:
-    ONE = CoeffMatrixFn.constant([[1.0]])
+    ONE = CoeffMatrixFn.constant([[1.0]], GRID)
 
-    @pytest.mark.parametrize("dims, message", [
-        ((0, 1, 1), "n, m, p must be >= 1"),
-        ((1, 1, 0), "n, m, p must be >= 1"),
-        ((65, 1, 1), "capped at 64"),
-        ((1, 2, 1), r"B has shape \(1, 1\), expected \(1, 2\)"),
+    @pytest.mark.parametrize("shapes, message", [
+        (((0, 0), (0, 1), (1, 0)), "n, m, p must be >= 1"),
+        (((1, 1), (1, 1), (0, 1)), "n, m, p must be >= 1"),
+        (((65, 65), (65, 1), (1, 65)), "capped at 64"),
+        (((1, 1), (2, 1), (1, 1)), r"B has shape \(2, 1\), expected \(1, 1\)"),
     ])
-    def test_constructor_refusals(self, dims, message):
-        n, m, p = dims
+    def test_constructor_refusals(self, shapes, message):
         with pytest.raises(ValueError, match=message):
-            LtvSystem(n=n, m=m, p=p, A=self.ONE, B=self.ONE, C=self.ONE,
-                      grid=TimeGrid.uniform(1.0, 10))
+            LtvSystem(*(CoeffMatrixFn.constant(np.ones(shape), GRID) for shape in shapes))
+
+    def test_fields_and_derived_values(self):
+        assert [f.name for f in dataclasses.fields(LtvSystem)] == ["A", "B", "C"]
+        assert [f.name for f in dataclasses.fields(CoeffMatrixFn)] == ["kind", "data", "grid"]
+        A = CoeffMatrixFn.poly(np.ones((2, 3, 3)), GRID)
+        B = CoeffMatrixFn.constant(np.ones((3, 2)), GRID)
+        C = CoeffMatrixFn("samples", np.ones((11, 1, 3)), TimeGrid.uniform(1.0, 10))
+        sys = LtvSystem(A, B, C)
+        assert sys.A is A and sys.B is B and sys.C is C  # the caller's objects, not copies
+        assert (sys.n, sys.m, sys.p) == (A.rows, B.cols, C.rows) == (3, 2, 1)
+        assert sys.grid is A.grid and sys.tau == 1.0
+
+    @pytest.mark.parametrize("name", ["B", "C"])
+    @pytest.mark.parametrize("grid", [
+        TimeGrid.uniform(1.0, 20),
+        TimeGrid.uniform(1.0, 10, "simpson"),          # the same nodes, another rule
+    ])
+    def test_coefficient_on_another_grid_is_refused(self, name, grid):
+        coeffs = {"A": self.ONE, "B": self.ONE, "C": self.ONE,
+                  name: CoeffMatrixFn.constant([[1.0]], grid)}
+        with pytest.raises(ValueError, match=f"^{name} is on another grid than A's$"):
+            LtvSystem(**coeffs)
 
     @pytest.mark.parametrize("nodes", [
         np.linspace(0.0, 0.5, 11),                       # would extrapolate past 0.5
@@ -237,20 +261,17 @@ class TestLtvSystem:
     ])
     def test_samples_on_another_grid_are_refused(self, nodes):
         # samples 0 except 1 at the last node of [0, 0.5]: on [0, 1] the interpolant
-        # would reach A(1) = 11 while inf_norm_bound() reads 1 from the data
+        # would reach B(1) = 11 while inf_norm_bound() reads 1 from the data
         data = np.zeros((nodes.size, 1, 1))
         data[-1] = 1.0
-        foreign = TimeGrid(nodes)
-        A = CoeffMatrixFn("samples", data, grid=foreign, tau=foreign.tau)
+        B = CoeffMatrixFn("samples", data, TimeGrid(nodes))
         with pytest.raises(ValueError, match="another grid"):
-            LtvSystem(n=1, m=1, p=1, A=A, B=self.ONE, C=self.ONE,
-                      grid=TimeGrid.uniform(1.0, 10))
+            LtvSystem(self.ONE, B, self.ONE)
 
     def test_samples_on_equal_nodes_are_accepted(self):
-        grid = TimeGrid.uniform(1.0, 10)
-        A = CoeffMatrixFn("samples", np.ones((11, 1, 1)), grid=TimeGrid.uniform(1.0, 10))
-        sys = LtvSystem(n=1, m=1, p=1, A=A, B=self.ONE, C=self.ONE, grid=grid)
-        assert sys.A.tau == 1.0 and sys.A(1.0)[0, 0] == 1.0
+        A = CoeffMatrixFn("samples", np.ones((11, 1, 1)), TimeGrid.uniform(1.0, 10))
+        sys = LtvSystem(A, self.ONE, self.ONE)
+        assert sys.tau == 1.0 and sys.A(1.0)[0, 0] == 1.0
 
 
 class TestSignals:

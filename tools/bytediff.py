@@ -3,10 +3,11 @@
     python tools/bytediff.py PARENT_TREE CHANGE_TREE
 
 Runs round 0 of every workload in CHANGE_TREE/perfbench/workloads.py (the spec
-generator is read, not changed) for seeds 1 and 2 at FULL and TOY sizes: 84
-`ltvctl` calls, each given `--seed` as the benchmark gives it. Every call runs
-in a fresh interpreter with one tree's src/ on PYTHONPATH, on the same spec
-file, under a temporary directory that is removed afterwards.
+generator is read, not changed) for seeds 1 and 2 at FULL and TOY sizes: the 84
+`ltvctl` calls of the benchmark, `check` on each of the 36 specs they read, and
+one `self-check`: 121 calls, each given `--seed` as the benchmark gives it.
+Every call runs in a fresh interpreter with one tree's src/ on PYTHONPATH, on
+the same spec file, under a temporary directory that is removed afterwards.
 
 For each call the exit code, stdout, stderr, report.json and every CSV are
 compared byte for byte. A numeric field is a report.json key path with list
@@ -45,7 +46,7 @@ def _workloads(tree: Path):
 def _calls(tree: Path, specs_dir: Path) -> list[tuple[str, list[str]]]:
     """(label, argv after the output flag) for every call, with its spec file written."""
     wl = _workloads(tree)
-    calls = []
+    calls = [("none/self-check", ["self-check", "--seed", "1"])]
     for sizes_label, sizes in (("full", wl.FULL), ("toy", wl.TOY)):
         for seed in SEEDS:
             for name, workload in wl.WORKLOADS.items():
@@ -53,10 +54,11 @@ def _calls(tree: Path, specs_dir: Path) -> list[tuple[str, list[str]]]:
                     spec = workload.spec(seed, index, sizes)
                     path = specs_dir / f"{sizes_label}-{name}-{seed}-{index}.json"
                     wl.write_spec(spec, path)
-                    for call in spec.calls:
-                        label = f"{sizes_label}/{name}/seed{seed}/{index}/{call.command}"
-                        calls.append((label, [call.command, str(path), "--seed", str(seed),
-                                              *call.flags]))
+                    for command, flags in [("check", ())] + [(call.command, call.flags)
+                                                             for call in spec.calls]:
+                        label = f"{sizes_label}/{name}/seed{seed}/{index}/{command}"
+                        calls.append((label, [command, str(path), "--seed", str(seed),
+                                              *flags]))
     return calls
 
 

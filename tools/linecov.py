@@ -9,7 +9,8 @@ two sets of lines are recorded after that:
 
 * tier-1, run in this interpreter by pytest.main with -p no:cacheprovider;
 * the TOY calls of tools/bytediff.py's call set (seeds 1 and 2, every
-  workload), each run through ltvcontrol.cli.main in this interpreter.
+  workload, and `check` on each of their specs), each run through
+  ltvcontrol.cli.main in this interpreter.
 
 For each module it prints the executable lines (those the compiled code maps
 to) that nothing reached, and the lines that only tier-1 reached. Lines run by
