@@ -13,14 +13,23 @@ minimum eigenvalue's square root is the exact-observability constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .propagate import Propagator, batches, pow2_scale, require_finite, rk4_substeps, stage_times
+from .propagate import (STACK_ELEMENTS, Propagator, batches, pow2_scale, require_finite,
+                        rk4_substeps, stage_times)
 from .sysmodel import LtvSystem
 
 COERCIVITY_TOL = 1e-10
+
+# the Lyapunov sweep is segmented up to this state dimension; past it the n(n+1)/2
+# basis images of a segment cost more than the Python steps they save
+SEGMENTED_MAX_N = 6
+# a segment's basis images grow by at most e^SEGMENT_GROWTH, about 2^511: finite, and
+# finite times any coefficient below 2^512
+SEGMENT_GROWTH = 354.0
 
 
 @dataclass(frozen=True)
@@ -78,52 +87,153 @@ def ctrl_gramian_quadrature(p: Propagator) -> GramianResult:
     return _finalize(W, U)
 
 
+def lyapunov_segments(sys: LtvSystem, substeps: int) -> int:
+    """S, the number of segments ctrl_gramian_lyapunov sweeps side by side: about
+    sqrt(N K), so that the L = ceil(N / S) stacked positions of K substeps and the S
+    combines take the fewest Python steps, and at most N.
+
+    Each segment stacks 1 + n(n+1)/2 members and, per position, -A and B B* at 2K+1
+    stage times; S is capped so that either stack holds at most STACK_ELEMENTS. A basis
+    image grows by at most e^(2 ||A||_inf span) over a segment's span, the Lyapunov
+    operator's norm being at most 2 ||A||_inf on the largest |entry|, so segments are
+    cut short enough that this stays within e^SEGMENT_GROWTH. S = 1 (the sequential
+    sweep) past SEGMENTED_MAX_N or when the caps conflict."""
+    n, N = sys.n, sys.grid.steps
+    per_segment = max(1 + n * (n + 1) // 2, 2 * substeps + 1) * n * n
+    cap = min(N, STACK_ELEMENTS // per_segment)
+    if n > SEGMENTED_MAX_N or cap < 2:
+        return 1
+    growth = 2 * sys.A.inf_norm_bound() * float(np.max(np.diff(sys.grid.nodes)))
+    longest = math.floor(SEGMENT_GROWTH / growth) if growth > 0 else N  # intervals
+    target = min(round(math.sqrt(N * substeps)), cap)
+    length = min(-(-N // target), longest)  # intervals per segment
+    segments = -(-N // length)
+    return segments if segments <= cap else 1
+
+
+def _lyapunov_coefficients(sys: LtvSystem, substeps: int, segments: int):
+    """For each position in a segment (interval j of every segment, j = 0 .. L-1): h, h/2,
+    h/6 and -A and B B* at its 2K+1 stage times, each stacked over the segments when
+    segments > 1 (h as (S, 1, 1) arrays) and plain when 1 (h as floats). The intervals
+    past N, which pad the last segment to L, have length 0. The coefficients are sampled
+    for a chunk of positions in one call each."""
+    n, N = sys.n, sys.grid.steps
+    L = -(-N // segments)
+    lead = (segments,) if segments > 1 else ()
+    nodes = sys.grid.nodes
+    nodes = np.concatenate([nodes, np.full(segments * L - N, nodes[-1])])
+    starts = np.arange(segments)[:, None] * L
+    for chunk in batches(L, (2 * substeps + 1) * segments * n * n):
+        times, h = stage_times(nodes[starts + np.arange(chunk.start, chunk.stop + 1)], substeps)
+        times = times.transpose(1, 2, 0).reshape(-1)  # position, stage time, segment
+        negA = -sys.A(times).reshape(-1, 2 * substeps + 1, *lead, n, n)
+        Bs = sys.B(times)
+        BBT = (Bs @ Bs.transpose(0, 2, 1)).reshape(negA.shape)
+        h = h.T.reshape(-1, *lead, 1, 1)
+        hs = [h, h / 2, h / 6]
+        if not lead:
+            hs = [x.ravel().tolist() for x in hs]
+        yield from zip(*hs, negA, BBT)
+
+
 def ctrl_gramian_lyapunov(sys: LtvSystem) -> GramianResult:
     """W(tau) from RK4 integration of the differential Lyapunov equation, with
     rk4_substeps(sys) RK4 substeps per interval, as the Propagator's steps.
 
-    The integration is sequential; only the coefficients are sampled ahead, -A and
-    B B* at the 2K+1 distinct stage times of a chunk of intervals in one call each.
-    Stages and the sum k1 + 2 k2 + 2 k3 + k4 are formed in place in the written
-    order; doubling is exact and addition commutes, so W is the same bit for bit."""
+    The RK4 map is affine in W. So the N intervals are cut into S = lyapunov_segments
+    segments of L = ceil(N / S) intervals, swept side by side with one stacked RK4
+    substep per position in a segment. Segment s carries its forced solution X_s from
+    W = 0 and the homogeneous images H_s(E_b) of the n(n+1)/2 symmetric basis matrices
+    E_b (E_ii, and E_ij + E_ji for i < j). The segments are then combined in order on
+    the upper triangle, W <- sum_b W_b H_s(E_b) + X_s, where W_b is the entry W_ij that
+    E_b picks out. With S = 1 there is no basis and the sweep is sequential.
+
+    Every member is symmetric, so a stage is P + P* + B B* with P = (-A) V."""
     substeps = rk4_substeps(sys)
+    segments = lyapunov_segments(sys, substeps)
+    coefficients = _lyapunov_coefficients(sys, substeps, segments)
     n = sys.n
-    nodes = sys.grid.nodes
-    dot = np.dot
-    W = np.zeros((n, n))
-    for chunk in batches(nodes.size - 1, (2 * substeps + 1) * n * n):
-        times, hs = stage_times(nodes[chunk.start:chunk.stop + 1], substeps)
-        negA = -sys.A(times.reshape(-1))
-        Bs = sys.B(times.reshape(-1))
-        BBT = Bs @ Bs.transpose(0, 2, 1)
-        # -A W - W A* equals negA W + W negA* bit for bit: negation is exact
-        stages = zip(negA, negA.transpose(0, 2, 1), BBT)
-        for h, h2, h6 in zip(hs.tolist(), (hs / 2).tolist(), (hs / 6).tolist()):
-            a, aT, q = next(stages)
-            for _, (a2, a2T, q2), (a4, a4T, q4) in zip(range(substeps), stages, stages):
-                k1 = dot(a, W)
-                k1 += dot(W, aT)
+    if segments == 1:
+        dot = np.dot
+        W = np.zeros((n, n))
+        for h, h2, h6, negA, BBT in coefficients:
+            stages = zip(negA, BBT)
+            a, q = next(stages)
+            for _, (a2, q2), (a4, q4) in zip(range(substeps), stages, stages):
+                P = dot(a, W)
+                k1 = P + P.T
                 k1 += q
                 V = W + h2 * k1
-                k2 = dot(a2, V)
-                k2 += dot(V, a2T)
+                P = dot(a2, V)
+                k2 = P + P.T
                 k2 += q2
                 V = W + h2 * k2
-                k3 = dot(a2, V)
-                k3 += dot(V, a2T)
+                P = dot(a2, V)
+                k3 = P + P.T
                 k3 += q2
                 V = W + h * k3
-                k4 = dot(a4, V)
-                k4 += dot(V, a4T)
+                P = dot(a4, V)
+                k4 = P + P.T
                 k4 += q4
+                k2 += k3
                 k2 += k2
                 k2 += k1
-                k3 += k3
-                k2 += k3
                 k2 += k4
                 k2 *= h6
                 W = W + k2
-                a, aT, q = a4, a4T, q4  # a substep's end is the next one's start
+                a, q = a4, q4  # a substep's end is the next one's start
+        return _finalize(W)
+    basis = n * (n + 1) // 2
+    shape = (segments, n, basis + 1, n)  # W[s, i, m, j] is entry (i, j) of member m
+    wide = (segments, n, (basis + 1) * n)  # the members side by side, for one product
+    iu, ju = np.triu_indices(n)
+    W = np.zeros(shape)
+    W[:, iu, np.arange(1, basis + 1), ju] = 1.0
+    W[:, ju, np.arange(1, basis + 1), iu] = 1.0
+    W = W.reshape(wide)
+
+    def stage(a, V, q, P, k):
+        """k = P + P* per member with P = (-A) V, plus B B* on member 0 only; P is
+        scratch, and k may be V's buffer."""
+        np.matmul(a, V, out=P)
+        P = P.reshape(shape)
+        np.add(P, P.swapaxes(-1, -3), out=k.reshape(shape))
+        k = k[..., :n]
+        k += q
+
+    # four stacks, as a position's stack can fill STACK_ELEMENTS: W, two that take
+    # turns as V, P and k, and acc, where k1 + 2 k2 + 2 k3 + k4 accumulates
+    acc, X, Y = np.empty(wide), np.empty(wide), np.empty(wide)
+    for h, h2, h6, negA, BBT in coefficients:
+        stages = zip(negA, BBT)
+        a, q = next(stages)
+        for _, (a2, q2), (a4, q4) in zip(range(substeps), stages, stages):
+            stage(a, W, q, X, acc)
+            np.multiply(h2, acc, out=X)
+            X += W
+            stage(a2, X, q2, Y, X)
+            np.multiply(h2, X, out=Y)
+            Y += W
+            X += X
+            acc += X
+            stage(a2, Y, q2, X, Y)
+            np.multiply(h, Y, out=X)
+            X += W
+            Y += Y
+            acc += Y
+            stage(a4, X, q4, Y, X)
+            acc += X
+            acc *= h6
+            W += acc
+            a, q = a4, q4
+    # packed[s, e, m]: upper-triangle entry e of member m of segment s
+    packed = W.reshape(shape)[..., iu, :, ju].transpose(1, 0, 2)
+    w = packed[0, :, 0]
+    for X_H in packed[1:]:
+        w = X_H[:, 1:] @ w + X_H[:, 0]
+    W = np.empty((n, n))
+    W[iu, ju] = w
+    W[ju, iu] = w
     return _finalize(W)
 
 

@@ -24,7 +24,9 @@ from .sysmodel import MAX_STEPS, ControlSignal, LtvSystem
 STACK_ELEMENTS = 2**15
 
 # RK4 substeps per interval: at least the classical 4, and never more than 64, which
-# keeps the Lyapunov loop's per-interval stage stack, (2K+1) n^2 floats, near 4.2 MB
+# keeps the sequential Lyapunov sweep's stage stack of one interval, -A and B B* at its
+# 2K+1 stage times, (2K+1) n^2 floats each, near 4.2 MB at n = 64 (a segmented sweep's
+# stacks stay within STACK_ELEMENTS)
 MIN_SUBSTEPS = 4
 MAX_SUBSTEPS = 64
 
@@ -47,15 +49,16 @@ def batches(count: int, item_size: int) -> list[slice]:
 
 def stage_times(nodes: np.ndarray, substeps: int) -> tuple[np.ndarray, np.ndarray]:
     """The 2K+1 distinct RK4 stage times of K substeps on each interval between
-    consecutive nodes, one row per interval, and the substep length h of each.
+    consecutive nodes along the last axis, one row per interval, and the substep
+    length h of each.
 
     Column 2k holds t_k and column 2k+1 holds t_k + h/2, with h = (t_{i+1} - t_i) / K
     and t_{k+1} = t_k + h as a per-interval loop forms them, so column 2K is t_K."""
-    h = (nodes[1:] - nodes[:-1]) / substeps
-    cols = [nodes[:-1]]
+    h = (nodes[..., 1:] - nodes[..., :-1]) / substeps
+    cols = [nodes[..., :-1]]
     for _ in range(substeps):
         cols += [cols[-1] + h / 2, cols[-1] + h]
-    return np.stack(cols, axis=1), h
+    return np.stack(cols, axis=-1), h
 
 
 def require_finite(M: np.ndarray, what: str) -> None:

@@ -15,9 +15,27 @@ from ltvcontrol import (
 )
 from conftest import (BATCH_SIZES, kind_system, make_system, random_poly_system, scalar_system,
                       stiffened)
-from ltvcontrol.gramian import COERCIVITY_TOL
-from ltvcontrol.propagate import rk4_substeps
+from ltvcontrol import gramian
+from ltvcontrol.gramian import COERCIVITY_TOL, SEGMENT_GROWTH, SEGMENTED_MAX_N, lyapunov_segments
+from ltvcontrol.propagate import STACK_ELEMENTS, rk4_substeps
 from oracles import lyapunov_oracle
+
+# Frobenius distance of the Lyapunov W to the per-stage oracle, relative to the oracle's
+# norm: the segmented sweep and the stage sums P + P* order the roundoff differently.
+# Measured over test_matches_per_stage_oracle: at most 1.1e-15 where W stays below 1e10
+# and 1.8e-13 below 1e100. Past that, on draws whose modes grow by e^340 or more, the
+# combine of a segment's basis images spreads roundoff further: 1.0e-11 on the draw
+# whose W reaches 7e148, and from 7e-14 to 1.2e-11 on it as the segment length runs
+# over 1 .. 10 intervals, where the sequential sweep is 9.1e-14 from one in extended
+# precision.
+ORACLE_RTOL = 1e-12
+GROWN_RTOL = 1e-10  # W beyond 1e100
+
+
+def assert_close_to_oracle(W, expect):
+    scale = np.max(np.abs(expect))  # the norms of W near 1e300 stay finite
+    rtol = ORACLE_RTOL if scale < 1e100 else GROWN_RTOL
+    assert np.linalg.norm((W - expect) / scale) <= rtol * np.linalg.norm(expect / scale)
 
 
 def scalar_gramian_closed_form(a, tau=1.0):
@@ -63,15 +81,57 @@ class TestLyapunovGramian:
     @pytest.mark.parametrize("n, steps", BATCH_SIZES)
     @pytest.mark.parametrize("kind", ["constant", "poly", "samples"])
     @pytest.mark.parametrize("nonuniform", [False, True])
-    @pytest.mark.parametrize("need, substeps", [(None, 4), (6.5, 7)])
-    def test_matches_per_stage_oracle_bitwise(self, rng, n, steps, kind, nonuniform,
-                                              need, substeps):
+    @pytest.mark.parametrize("need, substeps", [(None, 4), (6.5, 7), (39.5, 40)])
+    def test_matches_per_stage_oracle(self, rng, n, steps, kind, nonuniform, need, substeps):
         sys = kind_system(rng, n, kind, steps, nonuniform)
         if need is not None:
             sys = stiffened(sys, need)
         assert rk4_substeps(sys) == substeps
+        with np.errstate(over="ignore", invalid="ignore"):
+            expect = lyapunov_oracle(sys, substeps)
+            if not np.all(np.isfinite(expect)):  # a growing mode overflows both
+                with pytest.raises(NumericalRangeError, match="Gramian"):
+                    ctrl_gramian_lyapunov(sys)
+                return
+        assert_close_to_oracle(ctrl_gramian_lyapunov(sys).W, expect)
+
+    @pytest.mark.parametrize("n, steps, need, segments, length", [
+        (1, 37, None, 10, 4),   # n = 1: one basis member; 10 segments of 4 pad 3 intervals
+        (2, 50, None, 13, 4),   # 13 segments of 4 pad 2
+        (6, 200, None, 25, 8),  # the largest n that is segmented
+        # sqrt(N K) > N: S capped at N, one interval each (K = 4, 4 and 9)
+        (2, 2, None, 2, 1), (2, 3, None, 3, 1), (3, 7, 8.5, 7, 1)])
+    def test_segments_match_per_stage_oracle(self, rng, n, steps, need, segments, length):
+        sys = kind_system(rng, n, "poly", steps, nonuniform=True)
+        if need is not None:
+            sys = stiffened(sys, need)
+        substeps = rk4_substeps(sys)
+        assert lyapunov_segments(sys, substeps) == segments
+        assert -(-steps // segments) == length
+        assert_close_to_oracle(ctrl_gramian_lyapunov(sys).W, lyapunov_oracle(sys, substeps))
+
+    @pytest.mark.parametrize("n, segments", [(2, 25), (6, 25), (7, 1), (20, 1)])
+    def test_swept_W_is_exactly_symmetric(self, rng, monkeypatch, n, segments):
+        # every stage is P + P* + B B*, and a segmented W is rebuilt from its upper
+        # triangle, so _finalize receives a W equal to its transpose
+        swept = []
+        finalize = gramian._finalize
+        monkeypatch.setattr(gramian, "_finalize", lambda W: swept.append(W) or finalize(W))
+        sys = kind_system(rng, n, "samples", 200)
+        assert lyapunov_segments(sys, rk4_substeps(sys)) == segments
+        ctrl_gramian_lyapunov(sys)
+        assert np.array_equal(swept[0], swept[0].T)
+
+    def test_growing_basis_image_with_zero_coefficient_stays_finite(self):
+        # -A = diag(2e5, -1) with no input to x_1: W_11 = 0 exactly, while the image of
+        # E_11 grows as e^(4e5 t) and would overflow within 0.002 of one long segment
+        sys = make_system(np.diag([-2e5, 1.0]), [[0.0], [1.0]], [[1.0, 1.0]], steps=4000)
+        assert rk4_substeps(sys) == 51
+        assert lyapunov_segments(sys, 51) == 1  # the span cap asks for more than fit
         W = ctrl_gramian_lyapunov(sys).W
-        assert np.array_equal(W, lyapunov_oracle(sys, substeps))
+        assert W[0, 0] == W[0, 1] == W[1, 0] == 0.0
+        assert W[1, 1] == pytest.approx(0.4323323583816923, rel=1e-12)  # as the sequential sweep
+        assert W[1, 1] == pytest.approx((1 - np.exp(-2.0)) / 2, rel=1e-9)
 
     def test_overflow_is_refused(self):
         sys = make_system(np.diag([-900.0, 1.0]), [[1.0], [1.0]], [[1.0, 1.0]], steps=50)
@@ -94,9 +154,37 @@ class TestLyapunovGramian:
         p = Propagator(sys)
         assert p.substeps == substeps
         quad, lyap, residual = ctrl_gramian_cross(p)
-        expect = lyapunov_oracle(sys, substeps)
-        assert np.array_equal(lyap.W, expect)
-        assert residual == np.linalg.norm(quad.W - expect)
+        assert_close_to_oracle(lyap.W, lyapunov_oracle(sys, substeps))
+        assert residual == np.linalg.norm(quad.W - lyap.W)
+
+
+class TestSegmentRule:
+    """S ~ sqrt(N K), at most N, within STACK_ELEMENTS, spans within e^SEGMENT_GROWTH."""
+
+    @pytest.mark.parametrize("n, steps, segments", [
+        (1, 2000, 87), (2, 2000, 87), (4, 2000, 87), (5, 2000, 80), (6, 2000, 41),
+        (2, 200, 25), (SEGMENTED_MAX_N + 1, 2000, 1), (64, 200, 1)])
+    def test_count(self, rng, n, steps, segments):
+        sys = kind_system(rng, n, "constant", steps)
+        substeps = rk4_substeps(sys)
+        assert substeps == 4
+        S = lyapunov_segments(sys, substeps)
+        assert S == segments
+        if S > 1:  # sqrt(8000) = 89.4 asks for L = 23, so 87 segments
+            assert S <= steps
+            assert S * (1 + n * (n + 1) // 2) * n * n <= STACK_ELEMENTS
+            assert S * (2 * substeps + 1) * n * n <= STACK_ELEMENTS
+
+    def test_span_cap_shortens_segments(self):
+        # ||A|| = 3.99e4 on h = 5e-4: K = 20, and sqrt(N K) = 200 segments of 10 would
+        # each span a bound of e^399; segments of 8 intervals keep it to e^319
+        sys = scalar_system(a=3.99e4, steps=2000)
+        assert rk4_substeps(sys) == 20
+        S = lyapunov_segments(sys, 20)
+        assert S == 250
+        assert 2 * 3.99e4 * np.max(np.diff(sys.grid.nodes)) * (2000 // S) <= SEGMENT_GROWTH
+        W = ctrl_gramian_lyapunov(sys).W
+        assert W[0, 0] == pytest.approx(scalar_gramian_closed_form(3.99e4), rel=1e-9)
 
 
 class TestObservabilityGramian:

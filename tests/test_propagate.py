@@ -10,6 +10,7 @@ from ltvcontrol import (
     ctrl_gramian_lyapunov,
     sysmodel,
 )
+from ltvcontrol.gramian import lyapunov_segments
 from ltvcontrol.propagate import STACK_ELEMENTS
 from conftest import (BATCH_SIZES, kind_system, make_grid, make_system, random_poly_system,
                       scalar_system, stiffened)
@@ -76,9 +77,13 @@ class TestBatchedStepBuild:
         substeps = Propagator(sys).substeps
         ctrl_gramian_lyapunov(sys)
         # per stack: one call per distinct RK4 stage time (2K+1 per interval) in the
-        # step build, one for A and one for B in the Lyapunov loop
+        # step build, one for A and one for B in the Lyapunov sweep, whose stacks hold
+        # chunks of its L positions in every one of its S segments
         step_chunks = -(-steps // (STACK_ELEMENTS // n**2))
-        lyap_chunks = -(-steps // (STACK_ELEMENTS // ((2 * substeps + 1) * n**2)))
+        segments = lyapunov_segments(sys, substeps)
+        positions = -(-steps // segments)
+        lyap_chunks = -(-positions // (STACK_ELEMENTS // ((2 * substeps + 1) * segments * n**2)))
+        assert (segments, positions, lyap_chunks) == (87, 23, 12)
         assert len(calls) == (2 * substeps + 1) * step_chunks + 2 * lyap_chunks
         assert len(calls) < steps  # the per-stage loops made 12 calls per substep of each interval
 

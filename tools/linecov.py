@@ -7,7 +7,9 @@ records line events in frames whose code lives under src/ltvcontrol/ is set
 before the package is imported; the package's modules are then imported, and
 two sets of lines are recorded after that:
 
-* tier-1, run in this interpreter by pytest.main with -p no:cacheprovider;
+* tier-1, run in this interpreter by pytest.main with -p no:cacheprovider and
+  Hypothesis derandomized with no example database, so that the lines a
+  property test reaches are the same on every run;
 * the TOY calls of tools/bytediff.py's call set (seeds 1 and 2, every
   workload, and `check` on each of their specs), each run through
   ltvcontrol.cli.main in this interpreter.
@@ -33,6 +35,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ltvcontrol"
@@ -101,12 +104,14 @@ def main() -> int:
     tracer.phase("import")
     for info in pkgutil.walk_packages([str(PACKAGE)], "ltvcontrol."):
         importlib.import_module(info.name)
+    settings.register_profile("linecov", derandomize=True, database=None)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)  # Hypothesis keeps its example database under the working directory
+        os.chdir(tmp)
         try:
             tracer.phase("tests")
             status = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
+                                  "--hypothesis-profile", "linecov",
                                   "--basetemp", str(Path(tmp) / "pytest"), str(ROOT / "tests")])
             tracer.phase("bench")
             run_toy_calls(Path(tmp))
