@@ -39,15 +39,19 @@ def input_map(p: Propagator, u: ControlSignal) -> np.ndarray:
 
 
 def input_map_adjoint(p: Propagator, z) -> ControlSignal:
-    """The signal t_i -> B(t_i)* z_i of the adjoint state z_i = U(tau, t_i)* z,
-    swept backward by z_i = Phi_i* z_{i+1} from z_N = z; raises NumericalRangeError
-    in place of a non-finite signal."""
+    """The signal t_i -> B(t_i)* z_i of the adjoint state z_i = U(tau, t_i)* z, swept
+    backward by z_i = Phi_i* z_{i+1} in every segment at once (p.segments), from z_N = z
+    and z_{e_s} = U(tau, e_s)* z; raises NumericalRangeError in place of a non-finite signal."""
     z = np.asarray(z).reshape(p.sys.n)
-    Z = np.empty((p.steps + 1, p.sys.n), dtype=np.result_type(float, z.dtype))
+    Z = np.empty((p.steps + 1, 1, p.sys.n), dtype=np.result_type(float, z.dtype))  # z_i as rows
     Z[-1] = z
-    for i in range(p.steps - 1, -1, -1):
-        Z[i] = p.step_transitions[i].T @ Z[i + 1]
-    values = np.einsum("ijk,ij->ik", p.sys.B(p.grid.nodes), Z)
+    S, L = p.segments()
+    steps = p.step_transitions
+    if S > 1:  # each segment end but node N; segment s + 1 rewrites it last
+        Z[L:-1:L, 0] = (z @ p.segment_boundaries(to_end=True))[:-1]
+    for j in range(L - 1, -1, -1):
+        np.matmul(Z[j + 1::L], steps[j::L], out=Z[j:-1:L])
+    values = np.einsum("ijk,ij->ik", p.sys.B(p.grid.nodes), Z[:, 0])
     require_finite(values, "the adjoint signal")
     return ControlSignal(p.grid, values)
 

@@ -75,16 +75,16 @@ def _finalize(W: np.ndarray, U_tau_0: np.ndarray | None = None) -> GramianResult
 
 
 def ctrl_gramian_quadrature(p: Propagator) -> GramianResult:
-    """W_tau by grid quadrature of U(tau,s) B(s) B(s)* U(tau,s)*, summed from s = tau to 0;
-    the stream's last U, U(tau, 0), is handed over as U_tau_0."""
-    w = p.grid.weights().tolist()[::-1]
-    B = p.sys.B(p.grid.nodes)[::-1]
-    W = np.zeros((p.sys.n, p.sys.n))
-    for wi, Bi, (_, U) in zip(w, B, p.transitions_to_end()):
-        UB = np.dot(U, Bi)
-        W += wi * np.dot(UB, UB.T)
+    """W_tau by grid quadrature of U(tau,s) B(s) B(s)* U(tau,s)*, X* (w X) per stack of the
+    stream from tau to 0, X the rows of its B_i* U(tau, t_i)*; U(tau, 0) is U_tau_0."""
+    n, w = p.sys.n, p.grid.weights()
+    BT = p.sys.B(p.grid.nodes).transpose(0, 2, 1)
+    W = np.zeros((n, n))
+    for nodes, U in p.transitions_to_end():
+        X = BT[nodes] @ U.transpose(0, 2, 1)
+        W += np.dot(X.reshape(-1, n).T, (w[nodes, None, None] * X).reshape(-1, n))
     U.setflags(write=False)
-    return _finalize(W, U)
+    return _finalize(W, U[0])
 
 
 def lyapunov_segments(sys: LtvSystem, substeps: int) -> int:
@@ -248,13 +248,13 @@ def ctrl_gramian_cross(p: Propagator) -> tuple[GramianResult, GramianResult, flo
 
 
 def obs_gramian(p: Propagator) -> GramianResult:
-    """Q_tau by grid quadrature of U(t,0)* C(t)* C(t) U(t,0) over one stream of U(t_i, 0)."""
-    w = p.grid.weights().tolist()
+    """Q_tau by quadrature: X* (w X) per stack of the stream, X the rows of its C_i U(t_i, 0)."""
+    n, w = p.sys.n, p.grid.weights()
     C = p.sys.C(p.grid.nodes)
-    Q = np.zeros((p.sys.n, p.sys.n))
-    for wi, Ci, U in zip(w, C, p.transitions_from_start()):
-        CU = np.dot(Ci, U)
-        Q += wi * np.dot(CU.T, CU)
+    Q = np.zeros((n, n))
+    for nodes, U in p.transitions_from_start():
+        X = C[nodes] @ U
+        Q += np.dot(X.reshape(-1, n).T, (w[nodes, None, None] * X).reshape(-1, n))
     return _finalize(Q)
 
 

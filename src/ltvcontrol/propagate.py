@@ -7,8 +7,8 @@ z'(t) = A(t)* z(t), z(tau) = z_tau.
 Per-interval step matrices Phi_i ~ U(t_{i+1}, t_i) are integrated once with
 RK4 (a substep count chosen from A, see rk4_substeps), on stacks of intervals
 with A sampled once per distinct stage time for the whole stack. They are all
-that is stored: transitions are products of them formed on demand, singly or
-streamed node by node, so a pass holds O(n^2) beyond the steps.
+that is stored: transitions are products of them formed on demand, singly or streamed
+by segments (Propagator.segments), so a pass holds a few stacks beyond the steps.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ STACK_ELEMENTS = 2**15
 # stacks stay within STACK_ELEMENTS)
 MIN_SUBSTEPS = 4
 MAX_SUBSTEPS = 64
+
+# passes are segmented from this many steps up to this dimension (measured in README.md)
+SEGMENTED_MIN_STEPS = 40
+SEGMENTED_MAX_DIM = 32
 
 
 class NumericalRangeError(ArithmeticError):
@@ -157,34 +161,64 @@ class Propagator:
             out = self.step_transitions[i] @ out
         return out
 
+    def segments(self) -> tuple[int, int]:
+        """(S, L): the N intervals as S segments of L = ceil(N / S), segment s holding
+        intervals sL .. e_s - 1, e_s = min(sL + L, N); the steps at position j of every
+        segment are the view step_transitions[j::L]. S = round(sqrt(N)), at most
+        STACK_ELEMENTS // n^2, and 1 below SEGMENTED_MIN_STEPS or past SEGMENTED_MAX_DIM."""
+        n, N = self.sys.n, self.steps
+        S = 1 if N < SEGMENTED_MIN_STEPS or n > SEGMENTED_MAX_DIM else min(
+            round(math.sqrt(N)), STACK_ELEMENTS // (n * n))
+        L = -(-N // S)
+        return -(-N // L), L
+
+    def segment_boundaries(self, to_end: bool) -> np.ndarray:
+        """U(tau, e_s) (to_end) or U(t_sL, 0) of every segment s, stacked: the segment
+        products U(e_s, t_sL) by L stacked products, chained. A non-finite product, or
+        chain (as the U(tau, 0) chained from it), raises NumericalRangeError."""
+        S, L = self.segments()
+        steps = self.step_transitions
+        P = steps[::L].copy()
+        for j in range(1, L):
+            P[:len(steps[j::L])] = steps[j::L] @ P[:len(steps[j::L])]
+        require_finite(P, "a segment product")
+        U = np.empty_like(P)
+        order = range(S - 1, -1, -1) if to_end else range(S)
+        U[order[0]] = np.eye(self.sys.n)
+        for a, b in zip(order, order[1:]):
+            U[b] = U[a] @ P[a] if to_end else P[a] @ U[a]
+        require_finite(U, "U(tau, 0)")
+        return U
+
     def transitions_to_end(self):
-        """Yield (i, U(tau, t_i)) for i = N down to 0 by U <- U Phi_i; raises
-        NumericalRangeError in place of a non-finite U(tau, 0)."""
-        U = np.eye(self.sys.n)
-        yield self.steps, U
-        for i in range(self.steps - 1, -1, -1):
-            U = U @ self.step_transitions[i]
-            if i == 0:
-                require_finite(U, "U(tau, 0)")
-            yield i, U
+        """Yield (nodes, stack of U(tau, t_i) for i in the slice nodes): node N, then position
+        j of every segment for j = L-1 down to 0. U(tau, 0) opens the last stack."""
+        return self._stream(to_end=True)
 
     def transitions_from_start(self):
-        """Yield U(t_i, 0) for i = 0 up to N by U <- Phi_i U; raises
+        """Yield (nodes, stack of U(t_i, 0) for i in the slice nodes): node 0, then j + 1 + sL."""
+        return self._stream(to_end=False)
+
+    def _stream(self, to_end: bool):
+        """Both streams, by U <- U Phi_i or Phi_i U from the segment boundaries; each raises
         NumericalRangeError in place of a non-finite U(tau, 0)."""
-        U = np.eye(self.sys.n)
-        yield U
-        for i, phi in enumerate(self.step_transitions, 1):
-            U = phi @ U
-            if i == self.steps:
-                require_finite(U, "U(tau, 0)")
-            yield U
+        (S, L), N = self.segments(), self.steps
+        yield (slice(N, N + 1) if to_end else slice(0, 1)), np.eye(self.sys.n)[None]
+        U = self.segment_boundaries(to_end) if S > 1 else np.eye(self.sys.n)[None]
+        for j in (range(L - 1, -1, -1) if to_end else range(L)):
+            steps = self.step_transitions[j::L]
+            head = U[:len(steps)] @ steps if to_end else steps @ U[:len(steps)]
+            U = head if len(head) == len(U) else np.concatenate([head, U[len(head):]])
+            if j == (0 if to_end else (N - 1) % L):
+                require_finite(head, "U(tau, 0)")
+            yield (slice(j, N, L) if to_end else slice(j + 1, N + 1, L)), head
 
     def propagate_state(self, x0, u: ControlSignal | None = None) -> np.ndarray:
         """Variation-of-constants state x(tau) = U(tau,0)x0 + int_0^tau U(tau,s)B(s)u(s) ds.
 
         The forcing integral is the grid quadrature, summed by the forward sweep
-        x <- Phi_i x + w_{i+1} B(t_{i+1}) u(t_{i+1}) from x = x0 + w_0 B(t_0) u(t_0).
-        Raises NumericalRangeError in place of a non-finite x(tau).
+        x <- Phi_i x + w_{i+1} B(t_{i+1}) u(t_{i+1}) from x = x0 + w_0 B(t_0) u(t_0), in every
+        segment at once, then chained. Raises NumericalRangeError for a non-finite x(tau).
         """
         x = np.asarray(x0).reshape(self.sys.n)
         forcing = np.zeros((self.steps + 1, 1))
@@ -196,8 +230,20 @@ class Propagator:
             B = self.sys.B(self.grid.nodes)
             forcing = np.einsum("i,ijk,ik->ij", self.grid.weights(), B, u.values)
         x = x + forcing[0]
-        for phi, f in zip(self.step_transitions, forcing[1:]):
-            x = np.dot(phi, x) + f
+        S, L = self.segments()
+        if S == 1:
+            for phi, f in zip(self.step_transitions, forcing[1:]):
+                x = np.dot(phi, x) + f
+        else:  # [U(e_s, t_sL) | x_s] of every segment, by one stacked product per position
+            M = np.zeros((S, self.sys.n, self.sys.n + 1), dtype=x.dtype)
+            M[:, :, :-1], M[0, :, -1] = np.eye(self.sys.n), x
+            for j in range(L):
+                steps = self.step_transitions[j::L]
+                M[:len(steps)] = steps @ M[:len(steps)]
+                M[:len(steps), :, -1] += forcing[j + 1::L]
+            x = M[0, :, -1]
+            for segment in M[1:]:
+                x = segment[:, :-1] @ x + segment[:, -1]
         require_finite(x, "the state x(tau)")
         return x
 

@@ -281,19 +281,22 @@ def lyapunov_oracle(sys, substeps: int = 4) -> np.ndarray:
     return 0.5 * (W + W.T)
 
 
-# The sweeps below are the library's own loops as they were written with one
-# `@` per product and weights indexed per node; the library's leaner loops must
-# match them bit for bit.
+# The sweeps below are the library's own loops as they were written node by node,
+# with one `@` per product and weights indexed per node. The library's admissibility
+# recursion must match its oracle bit for bit; its segmented W, x(tau) and Psi* z
+# passes sum in another order, and match theirs to a stated relative bound.
 
 def ctrl_gramian_stream_oracle(p) -> np.ndarray:
-    """Symmetrized W_tau summed from tau back to 0 over the streamed U(tau, t_i)."""
+    """Symmetrized W_tau summed node by node from tau back to 0 over the streamed stacks
+    of U(tau, t_i)."""
     w = p.grid.weights()
     B = p.sys.B(p.grid.nodes)
     W = np.zeros((p.sys.n, p.sys.n))
-    for i, U in p.transitions_to_end():
-        if w[i] != 0.0:
-            UB = U @ B[i]
-            W += w[i] * (UB @ UB.T)
+    for nodes, stack in p.transitions_to_end():
+        for i, U in zip(range(p.steps + 1)[nodes], stack, strict=True):
+            if w[i] != 0.0:
+                UB = U @ B[i]
+                W += w[i] * (UB @ UB.T)
     return 0.5 * (W + W.T)
 
 

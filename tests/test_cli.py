@@ -22,6 +22,7 @@ from ltvcontrol.cli import (
     EXIT_VALIDATION,
     main,
 )
+from conftest import segment_overflow_samples
 from oracles import kalman_rank
 
 try:
@@ -204,6 +205,16 @@ class TestNumericallyInvalid:
         spec = write_spec(tmp_path / "spec.json", [[0.0, 0.5], [0.0, -5.0]], [[1.0], [1e-3]],
                           [[1.0, 1.0]], steps=50)
         self._assert_refused("synthesize", spec, flags, what, tmp_path, capsys)
+
+    def test_overflow_inside_a_segment_is_refused(self, tmp_path, capsys):
+        # U(0.45, 0.4) ~ e^1000 is the product of one segment; each U(tau, t_i) is finite
+        path = tmp_path / "spec.json"
+        write_spec(path, np.eye(2), [[1.0], [1.0]], [[1.0, 1.0]], steps=400)
+        doc = json.loads(path.read_text())
+        doc["A"] = {"kind": "samples", "data": segment_overflow_samples(400).tolist()}
+        path.write_text(json.dumps(doc))
+        spec = str(path)
+        self._assert_refused("gramian", spec, [], "a segment product", tmp_path, capsys)
 
     @pytest.mark.parametrize("command", ["gramian", "synthesize", "frozen-compare"])
     def test_gramian_past_half_the_float_range_is_refused(self, command, tmp_path, capsys):

@@ -258,7 +258,8 @@ class TestGramianProperties:
             z = rng.normal(size=4)
             quad = sum(
                 w[i] * np.linalg.norm(sys.B(nodes[i]).T @ (U.T @ z)) ** 2
-                for i, U in p.transitions_to_end()
+                for stream_nodes, stack in p.transitions_to_end()
+                for i, U in zip(range(61)[stream_nodes], stack, strict=True)
             )
             assert abs(z @ W @ z - quad) <= 1e-8 * (z @ z)
 

@@ -8,12 +8,13 @@ from ltvcontrol import (
     Propagator,
     cocycle_defect,
     ctrl_gramian_lyapunov,
+    input_map_adjoint,
     sysmodel,
 )
 from ltvcontrol.gramian import lyapunov_segments
 from ltvcontrol.propagate import STACK_ELEMENTS
 from conftest import (BATCH_SIZES, kind_system, make_grid, make_system, random_poly_system,
-                      scalar_system, stiffened)
+                      scalar_system, segment_overflow_samples, stiffened)
 from oracles import expm_oracle, propagate_state_oracle, step_transitions_oracle
 
 
@@ -97,6 +98,21 @@ class TestNumericalRange:
                 list(p.transitions_to_end())
             with pytest.raises(NumericalRangeError):
                 list(p.transitions_from_start())
+
+    def test_overflow_inside_a_segment_is_refused(self):
+        grid = make_grid(steps=400)
+        A = CoeffMatrixFn("samples", segment_overflow_samples(), grid)
+        p = Propagator(make_system(A, [[1.0], [1.0]], [[1.0, 1.0]], grid=grid))
+        assert p.segments() == (20, 20)
+        assert np.all(np.isfinite(p.step_transitions))
+        u = ControlSignal(p.grid, np.ones((401, 1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for run in (lambda: list(p.transitions_to_end()),
+                        lambda: list(p.transitions_from_start()),
+                        lambda: p.propagate_state([1.0, 1.0], u),
+                        lambda: input_map_adjoint(p, [1.0, 1.0])):
+                with pytest.raises(NumericalRangeError):
+                    run()
 
 
 class TestStepPolicy:
@@ -247,24 +263,25 @@ class TestAdjointState:
     def test_final_condition(self, rng):
         p = Propagator(random_poly_system(rng, n=3, steps=40))
         z = rng.normal(size=3)
-        i, U = next(p.transitions_to_end())
-        assert i == 40
-        assert np.allclose(U.T @ z, z)
+        nodes, U = next(p.transitions_to_end())
+        assert range(41)[nodes] == range(40, 41)
+        assert np.allclose(U[0].T @ z, z)
 
     def test_scalar_adjoint_equals_forward(self):
         p = Propagator(scalar_system(a=1.0))
-        *_, (i, U) = p.transitions_to_end()
-        assert i == 0
-        assert U[0, 0] == pytest.approx(np.exp(-1), abs=1e-9)
+        *_, (nodes, U) = p.transitions_to_end()
+        assert range(201)[nodes][0] == 0
+        assert U[0, 0, 0] == pytest.approx(np.exp(-1), abs=1e-9)
 
     def test_duality_pairing(self, rng):
         p = Propagator(random_poly_system(rng, n=4, steps=50))
-        for i, U in p.transitions_to_end():
-            if i % 10:
-                continue
-            for _ in range(20):
-                x = rng.normal(size=4)
-                z = rng.normal(size=4)
-                lhs = (p.transition(i, 50) @ x) @ z
-                rhs = x @ (U.T @ z)
-                assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(z)
+        for nodes, stack in p.transitions_to_end():
+            for i, U in zip(range(51)[nodes], stack, strict=True):
+                if i % 10:
+                    continue
+                for _ in range(20):
+                    x = rng.normal(size=4)
+                    z = rng.normal(size=4)
+                    lhs = (p.transition(i, 50) @ x) @ z
+                    rhs = x @ (U.T @ z)
+                    assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(z)

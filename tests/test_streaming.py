@@ -1,9 +1,9 @@
-"""Streamed transitions and vector sweeps against stored-list oracles, and the
-memory of one pass.
+"""Streamed transitions and vector sweeps against stored-list oracles, the segment
+layout they run on, and the memory of one pass.
 
 The Propagator holds only its step matrices. W_tau, Q_tau, x(tau) and
-Psi_tau* z are single passes over them; the oracles store every U(tau, t_i)
-or U(t_i, 0) and sum in node order.
+Psi_tau* z are single passes over them, segment by segment (Propagator.segments);
+the oracles store every U(tau, t_i) or U(t_i, 0) and sum in node order.
 """
 
 import tracemalloc
@@ -22,6 +22,7 @@ from ltvcontrol import (
     null_controllability_test,
     obs_gramian,
 )
+from ltvcontrol.propagate import SEGMENTED_MAX_DIM, SEGMENTED_MIN_STEPS, STACK_ELEMENTS
 from conftest import BATCH_SIZES, kind_system, make_grid, make_system
 from oracles import (
     adjoint_sweep_oracle,
@@ -38,6 +39,8 @@ from oracles import (
 
 SIZES = [(n, steps) for n in (1, 3, 20, 64) for steps in (2, 3, 17, 200)]
 GRIDS = [("trapezoid", False), ("trapezoid", True), ("simpson", False)]
+# the segmented passes sum in another order than the node-by-node oracles
+RTOL = 1e-13
 
 
 def _propagator(rng, n, steps, quadrature, nonuniform):
@@ -57,21 +60,26 @@ def _close(actual, expect, tol=1e-12):
     return np.linalg.norm(actual - expect) <= tol * np.linalg.norm(expect)
 
 
+def _per_node(stream, steps):
+    """{i: U(i)} from a stream of (node slice, stack) pairs, asserting that it yields
+    every node 0..steps exactly once."""
+    pairs = [(i, U) for nodes, stack in stream
+             for i, U in zip(range(steps + 1)[nodes], stack, strict=True)]
+    assert sorted(i for i, _ in pairs) == list(range(steps + 1))
+    return dict(pairs)
+
+
 @pytest.mark.parametrize("n, steps", SIZES)
 @pytest.mark.parametrize("quadrature, nonuniform", GRIDS)
 class TestAgainstListOracles:
     def test_streams_and_gramians(self, rng, n, steps, quadrature, nonuniform):
         p = _propagator(rng, n, steps, quadrature, nonuniform)
-        to_end = transitions_to_end_oracle(p)
-        streamed = list(p.transitions_to_end())
-        assert [i for i, _ in streamed] == list(range(steps, -1, -1))
-        assert all(np.array_equal(U, to_end[i]) for i, U in streamed)
-        from_start = transitions_from_start_oracle(p)
-        streamed = list(p.transitions_from_start())
-        assert len(streamed) == steps + 1
-        assert all(np.array_equal(U, V) for U, V in zip(streamed, from_start))
+        for stream, oracle in ((p.transitions_to_end(), transitions_to_end_oracle(p)),
+                               (p.transitions_from_start(), transitions_from_start_oracle(p))):
+            streamed = _per_node(stream, steps)
+            assert all(_close(U, oracle[i], RTOL) for i, U in streamed.items())
 
-        assert np.array_equal(obs_gramian(p).W, obs_gramian_oracle(p))
+        assert _close(obs_gramian(p).W, obs_gramian_oracle(p), RTOL)
         # W is summed from tau back to 0, the oracle from 0 up to tau
         gram = ctrl_gramian_quadrature(p)
         expect = ctrl_gramian_oracle(p)
@@ -82,8 +90,9 @@ class TestAgainstListOracles:
     def test_w_pass_hands_over_u_tau_0(self, rng, n, steps, quadrature, nonuniform):
         p = _propagator(rng, n, steps, quadrature, nonuniform)
         gram = ctrl_gramian_quadrature(p)
-        *_, (_, last) = p.transitions_to_end()
-        assert np.array_equal(gram.U_tau_0, last)
+        *_, (nodes, last) = p.transitions_to_end()
+        assert nodes.start == 0
+        assert np.array_equal(gram.U_tau_0, last[0])
         K = p.transition(0, steps)
         assert _close(gram.U_tau_0, K)
         feasible, c = null_controllability_test(gram)
@@ -110,17 +119,54 @@ class TestAgainstListOracles:
 @pytest.mark.parametrize("n, steps", BATCH_SIZES)
 @pytest.mark.parametrize("kind", ["constant", "poly", "samples"])
 @pytest.mark.parametrize("quadrature, nonuniform", GRIDS)
-def test_sweeps_match_per_node_loops_bitwise(rng, n, steps, kind, quadrature, nonuniform):
+def test_sweeps_match_per_node_loops(rng, n, steps, kind, quadrature, nonuniform):
     p = Propagator(kind_system(rng, n, kind, steps, nonuniform, quadrature))
-    assert np.array_equal(ctrl_gramian_quadrature(p).W, ctrl_gramian_stream_oracle(p))
+    assert _close(ctrl_gramian_quadrature(p).W, ctrl_gramian_stream_oracle(p), RTOL)
     assert admissibility_constant(p) == admissibility_recursion_oracle(p)
     x0, z = rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n)
     values = rng.normal(size=(steps + 1, 2))
     for v in (values, values + 1j * values[::-1]):
         u = ControlSignal(p.grid, v)
-        assert np.array_equal(p.propagate_state(x0, u), state_sweep_oracle(p, x0, u))
+        assert _close(p.propagate_state(x0, u), state_sweep_oracle(p, x0, u), RTOL)
     for w in (z.real, z):
-        assert np.array_equal(input_map_adjoint(p, w).values, adjoint_sweep_oracle(p, w))
+        assert _close(input_map_adjoint(p, w).values, adjoint_sweep_oracle(p, w), RTOL)
+
+
+@pytest.mark.parametrize("n, steps, layout", [
+    (3, SEGMENTED_MIN_STEPS - 1, (1, SEGMENTED_MIN_STEPS - 1)),
+    (3, 40, (6, 7)),  # round(sqrt(40)) = 6 segments of 7, the last of 5
+    (3, 144, (12, 12)),
+    (3, 145, (12, 13)),  # the last segment holds 2 intervals
+    (3, 2000, (45, 45)),
+    (SEGMENTED_MAX_DIM, 2000, (32, 63)),  # at most STACK_ELEMENTS // n^2 segments
+    (SEGMENTED_MAX_DIM + 1, 2000, (1, 2000)),
+])
+def test_segment_rule(rng, n, steps, layout):
+    p = _propagator(rng, n, steps, "trapezoid", False)
+    S, L = p.segments()
+    assert (S, L) == layout
+    assert (S - 1) * L < steps <= S * L and S * n * n <= STACK_ELEMENTS
+
+
+# N = 1 is not a grid (TimeGrid needs 3 nodes); 143, 144 and 145 are S L - 1, S L and
+# S L + 1 for S = L = 12; n = SEGMENTED_MAX_DIM + 1 is past the cut to S = 1
+@pytest.mark.parametrize("steps", [2, 3, 37, 143, 144, 145, 2000])
+@pytest.mark.parametrize("n", [3, SEGMENTED_MAX_DIM, SEGMENTED_MAX_DIM + 1])
+@pytest.mark.parametrize("quadrature, nonuniform", GRIDS)
+def test_segment_layout_matches_list_oracles(rng, n, steps, quadrature, nonuniform):
+    p = _propagator(rng, n, steps, quadrature, nonuniform)
+    for stream, oracle in ((p.transitions_to_end(), transitions_to_end_oracle(p)),
+                           (p.transitions_from_start(), transitions_from_start_oracle(p))):
+        streamed = _per_node(stream, steps)
+        assert all(_close(U, oracle[i], RTOL) for i, U in streamed.items())
+    assert _close(ctrl_gramian_quadrature(p).W, ctrl_gramian_oracle(p), RTOL)
+    assert _close(obs_gramian(p).W, obs_gramian_oracle(p), RTOL)
+    values, x0, z = rng.normal(size=(steps + 1, 2)), rng.normal(size=n), rng.normal(size=n)
+    for imag in (0.0, 1.0):
+        u = ControlSignal(p.grid, values + 1j * imag * values[::-1])
+        assert _close(p.propagate_state(x0, u), propagate_state_oracle(p, x0, u), RTOL)
+        w = z + 1j * imag * z[::-1]
+        assert _close(input_map_adjoint(p, w).values, input_map_adjoint_oracle(p, w), RTOL)
 
 
 @pytest.mark.parametrize("consumer", [
