@@ -45,10 +45,10 @@ def input_map_adjoint(p: Propagator, z) -> ControlSignal:
     z = np.asarray(z).reshape(p.sys.n)
     Z = np.empty((p.steps + 1, 1, p.sys.n), dtype=np.result_type(float, z.dtype))  # z_i as rows
     Z[-1] = z
-    S, L = p.segments()
+    L = p.segments()[1]
     steps = p.step_transitions
-    if S > 1:  # each segment end but node N; segment s + 1 rewrites it last
-        Z[L:-1:L, 0] = (z @ p.segment_boundaries(to_end=True))[:-1]
+    # each segment end but node N (none when S = 1); segment s + 1 rewrites it last
+    Z[L:-1:L, 0] = (z @ p.segment_boundaries(to_end=True))[:-1]
     for j in range(L - 1, -1, -1):
         np.matmul(Z[j + 1::L], steps[j::L], out=Z[j:-1:L])
     values = np.einsum("ijk,ij->ik", p.sys.B(p.grid.nodes), Z[:, 0])

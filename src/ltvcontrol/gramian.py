@@ -96,8 +96,8 @@ def lyapunov_segments(sys: LtvSystem, substeps: int) -> int:
     stage times; S is capped so that either stack holds at most STACK_ELEMENTS. A basis
     image grows by at most e^(2 ||A||_inf span) over a segment's span, the Lyapunov
     operator's norm being at most 2 ||A||_inf on the largest |entry|, so segments are
-    cut short enough that this stays within e^SEGMENT_GROWTH. S = 1 (the sequential
-    sweep) past SEGMENTED_MAX_N or when the caps conflict."""
+    cut short enough that this stays within e^SEGMENT_GROWTH. S = 1, one segment with
+    no basis images, past SEGMENTED_MAX_N or when the caps conflict."""
     n, N = sys.n, sys.grid.steps
     per_segment = max(1 + n * (n + 1) // 2, 2 * substeps + 1) * n * n
     cap = min(N, STACK_ELEMENTS // per_segment)
@@ -112,28 +112,23 @@ def lyapunov_segments(sys: LtvSystem, substeps: int) -> int:
 
 
 def _lyapunov_coefficients(sys: LtvSystem, substeps: int, segments: int):
-    """For each position in a segment (interval j of every segment, j = 0 .. L-1): h, h/2,
-    h/6 and -A and B B* at its 2K+1 stage times, each stacked over the segments when
-    segments > 1 (h as (S, 1, 1) arrays) and plain when 1 (h as floats). The intervals
-    past N, which pad the last segment to L, have length 0. The coefficients are sampled
-    for a chunk of positions in one call each."""
+    """For each position in a segment (interval j of every segment, j = 0 .. L-1): h, h/2
+    and h/6 as (S, 1, 1) arrays, and -A and B B* at its 2K+1 stage times, each stacked
+    over the S segments. The intervals past N, which pad the last segment to L, have
+    length 0. The coefficients are sampled for a chunk of positions in one call each."""
     n, N = sys.n, sys.grid.steps
     L = -(-N // segments)
-    lead = (segments,) if segments > 1 else ()
     nodes = sys.grid.nodes
     nodes = np.concatenate([nodes, np.full(segments * L - N, nodes[-1])])
     starts = np.arange(segments)[:, None] * L
     for chunk in batches(L, (2 * substeps + 1) * segments * n * n):
         times, h = stage_times(nodes[starts + np.arange(chunk.start, chunk.stop + 1)], substeps)
         times = times.transpose(1, 2, 0).reshape(-1)  # position, stage time, segment
-        negA = -sys.A(times).reshape(-1, 2 * substeps + 1, *lead, n, n)
+        negA = -sys.A(times).reshape(-1, 2 * substeps + 1, segments, n, n)
         Bs = sys.B(times)
         BBT = (Bs @ Bs.transpose(0, 2, 1)).reshape(negA.shape)
-        h = h.T.reshape(-1, *lead, 1, 1)
-        hs = [h, h / 2, h / 6]
-        if not lead:
-            hs = [x.ravel().tolist() for x in hs]
-        yield from zip(*hs, negA, BBT)
+        h = h.T.reshape(-1, segments, 1, 1)
+        yield from zip(h, h / 2, h / 6, negA, BBT)
 
 
 def ctrl_gramian_lyapunov(sys: LtvSystem) -> GramianResult:
@@ -143,91 +138,67 @@ def ctrl_gramian_lyapunov(sys: LtvSystem) -> GramianResult:
     The RK4 map is affine in W. So the N intervals are cut into S = lyapunov_segments
     segments of L = ceil(N / S) intervals, swept side by side with one stacked RK4
     substep per position in a segment. Segment s carries its forced solution X_s from
-    W = 0 and the homogeneous images H_s(E_b) of the n(n+1)/2 symmetric basis matrices
-    E_b (E_ii, and E_ij + E_ji for i < j). The segments are then combined in order on
-    the upper triangle, W <- sum_b W_b H_s(E_b) + X_s, where W_b is the entry W_ij that
-    E_b picks out. With S = 1 there is no basis and the sweep is sequential.
+    W = 0 and, when S > 1, the homogeneous images H_s(E_b) of the n(n+1)/2 symmetric
+    basis matrices E_b (E_ii, and E_ij + E_ji for i < j). The segments are then combined
+    in order on the upper triangle, W <- sum_b W_b H_s(E_b) + X_s, where W_b is the entry
+    W_ij that E_b picks out. With S = 1 the lone segment's X is W, and there is nothing
+    to combine.
 
     Every member is symmetric, so a stage is P + P* + B B* with P = (-A) V."""
     substeps = rk4_substeps(sys)
     segments = lyapunov_segments(sys, substeps)
-    coefficients = _lyapunov_coefficients(sys, substeps, segments)
     n = sys.n
-    if segments == 1:
-        dot = np.dot
-        W = np.zeros((n, n))
-        for h, h2, h6, negA, BBT in coefficients:
-            stages = zip(negA, BBT)
-            a, q = next(stages)
-            for _, (a2, q2), (a4, q4) in zip(range(substeps), stages, stages):
-                P = dot(a, W)
-                k1 = P + P.T
-                k1 += q
-                V = W + h2 * k1
-                P = dot(a2, V)
-                k2 = P + P.T
-                k2 += q2
-                V = W + h2 * k2
-                P = dot(a2, V)
-                k3 = P + P.T
-                k3 += q2
-                V = W + h * k3
-                P = dot(a4, V)
-                k4 = P + P.T
-                k4 += q4
-                k2 += k3
-                k2 += k2
-                k2 += k1
-                k2 += k4
-                k2 *= h6
-                W = W + k2
-                a, q = a4, q4  # a substep's end is the next one's start
-        return _finalize(W)
-    basis = n * (n + 1) // 2
+    iu, ju = np.triu_indices(n)
+    basis = iu.size if segments > 1 else 0  # segment 0's images are never combined
     shape = (segments, n, basis + 1, n)  # W[s, i, m, j] is entry (i, j) of member m
     wide = (segments, n, (basis + 1) * n)  # the members side by side, for one product
-    iu, ju = np.triu_indices(n)
+    b = np.arange(basis)
     W = np.zeros(shape)
-    W[:, iu, np.arange(1, basis + 1), ju] = 1.0
-    W[:, ju, np.arange(1, basis + 1), iu] = 1.0
-    W = W.reshape(wide)
+    W[:, iu[b], b + 1, ju[b]] = 1.0
+    W[:, ju[b], b + 1, iu[b]] = 1.0
+
+    def views(X):
+        """X's members side by side, the members, their transposes, and member 0: built
+        once per stack, so that a stage reshapes nothing."""
+        X = X.reshape(wide)
+        members = X.reshape(shape)
+        return X, members, members.swapaxes(-1, -3), X[..., :n]
 
     def stage(a, V, q, P, k):
         """k = P + P* per member with P = (-A) V, plus B B* on member 0 only; P is
         scratch, and k may be V's buffer."""
-        np.matmul(a, V, out=P)
-        P = P.reshape(shape)
-        np.add(P, P.swapaxes(-1, -3), out=k.reshape(shape))
-        k = k[..., :n]
-        k += q
+        np.matmul(a, V[0], out=P[0])
+        np.add(P[1], P[2], out=k[1])
+        np.add(k[3], q, out=k[3])
 
     # four stacks, as a position's stack can fill STACK_ELEMENTS: W, two that take
     # turns as V, P and k, and acc, where k1 + 2 k2 + 2 k3 + k4 accumulates
-    acc, X, Y = np.empty(wide), np.empty(wide), np.empty(wide)
-    for h, h2, h6, negA, BBT in coefficients:
+    Wv, accv, Xv, Yv = (views(B) for B in (W, np.empty(wide), np.empty(wide), np.empty(wide)))
+    W, acc, X, Y = Wv[0], accv[0], Xv[0], Yv[0]
+    for h, h2, h6, negA, BBT in _lyapunov_coefficients(sys, substeps, segments):
         stages = zip(negA, BBT)
         a, q = next(stages)
         for _, (a2, q2), (a4, q4) in zip(range(substeps), stages, stages):
-            stage(a, W, q, X, acc)
+            stage(a, Wv, q, Xv, accv)
             np.multiply(h2, acc, out=X)
             X += W
-            stage(a2, X, q2, Y, X)
+            stage(a2, Xv, q2, Yv, Xv)
             np.multiply(h2, X, out=Y)
             Y += W
             X += X
             acc += X
-            stage(a2, Y, q2, X, Y)
+            stage(a2, Yv, q2, Xv, Yv)
             np.multiply(h, Y, out=X)
             X += W
             Y += Y
             acc += Y
-            stage(a4, X, q4, Y, X)
+            stage(a4, Xv, q4, Yv, Xv)
             acc += X
             acc *= h6
             W += acc
-            a, q = a4, q4
+            a, q = a4, q4  # a substep's end is the next one's start
     # packed[s, e, m]: upper-triangle entry e of member m of segment s
-    packed = W.reshape(shape)[..., iu, :, ju].transpose(1, 0, 2)
+    packed = Wv[1][..., iu, :, ju].transpose(1, 0, 2)
     w = packed[0, :, 0]
     for X_H in packed[1:]:
         w = X_H[:, 1:] @ w + X_H[:, 0]

@@ -24,9 +24,9 @@ from .sysmodel import MAX_STEPS, ControlSignal, LtvSystem
 STACK_ELEMENTS = 2**15
 
 # RK4 substeps per interval: at least the classical 4, and never more than 64, which
-# keeps the sequential Lyapunov sweep's stage stack of one interval, -A and B B* at its
-# 2K+1 stage times, (2K+1) n^2 floats each, near 4.2 MB at n = 64 (a segmented sweep's
-# stacks stay within STACK_ELEMENTS)
+# keeps the Lyapunov sweep's stage stack of one position of one segment, -A and B B* at
+# its 2K+1 stage times, (2K+1) n^2 floats each, near 4.2 MB at n = 64 (with more than one
+# segment the stacks stay within STACK_ELEMENTS)
 MIN_SUBSTEPS = 4
 MAX_SUBSTEPS = 64
 
@@ -174,9 +174,12 @@ class Propagator:
 
     def segment_boundaries(self, to_end: bool) -> np.ndarray:
         """U(tau, e_s) (to_end) or U(t_sL, 0) of every segment s, stacked: the segment
-        products U(e_s, t_sL) by L stacked products, chained. A non-finite product, or
-        chain (as the U(tau, 0) chained from it), raises NumericalRangeError."""
+        products U(e_s, t_sL) by L stacked products, chained; the lone identity when S = 1.
+        A non-finite product, or chain (as the U(tau, 0) chained from it), raises
+        NumericalRangeError."""
         S, L = self.segments()
+        if S == 1:
+            return np.eye(self.sys.n)[None]
         steps = self.step_transitions
         P = steps[::L].copy()
         for j in range(1, L):
@@ -202,9 +205,9 @@ class Propagator:
     def _stream(self, to_end: bool):
         """Both streams, by U <- U Phi_i or Phi_i U from the segment boundaries; each raises
         NumericalRangeError in place of a non-finite U(tau, 0)."""
-        (S, L), N = self.segments(), self.steps
+        L, N = self.segments()[1], self.steps
         yield (slice(N, N + 1) if to_end else slice(0, 1)), np.eye(self.sys.n)[None]
-        U = self.segment_boundaries(to_end) if S > 1 else np.eye(self.sys.n)[None]
+        U = self.segment_boundaries(to_end)
         for j in (range(L - 1, -1, -1) if to_end else range(L)):
             steps = self.step_transitions[j::L]
             head = U[:len(steps)] @ steps if to_end else steps @ U[:len(steps)]

@@ -26,8 +26,8 @@ from oracles import lyapunov_oracle
 # and 1.8e-13 below 1e100. Past that, on draws whose modes grow by e^340 or more, the
 # combine of a segment's basis images spreads roundoff further: 1.0e-11 on the draw
 # whose W reaches 7e148, and from 7e-14 to 1.2e-11 on it as the segment length runs
-# over 1 .. 10 intervals, where the sequential sweep is 9.1e-14 from one in extended
-# precision.
+# over 1 .. 10 intervals, where the sweep with one segment (S = 1, no basis images) is
+# 9.3e-14 from an RK4 in extended precision on the same stage times.
 ORACLE_RTOL = 1e-12
 GROWN_RTOL = 1e-10  # W beyond 1e100
 
@@ -100,7 +100,9 @@ class TestLyapunovGramian:
         (2, 50, None, 13, 4),   # 13 segments of 4 pad 2
         (6, 200, None, 25, 8),  # the largest n that is segmented
         # sqrt(N K) > N: S capped at N, one interval each (K = 4, 4 and 9)
-        (2, 2, None, 2, 1), (2, 3, None, 3, 1), (3, 7, 8.5, 7, 1)])
+        (2, 2, None, 2, 1), (2, 3, None, 3, 1), (3, 7, 8.5, 7, 1),
+        # K = 41: the span cap asks for more segments than the stack cap allows, so S = 1
+        (3, 238, 40.5, 1, 238)])
     def test_segments_match_per_stage_oracle(self, rng, n, steps, need, segments, length):
         sys = kind_system(rng, n, "poly", steps, nonuniform=True)
         if need is not None:
@@ -130,7 +132,7 @@ class TestLyapunovGramian:
         assert lyapunov_segments(sys, 51) == 1  # the span cap asks for more than fit
         W = ctrl_gramian_lyapunov(sys).W
         assert W[0, 0] == W[0, 1] == W[1, 0] == 0.0
-        assert W[1, 1] == pytest.approx(0.4323323583816923, rel=1e-12)  # as the sequential sweep
+        assert W[1, 1] == pytest.approx(0.4323323583816923, rel=1e-12)  # the S = 1 sweep
         assert W[1, 1] == pytest.approx((1 - np.exp(-2.0)) / 2, rel=1e-9)
 
     def test_overflow_is_refused(self):
