@@ -40,17 +40,14 @@ EXIT_NUMERICAL = 4
 MAX_MARGINS = 2**20
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
+    if isinstance(obj, np.ndarray):  # a finite float array is its list as it stands
+        finite = obj.dtype.kind == "f" and np.isfinite(obj).all()
+        return obj.tolist() if finite else _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
         return None if math.isinf(x) or math.isnan(x) else x
@@ -65,10 +62,10 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """rows of Python ints and floats (as .tolist() gives them), each printed by repr:
+    the shortest round-trip decimal of a float."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (float, np.floating)) else str(v)
-                              for v in row))
+    lines += [",".join(map(repr, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -152,7 +149,8 @@ def _gramian(args, sys_):
         "observability": {"Q": obs.W, "eigenvalues": obs.eigenvalues,
                           "lambda_min": obs.lambda_min, "lambda_max": obs.lambda_max},
         "cross_residual": residual,
-    }, {"gramian_eigenvalues.csv": (["index", "eigenvalue"], enumerate(quad.eigenvalues))}
+    }, {"gramian_eigenvalues.csv": (["index", "eigenvalue"],
+                                    enumerate(quad.eigenvalues.tolist()))}
 
 
 @_command("synthesize", "minimum-norm steering control",
@@ -172,7 +170,7 @@ def _synthesize(args, sys_):
         return EXIT_INFEASIBLE, {"verdict": type(exc).__name__, "error": str(exc)}, {}
     print(f"steered with cost {result.cost:.6g}, residual {result.target_residual:.3g}")
     header = ["t"] + [f"u_{j + 1}" for j in range(sys_.m)]
-    rows = [(t, *result.control.values[i].real) for i, t in enumerate(sys_.grid.nodes)]
+    rows = np.column_stack([sys_.grid.nodes, result.control.values.real]).tolist()
     return EXIT_OK, {
         "target_residual": result.target_residual,
         "cost": result.cost,
@@ -201,9 +199,9 @@ def _hautus(args, sys_):
     report = hautus.hautus_sweep(Propagator(sys_), grid)
     print(f"min margin {report.min_margin:.6g} at lambda={report.witness_lambda} "
           f"(delta={report.delta:.6g}, M={report.admissibility_M:.6g})")
-    rows = [(float(lam.real), float(lam.imag), ix, report.margins[a, ix])
-            for a, lam in enumerate(grid.lambdas)
-            for ix in range(grid.test_vectors.shape[0])]
+    rows = [(lam.real, lam.imag, ix, margin)
+            for lam, margins in zip(grid.lambdas.tolist(), report.margins.tolist())
+            for ix, margin in enumerate(margins)]
     return EXIT_OK, {
         "seed": args.seed,
         "delta": report.delta,
@@ -225,7 +223,8 @@ def _frozen(args, sys_):
     return EXIT_OK, {
         "inf_frozen": report.inf_frozen,
         "delta_ltv": report.delta_ltv,
-    }, {"frozen_constants.csv": (["s", "m"], zip(report.s_values, report.m_values))}
+    }, {"frozen_constants.csv": (["s", "m"],
+                                 zip(report.s_values.tolist(), report.m_values.tolist()))}
 
 
 @_command("self-check", "run the built-in invariant suite", spec=False)

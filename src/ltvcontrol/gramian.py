@@ -115,18 +115,21 @@ def _lyapunov_coefficients(sys: LtvSystem, substeps: int, segments: int):
     """For each position in a segment (interval j of every segment, j = 0 .. L-1): h, h/2
     and h/6 as (S, 1, 1) arrays, and -A and B B* at its 2K+1 stage times, each stacked
     over the S segments. The intervals past N, which pad the last segment to L, have
-    length 0. The coefficients are sampled for a chunk of positions in one call each."""
+    length 0. The coefficients are sampled for a chunk of positions in one call each;
+    a constant B B* is formed once, on a stack of one, and broadcast."""
     n, N = sys.n, sys.grid.steps
     L = -(-N // segments)
     nodes = sys.grid.nodes
     nodes = np.concatenate([nodes, np.full(segments * L - N, nodes[-1])])
     starts = np.arange(segments)[:, None] * L
+    neg_a, bbt = -sys.A, lambda Bs: Bs @ Bs.transpose(0, 2, 1)
+    once = bbt(sys.B(nodes[:1])) if sys.B.kind == "constant" else None
     for chunk in batches(L, (2 * substeps + 1) * segments * n * n):
         times, h = stage_times(nodes[starts + np.arange(chunk.start, chunk.stop + 1)], substeps)
         times = times.transpose(1, 2, 0).reshape(-1)  # position, stage time, segment
-        negA = -sys.A(times).reshape(-1, 2 * substeps + 1, segments, n, n)
-        Bs = sys.B(times)
-        BBT = (Bs @ Bs.transpose(0, 2, 1)).reshape(negA.shape)
+        negA = neg_a(times).reshape(-1, 2 * substeps + 1, segments, n, n)
+        BBT = (bbt(sys.B(times)).reshape(negA.shape) if once is None
+               else np.broadcast_to(once, negA.shape))
         h = h.T.reshape(-1, segments, 1, 1)
         yield from zip(h, h / 2, h / 6, negA, BBT)
 

@@ -238,9 +238,9 @@ def hautus_sweep(p: Propagator, grid: HautusGrid) -> HautusReport:
 
 # --- frozen-parameter comparison ---------------------------------------------
 
-def _frozen_gramian(A0: np.ndarray, C0: np.ndarray, grid: TimeGrid, substeps: int) -> np.ndarray:
+def _frozen_gramian(G0: np.ndarray, C0: np.ndarray, grid: TimeGrid, substeps: int) -> np.ndarray:
     """int_0^tau e^{-A0* t} C0* C0 e^{-A0 t} dt by the grid's quadrature, for each
-    matrix of the (S, n, n) and (S, p, n) stacks A0 and C0.
+    matrix of the (S, n, n) and (S, p, n) stacks G0 = -A0 (the generators) and C0.
 
     e^{-A0 t_i} is a product of steps E ~ e^{-A0 (t_{i+1} - t_i)}, the Propagator's RK4
     step with -A0 at every stage time. A uniform grid has one E per stack, so
@@ -248,14 +248,14 @@ def _frozen_gramian(A0: np.ndarray, C0: np.ndarray, grid: TimeGrid, substeps: in
     nodes take one E per gap, built for batches of gaps at once, and sweep
     P ~ e^{-A0 t_i} node by node as P <- E P."""
     h = np.diff(grid.nodes) / substeps
-    stages = itertools.repeat(-A0)
+    stages = itertools.repeat(G0)
     if grid.is_uniform():
         Q = _segmented_sum(rk4_steps(stages, h[0], substeps), C0, grid.weights())
     else:
         steps = itertools.chain.from_iterable(rk4_steps(stages, h[chunk, None], substeps)
-                                              for chunk in batches(h.size, A0.size))
-        Q = np.zeros(A0.shape)
-        P = np.eye(A0.shape[-1])
+                                              for chunk in batches(h.size, G0.size))
+        Q = np.zeros(G0.shape)
+        P = np.eye(G0.shape[-1])
         for w, E in zip(grid.weights(), itertools.chain([P], steps)):  # E = I at t_0
             P = E @ P
             CU = C0 @ P
@@ -310,14 +310,14 @@ def frozen_observability_constant(sys: LtvSystem, s0: float | np.ndarray) -> flo
     refuses it."""
     s = np.asarray(s0, dtype=float)
     times = s.reshape(-1)
-    substeps = rk4_substeps(sys)
+    substeps, neg_a = rk4_substeps(sys), -sys.A
     per_s0 = sys.n * sys.n
     if sys.grid.is_uniform():
         per_s0 = -(-per_s0 * sum(_segments(sys.grid.nodes.size)) // UNIFORM_STACKS)
     m = np.empty(times.size)
     for chunk in batches(times.size, per_s0):
         t = times[chunk]
-        lam = np.linalg.eigvalsh(_frozen_gramian(sys.A(t), sys.C(t), sys.grid, substeps))[:, 0]
+        lam = np.linalg.eigvalsh(_frozen_gramian(neg_a(t), sys.C(t), sys.grid, substeps))[:, 0]
         m[chunk] = np.sqrt(np.where(lam < 0.0, 0.0, lam))
     return float(m[0]) if s.ndim == 0 else m.reshape(s.shape)
 

@@ -25,8 +25,8 @@ STACK_ELEMENTS = 2**15
 
 # RK4 substeps per interval: at least the classical 4, and never more than 64, which
 # keeps the Lyapunov sweep's stage stack of one position of one segment, -A and B B* at
-# its 2K+1 stage times, (2K+1) n^2 floats each, near 4.2 MB at n = 64 (with more than one
-# segment the stacks stay within STACK_ELEMENTS)
+# its 2K+1 stage times, (2K+1) n^2 floats each (one for a constant A or B, broadcast),
+# near 4.2 MB at n = 64 (with more than one segment the stacks stay within STACK_ELEMENTS)
 MIN_SUBSTEPS = 4
 MAX_SUBSTEPS = 64
 
@@ -104,12 +104,13 @@ def rk4_substeps(sys: LtvSystem) -> int:
 def rk4_steps(neg_a, h, substeps: int) -> np.ndarray:
     """Phi ~ U(t + Kh, t) of x' = -A(t) x by K = substeps RK4 substeps of length h, for a
     stack of intervals: the iterator neg_a yields -A at the 2K+1 stage times of
-    stage_times in column order, each a stack of matrices; h broadcasts against them."""
+    stage_times in column order, each a stack of matrices; h broadcasts against them.
+    The first substep takes k1 = -A(t_0) itself, as Phi = I there."""
     a = next(neg_a)
     hk = np.asarray(h)[..., None, None]
-    phi = np.broadcast_to(np.eye(a.shape[-1]), np.broadcast_shapes(a.shape, hk.shape))
-    for _ in range(substeps):
-        k1 = a @ phi
+    phi = np.eye(a.shape[-1])
+    for k in range(substeps):
+        k1 = a @ phi if k else a
         a = next(neg_a)
         k2 = a @ (phi + (hk / 2) * k1)
         k3 = a @ (phi + (hk / 2) * k2)
@@ -130,11 +131,11 @@ class Propagator:
         self.sys = sys
         self.substeps = rk4_substeps(sys)
 
-        nodes = sys.grid.nodes
+        nodes, neg_a = sys.grid.nodes, -sys.A
         steps = np.empty((nodes.size - 1, sys.n, sys.n))
         for chunk in batches(steps.shape[0], sys.n * sys.n):
             times, h = stage_times(nodes[chunk.start:chunk.stop + 1], self.substeps)
-            steps[chunk] = rk4_steps((-sys.A(t) for t in times.T), h, self.substeps)
+            steps[chunk] = rk4_steps(map(neg_a, times.T), h, self.substeps)
             require_finite(steps[chunk], "a step matrix")
         steps.setflags(write=False)
         self.step_transitions = steps

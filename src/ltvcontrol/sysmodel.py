@@ -159,6 +159,10 @@ class CoeffMatrixFn:
     def __call__(self, t) -> np.ndarray:
         return eval_coeff(self, t)
 
+    def __neg__(self) -> "CoeffMatrixFn":
+        """-f from negated data: exact, so its values equal -f(t) (up to a zero's sign)."""
+        return CoeffMatrixFn(self.kind, -self.data, self.grid)
+
     def inf_norm_bound(self) -> float:
         """Upper bound of the max-row-sum norm ||f(t)||_inf over t in [0, tau], read
         from data alone: linear interpolation cannot exceed its nodes, and a
@@ -194,12 +198,13 @@ def eval_coeff(f: CoeffMatrixFn, t) -> np.ndarray:
     if f.kind == "constant":
         out = np.broadcast_to(f.data, shape)
     elif f.kind == "poly":
-        # Horner in t with matrix coefficients, in place on one stack
+        # Horner in t with matrix coefficients, in place on the stack data[-1] t
         tk = ts[:, None, None]
-        out = np.full(shape, f.data[-1])
-        for coeff in f.data[-2::-1]:
-            out *= tk
-            out += coeff
+        out = f.data[-1] * tk if len(f.data) > 1 else np.full(shape, f.data[0])
+        for j in range(len(f.data) - 2, -1, -1):
+            out += f.data[j]
+            if j:
+                out *= tk
     else:
         nodes = f.grid.nodes
         j = np.clip(np.searchsorted(nodes, ts, side="right"), 1, nodes.size - 1)

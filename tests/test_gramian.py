@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltvcontrol import (
+    CoeffMatrixFn,
     GramianResult,
+    LtvSystem,
     NumericalRangeError,
     Propagator,
     ctrl_gramian_cross,
@@ -15,7 +17,7 @@ from ltvcontrol import (
 )
 from conftest import (BATCH_SIZES, kind_system, make_system, random_poly_system, scalar_system,
                       stiffened)
-from ltvcontrol import gramian
+from ltvcontrol import gramian, sysmodel
 from ltvcontrol.gramian import COERCIVITY_TOL, SEGMENT_GROWTH, SEGMENTED_MAX_N, lyapunov_segments
 from ltvcontrol.propagate import STACK_ELEMENTS, rk4_substeps
 from oracles import lyapunov_oracle
@@ -111,6 +113,22 @@ class TestLyapunovGramian:
         assert lyapunov_segments(sys, substeps) == segments
         assert -(-steps // segments) == length
         assert_close_to_oracle(ctrl_gramian_lyapunov(sys).W, lyapunov_oracle(sys, substeps))
+
+    def test_constant_B_is_sampled_once(self, rng, monkeypatch):
+        # B B* of a constant B is formed once and broadcast; the same B as a degree-0
+        # poly takes the per-time products, one sample of B per chunk of positions
+        sys = kind_system(rng, 4, "poly", 2000)
+        grid, B0 = sys.grid, sys.B.data[0]
+        constant = LtvSystem(sys.A, CoeffMatrixFn.constant(B0, grid), sys.C)
+        degree0 = LtvSystem(sys.A, CoeffMatrixFn.poly(B0[None], grid), sys.C)
+        sampled = []
+        original = sysmodel.eval_coeff
+        monkeypatch.setattr(sysmodel, "eval_coeff",
+                            lambda f, t: sampled.append(f) or original(f, t))
+        W = ctrl_gramian_lyapunov(constant).W
+        assert sum(f is constant.B for f in sampled) == 1
+        assert np.array_equal(ctrl_gramian_lyapunov(degree0).W, W)
+        assert sum(f is degree0.B for f in sampled) == 12  # lyap_chunks of the count test
 
     @pytest.mark.parametrize("n, segments", [(2, 25), (6, 25), (7, 1), (20, 1)])
     def test_swept_W_is_exactly_symmetric(self, rng, monkeypatch, n, segments):

@@ -17,7 +17,7 @@ from ltvcontrol import (
     l2_norm,
     parse_system,
 )
-from ltvcontrol.sysmodel import MAX_STEPS
+from ltvcontrol.sysmodel import MAX_POLY_DEGREE, MAX_STEPS
 from oracles import eval_coeff_oracle, poly_eval_naive
 
 MINIMAL_SPEC = json.dumps({
@@ -158,6 +158,22 @@ class TestCoeffMatrixFn:
         expect = np.array([eval_coeff_oracle(f, t) for t in times])
         assert np.array_equal(stack, expect)
         assert all(np.array_equal(eval_coeff(f, t), e) for t, e in zip(times, expect))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["constant", "poly", "samples"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_negated_data_gives_negated_values(self, kind, seed):
+        # -f runs Horner and interpolation on -data: -f(t) bit for bit (up to a zero's
+        # sign), with exact-zero entries and polynomial degrees 0 .. MAX_POLY_DEGREE
+        rng = np.random.default_rng(seed)
+        grid = TimeGrid(np.concatenate([[0.0], np.sort(rng.uniform(0, 2.0, 9)), [2.0]]))
+        lead = {"constant": (), "poly": (int(rng.integers(1, MAX_POLY_DEGREE + 2)),),
+                "samples": (grid.steps + 1,)}[kind]
+        data = rng.normal(size=lead + (3, 2)) * (rng.random(lead + (3, 2)) < 0.6)
+        f = CoeffMatrixFn(kind, data, grid)
+        times = np.concatenate([grid.nodes[[0, -1]], rng.uniform(0, grid.tau, 12)])
+        assert np.array_equal(eval_coeff(-f, times), -eval_coeff(f, times))
+        assert np.array_equal(eval_coeff(-f, times[5]), -eval_coeff(f, times[5]))
 
     def test_array_times_out_of_domain(self):
         f = CoeffMatrixFn.constant([[1.0]], GRID)

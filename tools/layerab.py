@@ -1,6 +1,9 @@
-"""In-process A/B timing of ctrl_gramian_lyapunov between two source trees.
+"""In-process A/B timing of one layer between two source trees.
 
-    python tools/layerab.py PARENT_TREE CHANGE_TREE [--pairs 9]
+    python tools/layerab.py PARENT_TREE CHANGE_TREE [--pairs 9] [--layer lyapunov|build]
+
+The layer is ctrl_gramian_lyapunov (lyapunov, the default) or the step build
+Propagator(sys) (build).
 
 Numpy and the standard library only. Each tree's src/ltvcontrol is copied, under
 the package names ltv_parent and ltv_change, into a temporary directory that is
@@ -9,11 +12,13 @@ run on the same process state. BLAS is held to one thread unless the caller set
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS.
 
 For each row of the ladder both trees build the same system from the same random
-coefficients; one untimed call each gives the two Ws. Then --pairs alternating
-pairs of calls are timed (parent first in odd pairs, change first in even ones).
-A row prints S (lyapunov_segments of the change tree), both median times, their
-ratio parent / change (above 1: the change is faster), the pairs the change won,
-and the Frobenius distance of the two Ws relative to the parent's.
+coefficients; one untimed call each gives the two results (W, or the step matrices).
+Then --pairs alternating pairs of calls are timed (parent first in odd pairs, change
+first in even ones). A row prints S (the change tree's lyapunov_segments, or its
+Propagator's segments), both median times, their ratio parent / change (above 1: the
+change is faster), the pairs the change won, and how the results compare: the
+Frobenius distance of the two Ws relative to the parent's, or whether the two stacks
+of step matrices are np.array_equal.
 """
 
 from __future__ import annotations
@@ -85,25 +90,38 @@ def _import_trees(parent: Path, change: Path, into: Path):
         sys.path.remove(str(into))
 
 
-def _timed(pkg, system) -> float:
+# layer: (its result, the change tree's S, the results compared; that column's header)
+LAYERS = {
+    "lyapunov": (lambda pkg, system: pkg.ctrl_gramian_lyapunov(system).W,
+                 lambda pkg, system: pkg.gramian.lyapunov_segments(
+                     system, pkg.propagate.rk4_substeps(system)),
+                 lambda Wp, Wc: f"{np.linalg.norm(Wc - Wp) / np.linalg.norm(Wp):10.1e}",
+                 "W rel dist"),
+    "build": (lambda pkg, system: pkg.Propagator(system).step_transitions,
+              lambda pkg, system: pkg.Propagator(system).segments()[0],
+              lambda Sp, Sc: f"{'yes' if np.array_equal(Sp, Sc) else 'no':>11}",
+              "steps equal"),
+}
+
+
+def _timed(call, pkg, system) -> float:
     start = time.perf_counter()
-    pkg.ctrl_gramian_lyapunov(system)
+    call(pkg, system)
     return time.perf_counter() - start
 
 
-def run_row(pkgs, build, pairs: int) -> dict:
+def run_row(pkgs, build, pairs: int, layer: str = "lyapunov") -> dict:
+    call, segments, compare, _ = LAYERS[layer]
     systems = [build(pkg) for pkg in pkgs]
-    Wp, Wc = (pkg.ctrl_gramian_lyapunov(s).W for pkg, s in zip(pkgs, systems))
-    change, system = pkgs[1], systems[1]
-    S = change.gramian.lyapunov_segments(system, change.propagate.rk4_substeps(system))
+    results = [call(pkg, s) for pkg, s in zip(pkgs, systems)]
     times = ([], [])
     for k in range(pairs):
         for side in ((0, 1) if k % 2 == 0 else (1, 0)):
-            times[side].append(_timed(pkgs[side], systems[side]))
-    return {"S": S, "parent": statistics.median(times[0]),
+            times[side].append(_timed(call, pkgs[side], systems[side]))
+    return {"S": segments(pkgs[1], systems[1]), "parent": statistics.median(times[0]),
             "change": statistics.median(times[1]),
             "won": sum(c < p for p, c in zip(*times)), "pairs": pairs,
-            "dist": float(np.linalg.norm(Wc - Wp) / np.linalg.norm(Wp))}
+            "compared": compare(*results)}
 
 
 def main(argv=None) -> int:
@@ -111,16 +129,17 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--pairs", type=int, default=9)
+    parser.add_argument("--layer", choices=tuple(LAYERS), default="lyapunov")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         pkgs = _import_trees(args.parent.resolve(), args.change.resolve(), Path(tmp))
         print(f"{'row':32} {'S':>3} {'parent ms':>10} {'change ms':>10} {'ratio':>6} "
-              f"{'won':>5} {'W rel dist':>10}")
+              f"{'won':>5} {LAYERS[args.layer][3]}")
         for label, build, cap in LADDER:
-            r = run_row(pkgs, build, min(args.pairs, cap or args.pairs))
+            r = run_row(pkgs, build, min(args.pairs, cap or args.pairs), args.layer)
             print(f"{label:32} {r['S']:3d} {1e3 * r['parent']:10.1f} {1e3 * r['change']:10.1f} "
                   f"{r['parent'] / r['change']:6.2f} {r['won']:2d}/{r['pairs']:<2d} "
-                  f"{r['dist']:10.1e}", flush=True)
+                  f"{r['compared']}", flush=True)
     return 0
 
 
