@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagate import (STACK_ELEMENTS, Propagator, batches, pow2_scale, require_finite,
-                        rk4_substeps, stage_times)
+                        rk4_substeps, segment_plan, stage_times)
 from .sysmodel import LtvSystem
 
 COERCIVITY_TOL = 1e-10
@@ -87,50 +87,46 @@ def ctrl_gramian_quadrature(p: Propagator) -> GramianResult:
     return _finalize(W, U[0])
 
 
-def lyapunov_segments(sys: LtvSystem, substeps: int) -> int:
-    """S, the number of segments ctrl_gramian_lyapunov sweeps side by side: about
-    sqrt(N K), so that the L = ceil(N / S) stacked positions of K substeps and the S
-    combines take the fewest Python steps, and at most N.
+def _segment_entries(n: int, substeps: int) -> int:
+    """Entries per segment of a Lyapunov stack: 1 + n(n+1)/2 members, or 2K+1 stage times."""
+    return max(1 + n * (n + 1) // 2, 2 * substeps + 1) * n * n
 
-    Each segment stacks 1 + n(n+1)/2 members and, per position, -A and B B* at 2K+1
-    stage times; S is capped so that either stack holds at most STACK_ELEMENTS. A basis
-    image grows by at most e^(2 ||A||_inf span) over a segment's span, the Lyapunov
-    operator's norm being at most 2 ||A||_inf on the largest |entry|, so segments are
-    cut short enough that this stays within e^SEGMENT_GROWTH. S = 1, one segment with
-    no basis images, past SEGMENTED_MAX_N or when the caps conflict."""
-    n, N = sys.n, sys.grid.steps
-    per_segment = max(1 + n * (n + 1) // 2, 2 * substeps + 1) * n * n
-    cap = min(N, STACK_ELEMENTS // per_segment)
-    if n > SEGMENTED_MAX_N or cap < 2:
+
+def lyapunov_segments(sys: LtvSystem, substeps: int) -> int:
+    """S, the segments ctrl_gramian_lyapunov sweeps: the segment_plan of N intervals of K
+    substeps, about sqrt(N K), capped at one stack. A basis image grows by at most
+    e^(2 ||A||_inf span) over a segment's span (the Lyapunov operator's norm is at most
+    2 ||A||_inf on the largest |entry|), so segments are cut to keep that within
+    e^SEGMENT_GROWTH, in more stacks if need be. S = 1 (no basis images) past SEGMENTED_MAX_N."""
+    if sys.n > SEGMENTED_MAX_N:
         return 1
     growth = 2 * sys.A.inf_norm_bound() * float(np.max(np.diff(sys.grid.nodes)))
-    longest = math.floor(SEGMENT_GROWTH / growth) if growth > 0 else N  # intervals
-    target = min(round(math.sqrt(N * substeps)), cap)
-    length = min(-(-N // target), longest)  # intervals per segment
-    segments = -(-N // length)
-    return segments if segments <= cap else 1
+    longest = math.floor(SEGMENT_GROWTH / growth) if growth > 0 else None  # intervals
+    cap = STACK_ELEMENTS // _segment_entries(sys.n, substeps)
+    return segment_plan(sys.grid.steps, substeps, cap, longest)[0]
 
 
-def _lyapunov_coefficients(sys: LtvSystem, substeps: int, segments: int):
-    """For each position in a segment (interval j of every segment, j = 0 .. L-1): h, h/2
-    and h/6 as (S, 1, 1) arrays, and -A and B B* at its 2K+1 stage times, each stacked
-    over the S segments. The intervals past N, which pad the last segment to L, have
-    length 0. The coefficients are sampled for a chunk of positions in one call each;
-    a constant B B* is formed once, on a stack of one, and broadcast."""
+def _lyapunov_coefficients(sys: LtvSystem, substeps: int, segments: int, stack: slice):
+    """For each position j = 0 .. L-1 (interval sL + j of segment s) of the segments in the
+    slice stack of the S = segments: h, h/2 and h/6 as (size, 1, 1) arrays, and -A and
+    B B* at its 2K+1 stage times, each stacked over those size segments. The intervals
+    past N, which pad the last segment to L, have length 0. The coefficients are sampled
+    for a chunk of positions in one call each; a constant B B* is formed once, on a stack
+    of one, and broadcast."""
     n, N = sys.n, sys.grid.steps
     L = -(-N // segments)
-    nodes = sys.grid.nodes
-    nodes = np.concatenate([nodes, np.full(segments * L - N, nodes[-1])])
-    starts = np.arange(segments)[:, None] * L
+    nodes = np.concatenate([sys.grid.nodes, np.full(segments * L - N, sys.grid.tau)])
+    starts = np.arange(segments)[stack, None] * L
+    size = stack.stop - stack.start
     neg_a, bbt = -sys.A, lambda Bs: Bs @ Bs.transpose(0, 2, 1)
     once = bbt(sys.B(nodes[:1])) if sys.B.kind == "constant" else None
-    for chunk in batches(L, (2 * substeps + 1) * segments * n * n):
+    for chunk in batches(L, (2 * substeps + 1) * size * n * n):
         times, h = stage_times(nodes[starts + np.arange(chunk.start, chunk.stop + 1)], substeps)
         times = times.transpose(1, 2, 0).reshape(-1)  # position, stage time, segment
-        negA = neg_a(times).reshape(-1, 2 * substeps + 1, segments, n, n)
+        negA = neg_a(times).reshape(-1, 2 * substeps + 1, size, n, n)
         BBT = (bbt(sys.B(times)).reshape(negA.shape) if once is None
                else np.broadcast_to(once, negA.shape))
-        h = h.T.reshape(-1, segments, 1, 1)
+        h = h.T.reshape(-1, size, 1, 1)
         yield from zip(h, h / 2, h / 6, negA, BBT)
 
 
@@ -139,13 +135,13 @@ def ctrl_gramian_lyapunov(sys: LtvSystem) -> GramianResult:
     rk4_substeps(sys) RK4 substeps per interval, as the Propagator's steps.
 
     The RK4 map is affine in W. So the N intervals are cut into S = lyapunov_segments
-    segments of L = ceil(N / S) intervals, swept side by side with one stacked RK4
-    substep per position in a segment. Segment s carries its forced solution X_s from
-    W = 0 and, when S > 1, the homogeneous images H_s(E_b) of the n(n+1)/2 symmetric
-    basis matrices E_b (E_ii, and E_ij + E_ji for i < j). The segments are then combined
-    in order on the upper triangle, W <- sum_b W_b H_s(E_b) + X_s, where W_b is the entry
-    W_ij that E_b picks out. With S = 1 the lone segment's X is W, and there is nothing
-    to combine.
+    segments of L = ceil(N / S) intervals, swept side by side, one stacked RK4 substep
+    per position, in consecutive stacks (_segment_entries). Segment s carries its forced
+    solution X_s from W = 0 and, when S > 1, the homogeneous images H_s(E_b) of the
+    n(n+1)/2 symmetric basis matrices E_b (E_ii, and E_ij + E_ji for i < j). The segments
+    are then combined in order on the upper triangle, W <- sum_b W_b H_s(E_b) + X_s,
+    where W_b is the entry W_ij that E_b picks out. With S = 1 the lone segment's X is W,
+    and there is nothing to combine.
 
     Every member is symmetric, so a stage is P + P* + B B* with P = (-A) V."""
     substeps = rk4_substeps(sys)
@@ -153,18 +149,13 @@ def ctrl_gramian_lyapunov(sys: LtvSystem) -> GramianResult:
     n = sys.n
     iu, ju = np.triu_indices(n)
     basis = iu.size if segments > 1 else 0  # segment 0's images are never combined
-    shape = (segments, n, basis + 1, n)  # W[s, i, m, j] is entry (i, j) of member m
-    wide = (segments, n, (basis + 1) * n)  # the members side by side, for one product
     b = np.arange(basis)
-    W = np.zeros(shape)
-    W[:, iu[b], b + 1, ju[b]] = 1.0
-    W[:, ju[b], b + 1, iu[b]] = 1.0
 
     def views(X):
         """X's members side by side, the members, their transposes, and member 0: built
         once per stack, so that a stage reshapes nothing."""
-        X = X.reshape(wide)
-        members = X.reshape(shape)
+        members = X.reshape(-1, n, basis + 1, n)  # [s, i, m, j]: entry (i, j) of member m
+        X = X.reshape(len(members), n, -1)
         return X, members, members.swapaxes(-1, -3), X[..., :n]
 
     def stage(a, V, q, P, k):
@@ -174,40 +165,42 @@ def ctrl_gramian_lyapunov(sys: LtvSystem) -> GramianResult:
         np.add(P[1], P[2], out=k[1])
         np.add(k[3], q, out=k[3])
 
-    # four stacks, as a position's stack can fill STACK_ELEMENTS: W, two that take
-    # turns as V, P and k, and acc, where k1 + 2 k2 + 2 k3 + k4 accumulates
-    Wv, accv, Xv, Yv = (views(B) for B in (W, np.empty(wide), np.empty(wide), np.empty(wide)))
-    W, acc, X, Y = Wv[0], accv[0], Xv[0], Yv[0]
-    for h, h2, h6, negA, BBT in _lyapunov_coefficients(sys, substeps, segments):
-        stages = zip(negA, BBT)
-        a, q = next(stages)
-        for _, (a2, q2), (a4, q4) in zip(range(substeps), stages, stages):
-            stage(a, Wv, q, Xv, accv)
-            np.multiply(h2, acc, out=X)
-            X += W
-            stage(a2, Xv, q2, Yv, Xv)
-            np.multiply(h2, X, out=Y)
-            Y += W
-            X += X
-            acc += X
-            stage(a2, Yv, q2, Xv, Yv)
-            np.multiply(h, Y, out=X)
-            X += W
-            Y += Y
-            acc += Y
-            stage(a4, Xv, q4, Yv, Xv)
-            acc += X
-            acc *= h6
-            W += acc
-            a, q = a4, q4  # a substep's end is the next one's start
-    # packed[s, e, m]: upper-triangle entry e of member m of segment s
-    packed = Wv[1][..., iu, :, ju].transpose(1, 0, 2)
-    w = packed[0, :, 0]
-    for X_H in packed[1:]:
-        w = X_H[:, 1:] @ w + X_H[:, 0]
+    w = None
+    for stack in batches(segments, _segment_entries(n, substeps)):
+        # four stacks, as a position's stack can fill STACK_ELEMENTS: W, two that take
+        # turns as V, P and k, and acc, where k1 + 2 k2 + 2 k3 + k4 accumulates
+        shape = (stack.stop - stack.start, n, basis + 1, n)
+        Wv, accv, Xv, Yv = map(views, [np.zeros(shape)] + [np.empty(shape) for _ in range(3)])
+        W, acc, X, Y = Wv[0], accv[0], Xv[0], Yv[0]
+        Wv[1][:, iu[b], b + 1, ju[b]] = 1.0
+        Wv[1][:, ju[b], b + 1, iu[b]] = 1.0
+        for h, h2, h6, negA, BBT in _lyapunov_coefficients(sys, substeps, segments, stack):
+            stages = zip(negA, BBT)
+            a, q = next(stages)
+            for _, (a2, q2), (a4, q4) in zip(range(substeps), stages, stages):
+                stage(a, Wv, q, Xv, accv)
+                np.multiply(h2, acc, out=X)
+                X += W
+                stage(a2, Xv, q2, Yv, Xv)
+                np.multiply(h2, X, out=Y)
+                Y += W
+                X += X
+                acc += X
+                stage(a2, Yv, q2, Xv, Yv)
+                np.multiply(h, Y, out=X)
+                X += W
+                Y += Y
+                acc += Y
+                stage(a4, Xv, q4, Yv, Xv)
+                acc += X
+                acc *= h6
+                W += acc
+                a, q = a4, q4  # a substep's end is the next one's start
+        # each segment's [e, m], upper-triangle entry e of member m, combined in order
+        for X_H in Wv[1][..., iu, :, ju].transpose(1, 0, 2):
+            w = X_H[:, 0] if w is None else X_H[:, 1:] @ w + X_H[:, 0]
     W = np.empty((n, n))
-    W[iu, ju] = w
-    W[ju, iu] = w
+    W[iu, ju] = W[ju, iu] = w
     return _finalize(W)
 
 

@@ -33,7 +33,8 @@ import numpy as np
 
 from .duality import admissibility_constant
 from .gramian import observability_constant
-from .propagate import Propagator, batches, pow2_scale, require_finite, rk4_steps, rk4_substeps
+from .propagate import (Propagator, batches, pow2_scale, require_finite, rk4_steps, rk4_substeps,
+                        segment_plan)
 from .sysmodel import LtvSystem, TimeGrid
 
 # a stack of s0 of the uniform frozen pass holds its segment sums in this many
@@ -265,22 +266,17 @@ def _frozen_gramian(G0: np.ndarray, C0: np.ndarray, grid: TimeGrid, substeps: in
     return Q
 
 
-def _segments(nodes: int) -> tuple[int, int]:
-    """Segment length L = ceil(sqrt(nodes)) of _segmented_sum and the number of segments;
-    their sum, the matrices held per stacked E, is then least."""
-    L = math.isqrt(nodes - 1) + 1
-    return L, -(-nodes // L)
-
-
 def _segmented_sum(E: np.ndarray, C0: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_i w_i (C0 E^i)* (C0 E^i) over the nodes i of the weights w, for each matrix of
     the (S, n, n) and (S, p, n) stacks E and C0, in about 3 L + 2 segments stacked
     products where a node sweep takes 3 per node.
 
-    With i = sL + j (_segments): Y_j = (C0 E^j)* (C0 E^j) for j < L from one sweep P <- E P
-    from P = I, whose last P is F = E^L; Z_s = sum_j w_{sL+j} Y_j, one product for all
-    segments; and the sum by Horner from the last segment down, Q <- Z_s + F* Q F."""
-    L, segments = _segments(w.size)
+    With i = sL + j, the segment_plan of the nodes (L = ceil(sqrt(nodes)), so that
+    L + segments, the matrices held per stacked E, is least): Y_j = (C0 E^j)* (C0 E^j)
+    for j < L from one sweep P <- E P from P = I, whose last P is F = E^L;
+    Z_s = sum_j w_{sL+j} Y_j, one product for all segments; and the sum by Horner from
+    the last segment down, Q <- Z_s + F* Q F."""
+    segments, L = segment_plan(w.size)
     S, n = E.shape[0], E.shape[-1]
     Y = np.empty((S, L, n * n))
     P = np.eye(n)
@@ -307,19 +303,21 @@ def frozen_observability_constant(sys: LtvSystem, s0: float | np.ndarray) -> flo
     grid _segmented_sum holds L + segments matrices per value, and a stack holds them in
     UNIFORM_STACKS times STACK_ELEMENTS entries. The RK4 steps take K = rk4_substeps(sys),
     so a grid too coarse for A is refused (NumericalRangeError) as the Propagator
-    refuses it."""
+    refuses it. With A and C both constant, every s0 has one Gramian, formed once."""
     s = np.asarray(s0, dtype=float)
     times = s.reshape(-1)
     substeps, neg_a = rk4_substeps(sys), -sys.A
-    per_s0 = sys.n * sys.n
-    if sys.grid.is_uniform():
-        per_s0 = -(-per_s0 * sum(_segments(sys.grid.nodes.size)) // UNIFORM_STACKS)
+    if sys.A.kind == sys.C.kind == "constant":
+        sys.C(times)  # refuses a time outside the horizon, as the stacks do
+        times = times[:1]
+    per_s0 = (-(-sys.n**2 * sum(segment_plan(sys.grid.nodes.size)) // UNIFORM_STACKS)
+              if sys.grid.is_uniform() else sys.n**2)
     m = np.empty(times.size)
     for chunk in batches(times.size, per_s0):
         t = times[chunk]
         lam = np.linalg.eigvalsh(_frozen_gramian(neg_a(t), sys.C(t), sys.grid, substeps))[:, 0]
         m[chunk] = np.sqrt(np.where(lam < 0.0, 0.0, lam))
-    return float(m[0]) if s.ndim == 0 else m.reshape(s.shape)
+    return float(m[0]) if s.ndim == 0 else np.resize(m, s.shape)
 
 
 @dataclass(frozen=True)

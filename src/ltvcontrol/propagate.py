@@ -51,6 +51,17 @@ def batches(count: int, item_size: int) -> list[slice]:
     return [slice(a, min(a + size, count)) for a in range(0, count, size)]
 
 
+def segment_plan(count: int, per_position: int = 1, cap: int | None = None,
+                 longest: int | None = None) -> tuple[int, int]:
+    """(S, L): count positions as S segments of L = ceil(count / S), the last one short.
+    S aims at round(sqrt(count per_position)), where L positions of per_position substeps
+    plus S combines are fewest, within cap and count; L is then at most longest, and
+    S = ceil(count / L)."""
+    S = min(round(math.sqrt(count * per_position)), count, count if cap is None else cap)
+    L = min(-(-count // S), count if longest is None else longest)
+    return -(-count // L), L
+
+
 def stage_times(nodes: np.ndarray, substeps: int) -> tuple[np.ndarray, np.ndarray]:
     """The 2K+1 distinct RK4 stage times of K substeps on each interval between
     consecutive nodes along the last axis, one row per interval, and the substep
@@ -163,15 +174,13 @@ class Propagator:
         return out
 
     def segments(self) -> tuple[int, int]:
-        """(S, L): the N intervals as S segments of L = ceil(N / S), segment s holding
-        intervals sL .. e_s - 1, e_s = min(sL + L, N); the steps at position j of every
-        segment are the view step_transitions[j::L]. S = round(sqrt(N)), at most
-        STACK_ELEMENTS // n^2, and 1 below SEGMENTED_MIN_STEPS or past SEGMENTED_MAX_DIM."""
+        """(S, L) = segment_plan(N): segment s holds intervals sL .. e_s - 1, with
+        e_s = min(sL + L, N), and the steps at position j of every segment are the view
+        step_transitions[j::L]. S is at most STACK_ELEMENTS // n^2, and 1 below
+        SEGMENTED_MIN_STEPS or past SEGMENTED_MAX_DIM."""
         n, N = self.sys.n, self.steps
-        S = 1 if N < SEGMENTED_MIN_STEPS or n > SEGMENTED_MAX_DIM else min(
-            round(math.sqrt(N)), STACK_ELEMENTS // (n * n))
-        L = -(-N // S)
-        return -(-N // L), L
+        one = N < SEGMENTED_MIN_STEPS or n > SEGMENTED_MAX_DIM
+        return segment_plan(N, cap=1 if one else STACK_ELEMENTS // (n * n))
 
     def segment_boundaries(self, to_end: bool) -> np.ndarray:
         """U(tau, e_s) (to_end) or U(t_sL, 0) of every segment s, stacked: the segment

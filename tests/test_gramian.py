@@ -103,8 +103,9 @@ class TestLyapunovGramian:
         (6, 200, None, 25, 8),  # the largest n that is segmented
         # sqrt(N K) > N: S capped at N, one interval each (K = 4, 4 and 9)
         (2, 2, None, 2, 1), (2, 3, None, 3, 1), (3, 7, 8.5, 7, 1),
-        # K = 41: the span cap asks for more segments than the stack cap allows, so S = 1
-        (3, 238, 40.5, 1, 238)])
+        # K = 41: the span cap asks for more segments than one stack of 43 holds, so the
+        # 60 segments are swept in two stacks
+        (3, 238, 40.5, 60, 4)])
     def test_segments_match_per_stage_oracle(self, rng, n, steps, need, segments, length):
         sys = kind_system(rng, n, "poly", steps, nonuniform=True)
         if need is not None:
@@ -147,10 +148,10 @@ class TestLyapunovGramian:
         # E_11 grows as e^(4e5 t) and would overflow within 0.002 of one long segment
         sys = make_system(np.diag([-2e5, 1.0]), [[0.0], [1.0]], [[1.0, 1.0]], steps=4000)
         assert rk4_substeps(sys) == 51
-        assert lyapunov_segments(sys, 51) == 1  # the span cap asks for more than fit
+        assert lyapunov_segments(sys, 51) == 1334  # the span cap: 17 stacks of at most 79
         W = ctrl_gramian_lyapunov(sys).W
         assert W[0, 0] == W[0, 1] == W[1, 0] == 0.0
-        assert W[1, 1] == pytest.approx(0.4323323583816923, rel=1e-12)  # the S = 1 sweep
+        assert W[1, 1] == pytest.approx(0.4323323583816923, rel=1e-12)  # the unsegmented sweep's W
         assert W[1, 1] == pytest.approx((1 - np.exp(-2.0)) / 2, rel=1e-9)
 
     def test_overflow_is_refused(self):

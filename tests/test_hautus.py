@@ -22,6 +22,7 @@ from ltvcontrol import (
     russell_weiss_margin,
     russell_weiss_min_margin,
 )
+from ltvcontrol import hautus
 from ltvcontrol.duality import admissibility_constant
 from conftest import kind_system, make_grid, make_system, scalar_system
 from ltvcontrol.hautus import _hautus_integral
@@ -438,6 +439,20 @@ class TestFrozenBatch:
             assert type(scalar) is float
             assert scalar == m
         assert type(frozen_observability_constant(sys, 1)) is float
+
+    @pytest.mark.parametrize("grid", ["trapezoid", "nonuniform"])
+    def test_constant_coefficients_form_one_gramian(self, rng, monkeypatch, grid):
+        # with A and C both constant every s0 has the same frozen Gramian: it is formed
+        # once for all 501 nodes, and each value is bitwise the single-s0 call's
+        sys = frozen_kind_system(rng, 6, "constant", 500, grid)
+        single = frozen_observability_constant(sys, 0.3)
+        formed = []
+        original = hautus._frozen_gramian
+        monkeypatch.setattr(hautus, "_frozen_gramian",
+                            lambda *args: formed.append(args) or original(*args))
+        values = frozen_observability_constant(sys, sys.grid.nodes.reshape(3, 167))
+        assert len(formed) == 1 and formed[0][0].shape[0] == 1
+        assert values.shape == (3, 167) and np.all(values == single) and single > 0
 
     @pytest.mark.parametrize("s0", [[0.0, 1.5], [-1e-3, 0.5], [0.5, np.nan]])
     def test_any_time_outside_horizon_raises(self, s0):

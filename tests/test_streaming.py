@@ -6,10 +6,13 @@ Psi_tau* z are single passes over them, segment by segment (Propagator.segments)
 the oracles store every U(tau, t_i) or U(t_i, 0) and sum in node order.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltvcontrol import (
     CoeffMatrixFn,
@@ -22,7 +25,8 @@ from ltvcontrol import (
     null_controllability_test,
     obs_gramian,
 )
-from ltvcontrol.propagate import SEGMENTED_MAX_DIM, SEGMENTED_MIN_STEPS, STACK_ELEMENTS
+from ltvcontrol.propagate import (SEGMENTED_MAX_DIM, SEGMENTED_MIN_STEPS, STACK_ELEMENTS,
+                                  segment_plan)
 from conftest import BATCH_SIZES, kind_system, make_grid, make_system
 from oracles import (
     adjoint_sweep_oracle,
@@ -146,6 +150,22 @@ def test_segment_rule(rng, n, steps, layout):
     S, L = p.segments()
     assert (S, L) == layout
     assert (S - 1) * L < steps <= S * L and S * n * n <= STACK_ELEMENTS
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(count=st.integers(1, 10**5), per_position=st.integers(1, 64),
+       cap=st.none() | st.integers(1, 10**5), longest=st.none() | st.integers(1, 10**5))
+def test_segment_plan_covers_the_count_within_its_limits(count, per_position, cap, longest):
+    # every segmented sweep is cut by this one rule: S segments of L cover the count with
+    # a short last segment, L never exceeds longest, and S stays within cap unless the
+    # longest segments need more of them
+    S, L = segment_plan(count, per_position, cap, longest)
+    assert (S - 1) * L < count <= S * L
+    assert longest is None or L <= longest
+    if cap is not None and -(-count // (longest or count)) <= cap:
+        assert S <= cap
+    root = math.isqrt(count - 1) + 1  # ceil(sqrt(count)): the frozen sum's own rule
+    assert segment_plan(count) == (-(-count // root), root)
 
 
 # N = 1 is not a grid (TimeGrid needs 3 nodes); 143, 144 and 145 are S L - 1, S L and

@@ -58,8 +58,8 @@ def _poly_row(n, steps, quadrature="trapezoid"):
 
 
 def _cap_conflict(pkg):
-    """-A = diag(2e5, -1) on 4000 steps: K = 51, and S = 1 as the span cap asks for more
-    segments than the stack cap allows."""
+    """-A = diag(2e5, -1) on 4000 steps: K = 51, and the span cap asks for more segments
+    (1334) than one stack holds (79), so the sweep takes them in 17 stacks."""
     grid = pkg.TimeGrid.uniform(1.0, 4000, "trapezoid")
     return pkg.LtvSystem(pkg.CoeffMatrixFn.constant(np.diag([-2e5, 1.0]), grid),
                          pkg.CoeffMatrixFn.constant(np.array([[0.0], [1.0]]), grid),
