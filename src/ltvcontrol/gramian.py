@@ -13,13 +13,12 @@ minimum eigenvalue's square root is the exact-observability constant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .propagate import (STACK_ELEMENTS, Propagator, batches, pow2_scale, require_finite,
-                        rk4_substeps, segment_plan, stage_times)
+from .propagate import (STACK_ELEMENTS, Propagator, batches, longest_segment, pow2_scale,
+                        require_finite, rk4_substeps, segment_plan, stage_times)
 from .sysmodel import LtvSystem
 
 COERCIVITY_TOL = 1e-10
@@ -27,9 +26,6 @@ COERCIVITY_TOL = 1e-10
 # the Lyapunov sweep is segmented up to this state dimension; past it the n(n+1)/2
 # basis images of a segment cost more than the Python steps they save
 SEGMENTED_MAX_N = 6
-# a segment's basis images grow by at most e^SEGMENT_GROWTH, about 2^511: finite, and
-# finite times any coefficient below 2^512
-SEGMENT_GROWTH = 354.0
 
 
 @dataclass(frozen=True)
@@ -96,14 +92,12 @@ def lyapunov_segments(sys: LtvSystem, substeps: int) -> int:
     """S, the segments ctrl_gramian_lyapunov sweeps: the segment_plan of N intervals of K
     substeps, about sqrt(N K), capped at one stack. A basis image grows by at most
     e^(2 ||A||_inf span) over a segment's span (the Lyapunov operator's norm is at most
-    2 ||A||_inf on the largest |entry|), so segments are cut to keep that within
-    e^SEGMENT_GROWTH, in more stacks if need be. S = 1 (no basis images) past SEGMENTED_MAX_N."""
+    2 ||A||_inf on the largest |entry|): segments take the shared growth rule at rate 2,
+    longest_segment(sys, 2), in more stacks if need be. S = 1 (no images) past SEGMENTED_MAX_N."""
     if sys.n > SEGMENTED_MAX_N:
         return 1
-    growth = 2 * sys.A.inf_norm_bound() * float(np.max(np.diff(sys.grid.nodes)))
-    longest = math.floor(SEGMENT_GROWTH / growth) if growth > 0 else None  # intervals
     cap = STACK_ELEMENTS // _segment_entries(sys.n, substeps)
-    return segment_plan(sys.grid.steps, substeps, cap, longest)[0]
+    return segment_plan(sys.grid.steps, substeps, cap, longest_segment(sys, 2))[0]
 
 
 def _lyapunov_coefficients(sys: LtvSystem, substeps: int, segments: int, stack: slice):

@@ -6,9 +6,9 @@ z'(t) = A(t)* z(t), z(tau) = z_tau.
 
 Per-interval step matrices Phi_i ~ U(t_{i+1}, t_i) are integrated once with
 RK4 (a substep count chosen from A, see rk4_substeps), on stacks of intervals
-with A sampled once per distinct stage time for the whole stack. They are all
-that is stored: transitions are products of them formed on demand, singly or streamed
-by segments (Propagator.segments), so a pass holds a few stacks beyond the steps.
+with A sampled once per distinct stage time for the whole stack. They are stored with
+the segment products (Propagator.segments), bounded by one growth rule: transitions are
+products of them formed on demand, so a pass holds a few stacks beyond them.
 """
 
 from __future__ import annotations
@@ -30,9 +30,11 @@ STACK_ELEMENTS = 2**15
 MIN_SUBSTEPS = 4
 MAX_SUBSTEPS = 64
 
-# passes are segmented from this many steps up to this dimension (measured in README.md)
-SEGMENTED_MIN_STEPS = 40
+# passes are segmented up to this dimension (measured in README.md)
 SEGMENTED_MAX_DIM = 32
+# a segment's products grow by at most e^SEGMENT_GROWTH, about 2^511: finite, and
+# finite times any coefficient below 2^512
+SEGMENT_GROWTH = 354.0
 
 
 class NumericalRangeError(ArithmeticError):
@@ -60,6 +62,13 @@ def segment_plan(count: int, per_position: int = 1, cap: int | None = None,
     S = min(round(math.sqrt(count * per_position)), count, count if cap is None else cap)
     L = min(-(-count // S), count if longest is None else longest)
     return -(-count // L), L
+
+
+def longest_segment(sys: LtvSystem, rate: int) -> int | None:
+    """floor(SEGMENT_GROWTH / (rate h_max ||A||_inf)) intervals, None when ||A|| = 0: a segment
+    product growing by at most e^(rate ||A||_inf) per unit time stays within e^SEGMENT_GROWTH."""
+    growth = rate * sys.A.inf_norm_bound() * float(np.max(np.diff(sys.grid.nodes)))
+    return math.floor(SEGMENT_GROWTH / growth) if growth > 0 else None
 
 
 def stage_times(nodes: np.ndarray, substeps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -133,7 +142,8 @@ def rk4_steps(neg_a, h, substeps: int) -> np.ndarray:
 
 class Propagator:
     """Discretized evolution family of one LtvSystem, held as its step matrices,
-    each integrated with rk4_substeps(sys) RK4 substeps.
+    each integrated with rk4_substeps(sys) RK4 substeps, and its segment_products
+    U(e_s, t_sL) (None when S = 1, see segments).
 
     Immutable after construction; all queries are pure.
     """
@@ -150,6 +160,16 @@ class Propagator:
             require_finite(steps[chunk], "a step matrix")
         steps.setflags(write=False)
         self.step_transitions = steps
+        one = sys.n > SEGMENTED_MAX_DIM  # a node sweep: no segment product to bound
+        cap, longest = (1, None) if one else (STACK_ELEMENTS // sys.n**2, longest_segment(sys, 1))
+        S, L = self._segments = segment_plan(steps.shape[0], cap=cap, longest=longest)
+        P = None
+        if S > 1:  # by L stacked products
+            P = steps[::L].copy()
+            for j in range(1, L):
+                P[:len(steps[j::L])] = steps[j::L] @ P[:len(steps[j::L])]
+            P.setflags(write=False)
+        self.segment_products = P
 
     @property
     def grid(self):
@@ -176,26 +196,17 @@ class Propagator:
     def segments(self) -> tuple[int, int]:
         """(S, L) = segment_plan(N): segment s holds intervals sL .. e_s - 1, with
         e_s = min(sL + L, N), and the steps at position j of every segment are the view
-        step_transitions[j::L]. S is at most STACK_ELEMENTS // n^2, and 1 below
-        SEGMENTED_MIN_STEPS or past SEGMENTED_MAX_DIM."""
-        n, N = self.sys.n, self.steps
-        one = N < SEGMENTED_MIN_STEPS or n > SEGMENTED_MAX_DIM
-        return segment_plan(N, cap=1 if one else STACK_ELEMENTS // (n * n))
+        step_transitions[j::L]. S aims at most at STACK_ELEMENTS // n^2, L is at most
+        longest_segment(sys, 1) (||Phi_i||_inf <= e^(h_i ||A||_inf)), and S = ceil(N / L) can
+        pass that cap, and its stacks STACK_ELEMENTS. S = 1 past SEGMENTED_MAX_DIM."""
+        return self._segments
 
     def segment_boundaries(self, to_end: bool) -> np.ndarray:
-        """U(tau, e_s) (to_end) or U(t_sL, 0) of every segment s, stacked: the segment
-        products U(e_s, t_sL) by L stacked products, chained; the lone identity when S = 1.
-        A non-finite product, or chain (as the U(tau, 0) chained from it), raises
-        NumericalRangeError."""
-        S, L = self.segments()
-        if S == 1:
-            return np.eye(self.sys.n)[None]
-        steps = self.step_transitions
-        P = steps[::L].copy()
-        for j in range(1, L):
-            P[:len(steps[j::L])] = steps[j::L] @ P[:len(steps[j::L])]
-        require_finite(P, "a segment product")
-        U = np.empty_like(P)
+        """U(tau, e_s) (to_end) or U(t_sL, 0) of every segment s, stacked: segment_products
+        chained in S - 1 products; the lone identity when S = 1. A non-finite chain (as the
+        U(tau, 0) chained from it) raises NumericalRangeError."""
+        S, P = self.segments()[0], self.segment_products
+        U = np.empty((S, self.sys.n, self.sys.n))
         order = range(S - 1, -1, -1) if to_end else range(S)
         U[order[0]] = np.eye(self.sys.n)
         for a, b in zip(order, order[1:]):
@@ -230,10 +241,10 @@ class Propagator:
         """Variation-of-constants state x(tau) = U(tau,0)x0 + int_0^tau U(tau,s)B(s)u(s) ds.
 
         The forcing integral is the grid quadrature, summed by the forward sweep
-        x <- Phi_i x + w_{i+1} B(t_{i+1}) u(t_{i+1}) from x = x0 + w_0 B(t_0) u(t_0), in every
-        segment at once, then chained. Raises NumericalRangeError for a non-finite x(tau).
+        x_s <- Phi_i x_s + w_{i+1} B(t_{i+1}) u(t_{i+1}) in every segment at once, each from
+        0 but segment 0, from x0 + w_0 B(t_0) u(t_0); then x(tau) = sum_s U(tau, e_s) x_s,
+        as input_map_adjoint sweeps Psi* z. Raises NumericalRangeError for a non-finite x(tau).
         """
-        x = np.asarray(x0).reshape(self.sys.n)
         forcing = np.zeros((self.steps + 1, 1))
         if u is not None:
             if not np.array_equal(u.grid.nodes, self.grid.nodes):
@@ -242,21 +253,15 @@ class Propagator:
                 raise ValueError(f"control dimension {u.dim} != m = {self.sys.m}")
             B = self.sys.B(self.grid.nodes)
             forcing = np.einsum("i,ijk,ik->ij", self.grid.weights(), B, u.values)
-        x = x + forcing[0]
+        x = np.asarray(x0).reshape(self.sys.n) + forcing[0]
         S, L = self.segments()
-        if S == 1:
-            for phi, f in zip(self.step_transitions, forcing[1:]):
-                x = np.dot(phi, x) + f
-        else:  # [U(e_s, t_sL) | x_s] of every segment, by one stacked product per position
-            M = np.zeros((S, self.sys.n, self.sys.n + 1), dtype=x.dtype)
-            M[:, :, :-1], M[0, :, -1] = np.eye(self.sys.n), x
-            for j in range(L):
-                steps = self.step_transitions[j::L]
-                M[:len(steps)] = steps @ M[:len(steps)]
-                M[:len(steps), :, -1] += forcing[j + 1::L]
-            x = M[0, :, -1]
-            for segment in M[1:]:
-                x = segment[:, :-1] @ x + segment[:, -1]
+        X = np.zeros((S, self.sys.n, 1), dtype=x.dtype)  # x_s as columns
+        X[0, :, 0] = x
+        for j in range(L):
+            steps = self.step_transitions[j::L]
+            X[:len(steps)] = steps @ X[:len(steps)]
+            X[:len(steps), :, 0] += forcing[j + 1::L]
+        x = np.einsum("sij,sj->i", self.segment_boundaries(to_end=True), X[..., 0])
         require_finite(x, "the state x(tau)")
         return x
 

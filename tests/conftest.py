@@ -90,9 +90,9 @@ def stiffened(sys, need):
 
 def segment_overflow_samples(steps=400):
     """Samples of A = diag(a, 1) on a uniform grid on [0, 1]: a = -2e4 on the nodes in
-    [0.4, 0.45], +2e4 on those in (0.45, 0.5125], 0 elsewhere. On 400 steps (20 segments
-    of 20 intervals) the step of segment 8, U(0.45, 0.4) ~ e^1000, overflows, while every
-    U(tau, t_i) is at most about 1: the growth is undone by the decay after it."""
+    [0.4, 0.45], +2e4 on those in (0.45, 0.5125], 0 elsewhere. On 400 steps U(0.45, 0.4)
+    ~ e^1000 overflows, while every U(tau, t_i) is at most about 1: the growth is undone by
+    the decay after it. The growth rule cuts segments of 7 intervals, each product finite."""
     t = np.linspace(0.0, 1.0, steps + 1)
     a = np.where((t >= 0.4) & (t <= 0.45), -2e4, 0.0)
     a[(t > 0.45 + 1e-12) & (t <= 0.5125 + 1e-12)] = 2e4

@@ -206,15 +206,23 @@ class TestNumericallyInvalid:
                           [[1.0, 1.0]], steps=50)
         self._assert_refused("synthesize", spec, flags, what, tmp_path, capsys)
 
-    def test_overflow_inside_a_segment_is_refused(self, tmp_path, capsys):
-        # U(0.45, 0.4) ~ e^1000 is the product of one segment; each U(tau, t_i) is finite
+    def test_growth_inside_a_segment_is_carried(self, tmp_path, capsys):
+        # U(0.45, 0.4) ~ e^1000 spans segments whose products stay within e^SEGMENT_GROWTH,
+        # and each U(tau, t_i) is finite: synthesize steers. The forward Lyapunov W(t) of
+        # gramian passes e^1000 on the way, so gramian is refused on the Gramian itself
         path = tmp_path / "spec.json"
         write_spec(path, np.eye(2), [[1.0], [1.0]], [[1.0, 1.0]], steps=400)
         doc = json.loads(path.read_text())
         doc["A"] = {"kind": "samples", "data": segment_overflow_samples(400).tolist()}
         path.write_text(json.dumps(doc))
         spec = str(path)
-        self._assert_refused("gramian", spec, [], "a segment product", tmp_path, capsys)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["synthesize", spec, "-o", str(tmp_path / "steer"), "--x0=1,1"]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert load_report(tmp_path / "steer")["target_residual"] <= 1e-12
+        assert capsys.readouterr().out.startswith("steered with cost")
+        self._assert_refused("gramian", spec, [], "the Gramian", tmp_path, capsys)
 
     @pytest.mark.parametrize("command", ["gramian", "synthesize", "frozen-compare"])
     def test_gramian_past_half_the_float_range_is_refused(self, command, tmp_path, capsys):

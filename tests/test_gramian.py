@@ -18,8 +18,8 @@ from ltvcontrol import (
 from conftest import (BATCH_SIZES, kind_system, make_system, random_poly_system, scalar_system,
                       stiffened)
 from ltvcontrol import gramian, sysmodel
-from ltvcontrol.gramian import COERCIVITY_TOL, SEGMENT_GROWTH, SEGMENTED_MAX_N, lyapunov_segments
-from ltvcontrol.propagate import STACK_ELEMENTS, rk4_substeps
+from ltvcontrol.gramian import COERCIVITY_TOL, SEGMENTED_MAX_N, lyapunov_segments
+from ltvcontrol.propagate import SEGMENT_GROWTH, STACK_ELEMENTS, rk4_substeps
 from oracles import lyapunov_oracle
 
 # Frobenius distance of the Lyapunov W to the per-stage oracle, relative to the oracle's

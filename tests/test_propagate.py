@@ -15,7 +15,8 @@ from ltvcontrol.gramian import lyapunov_segments
 from ltvcontrol.propagate import STACK_ELEMENTS
 from conftest import (BATCH_SIZES, kind_system, make_grid, make_system, random_poly_system,
                       scalar_system, segment_overflow_samples, stiffened)
-from oracles import expm_oracle, propagate_state_oracle, step_transitions_oracle
+from oracles import (adjoint_sweep_oracle, expm_oracle, propagate_state_oracle,
+                     step_transitions_oracle, transitions_to_end_oracle)
 
 
 class TestTransition:
@@ -99,20 +100,26 @@ class TestNumericalRange:
             with pytest.raises(NumericalRangeError):
                 list(p.transitions_from_start())
 
-    def test_overflow_inside_a_segment_is_refused(self):
+    def test_growth_inside_a_segment_is_carried(self):
+        # U(0.45, 0.4) ~ e^1000 spans segments whose products stay within e^SEGMENT_GROWTH:
+        # every U(tau, t_i) is at most about 1 and is streamed, U(t_i, 0) past 0.45 is not
         grid = make_grid(steps=400)
         A = CoeffMatrixFn("samples", segment_overflow_samples(), grid)
         p = Propagator(make_system(A, [[1.0], [1.0]], [[1.0, 1.0]], grid=grid))
-        assert p.segments() == (20, 20)
-        assert np.all(np.isfinite(p.step_transitions))
+        assert p.segments() == (58, 7)
         u = ControlSignal(p.grid, np.ones((401, 1)))
+        z = np.array([1.0, 1.0])
+        expect = transitions_to_end_oracle(p)
+        for nodes, stack in p.transitions_to_end():
+            for i, U in zip(range(401)[nodes], stack, strict=True):
+                assert np.linalg.norm(U - expect[i]) <= 1e-12 * np.linalg.norm(expect[i])
+        signal = adjoint_sweep_oracle(p, z)
+        assert np.linalg.norm(input_map_adjoint(p, z).values - signal) \
+            <= 1e-12 * np.linalg.norm(signal)
+        assert np.all(np.isfinite(p.propagate_state([1.0, 1.0], u)))
         with np.errstate(over="ignore", invalid="ignore"):
-            for run in (lambda: list(p.transitions_to_end()),
-                        lambda: list(p.transitions_from_start()),
-                        lambda: p.propagate_state([1.0, 1.0], u),
-                        lambda: input_map_adjoint(p, [1.0, 1.0])):
-                with pytest.raises(NumericalRangeError):
-                    run()
+            with pytest.raises(NumericalRangeError):
+                list(p.transitions_from_start())
 
 
 class TestStepPolicy:

@@ -1,8 +1,8 @@
 """Streamed transitions and vector sweeps against stored-list oracles, the segment
 layout they run on, and the memory of one pass.
 
-The Propagator holds only its step matrices. W_tau, Q_tau, x(tau) and
-Psi_tau* z are single passes over them, segment by segment (Propagator.segments);
+The Propagator holds its step matrices and segment products. W_tau, Q_tau, x(tau)
+and Psi_tau* z are single passes over them, segment by segment (Propagator.segments);
 the oracles store every U(tau, t_i) or U(t_i, 0) and sum in node order.
 """
 
@@ -25,9 +25,9 @@ from ltvcontrol import (
     null_controllability_test,
     obs_gramian,
 )
-from ltvcontrol.propagate import (SEGMENTED_MAX_DIM, SEGMENTED_MIN_STEPS, STACK_ELEMENTS,
-                                  segment_plan)
-from conftest import BATCH_SIZES, kind_system, make_grid, make_system
+from ltvcontrol.propagate import (SEGMENT_GROWTH, SEGMENTED_MAX_DIM, STACK_ELEMENTS,
+                                  longest_segment, segment_plan)
+from conftest import BATCH_SIZES, kind_system, make_grid, make_system, stiffened
 from oracles import (
     adjoint_sweep_oracle,
     admissibility_recursion_oracle,
@@ -137,7 +137,7 @@ def test_sweeps_match_per_node_loops(rng, n, steps, kind, quadrature, nonuniform
 
 
 @pytest.mark.parametrize("n, steps, layout", [
-    (3, SEGMENTED_MIN_STEPS - 1, (1, SEGMENTED_MIN_STEPS - 1)),
+    (3, 39, (6, 7)),  # round(sqrt(39)) = 6 segments of 7, the last of 4
     (3, 40, (6, 7)),  # round(sqrt(40)) = 6 segments of 7, the last of 5
     (3, 144, (12, 12)),
     (3, 145, (12, 13)),  # the last segment holds 2 intervals
@@ -150,6 +150,48 @@ def test_segment_rule(rng, n, steps, layout):
     S, L = p.segments()
     assert (S, L) == layout
     assert (S - 1) * L < steps <= S * L and S * n * n <= STACK_ELEMENTS
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), steps=st.integers(2, 400), diagonal=st.booleans(),
+       nonuniform=st.booleans(), need=st.floats(0.5, 63.5), seed=st.integers(0, 2**32 - 1))
+def test_growth_rule_bounds_every_segment_product(n, steps, diagonal, nonuniform, need, seed):
+    # h_max ||A||_inf = need up to the cap of 64 substeps: a constant diagonal A whose
+    # largest mode grows at the full rate, or random samples; ||Phi_i|| <= e^(h_i ||A||)
+    # keeps each product of at most longest_segment intervals within e^SEGMENT_GROWTH
+    rng = np.random.default_rng(seed)
+    nodes = None
+    if nonuniform:
+        nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, steps))])
+        nodes /= nodes[-1]
+    grid = make_grid(steps=steps, nodes=nodes)
+    if diagonal:
+        rates = rng.uniform(-1, 1, n)
+        rates[0] = -1.0
+        data = np.broadcast_to(np.diag(rates), (steps + 1, n, n))
+    else:
+        data = rng.normal(size=(steps + 1, n, n))
+    sys = stiffened(make_system(CoeffMatrixFn("samples", data, grid), np.ones((n, 1)),
+                                np.ones((1, n)), grid=grid), need)
+    p = Propagator(sys)
+    S, L = p.segments()
+    assert L <= longest_segment(sys, 1)
+    if S == 1:
+        assert p.segment_products is None
+        return
+    P = p.segment_products
+    assert P.shape == (S, n, n) and not P.flags.writeable
+    assert np.all(np.isfinite(P)) and np.max(np.abs(P)) <= math.exp(SEGMENT_GROWTH)
+    for s in range(S):
+        expect = p.transition(s * L, min(s * L + L, steps))
+        assert np.linalg.norm(P[s] - expect) <= 1e-13 * np.linalg.norm(expect)
+
+
+def test_past_the_dimension_cut_a_node_sweep_at_any_growth(rng):
+    sys = stiffened(kind_system(rng, SEGMENTED_MAX_DIM + 1, "samples", 50), 63.5)
+    p = Propagator(sys)
+    assert p.substeps == 64 and longest_segment(sys, 1) == 5
+    assert p.segments() == (1, 50) and p.segment_products is None
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
