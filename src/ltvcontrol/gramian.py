@@ -126,7 +126,7 @@ def _lyapunov_coefficients(sys: LtvSystem, substeps: int, segments: int, stack: 
 
 def ctrl_gramian_lyapunov(sys: LtvSystem) -> GramianResult:
     """W(tau) from RK4 integration of the differential Lyapunov equation, with
-    rk4_substeps(sys) RK4 substeps per interval, as the Propagator's steps.
+    K0 = rk4_substeps(sys) RK4 substeps per interval (the Propagator's steps may take fewer).
 
     The RK4 map is affine in W. So the N intervals are cut into S = lyapunov_segments
     segments of L = ceil(N / S) intervals, swept side by side, one stacked RK4 substep

@@ -243,8 +243,8 @@ def _frozen_gramian(G0: np.ndarray, C0: np.ndarray, grid: TimeGrid, substeps: in
     """int_0^tau e^{-A0* t} C0* C0 e^{-A0 t} dt by the grid's quadrature, for each
     matrix of the (S, n, n) and (S, p, n) stacks G0 = -A0 (the generators) and C0.
 
-    e^{-A0 t_i} is a product of steps E ~ e^{-A0 (t_{i+1} - t_i)}, the Propagator's RK4
-    step with -A0 at every stage time. A uniform grid has one E per stack, so
+    e^{-A0 t_i} is a product of steps E ~ e^{-A0 (t_{i+1} - t_i)}, K0 = substeps RK4
+    substeps with -A0 at every stage time. A uniform grid has one E per stack, so
     e^{-A0 t_i} = E^i and the sum is taken by segments (_segmented_sum). Non-uniform
     nodes take one E per gap, built for batches of gaps at once, and sweep
     P ~ e^{-A0 t_i} node by node as P <- E P."""

@@ -4,11 +4,12 @@ Convention: d/dt U(t, s) = -A(t) U(t, s) and d/ds U(t, s) = +U(t, s) A(s),
 so z(t) = U(tau, t)* z_tau solves the adjoint final-value problem
 z'(t) = A(t)* z(t), z(tau) = z_tau.
 
-Per-interval step matrices Phi_i ~ U(t_{i+1}, t_i) are integrated once with
-RK4 (a substep count chosen from A, see rk4_substeps), on stacks of intervals
-with A sampled once per distinct stage time for the whole stack. They are stored with
-the segment products (Propagator.segments), bounded by one growth rule: transitions are
-products of them formed on demand, so a pass holds a few stacks beyond them.
+Per-interval step matrices Phi_i ~ U(t_{i+1}, t_i) are integrated once with RK4 (as few
+substeps as h ||A||_inf <= 1/STEP_RESOLUTION allows, at most rk4_substeps, see Propagator),
+on stacks of intervals with A sampled once per distinct stage time for the whole stack.
+They are stored with the segment products (Propagator.segments), bounded by one growth
+rule: transitions are products of them formed on demand, so a pass holds a few stacks
+beyond them.
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ from .sysmodel import MAX_STEPS, ControlSignal, LtvSystem
 # of every chunked loop whatever the state dimension
 STACK_ELEMENTS = 2**15
 
-# RK4 substeps per interval: at least the classical 4, and never more than 64, which
+# rk4_substeps per interval: at least 4 (the step build takes fewer) and at most 64, which
 # keeps the Lyapunov sweep's stage stack of one position of one segment, -A and B B* at
 # its 2K+1 stage times, (2K+1) n^2 floats each (one for a constant A or B, broadcast),
 # near 4.2 MB at n = 64 (with more than one segment the stacks stay within STACK_ELEMENTS)
 MIN_SUBSTEPS = 4
 MAX_SUBSTEPS = 64
+# a step build substep spans h ||A||_inf <= 1/STEP_RESOLUTION: local error below 2.5e-13
+STEP_RESOLUTION = 128
 
 # passes are segmented up to this dimension (measured in README.md)
 SEGMENTED_MAX_DIM = 32
@@ -67,7 +70,7 @@ def segment_plan(count: int, per_position: int = 1, cap: int | None = None,
 def longest_segment(sys: LtvSystem, rate: int) -> int | None:
     """floor(SEGMENT_GROWTH / (rate h_max ||A||_inf)) intervals, None when ||A|| = 0: a segment
     product growing by at most e^(rate ||A||_inf) per unit time stays within e^SEGMENT_GROWTH."""
-    growth = rate * sys.A.inf_norm_bound() * float(np.max(np.diff(sys.grid.nodes)))
+    growth = rate * substep_need(sys)
     return math.floor(SEGMENT_GROWTH / growth) if growth > 0 else None
 
 
@@ -99,9 +102,14 @@ def pow2_scale(X: np.ndarray, axis: int | None = None) -> np.ndarray:
     return 2.0 ** (e - np.clip(e, -250, 1))
 
 
+def substep_need(sys: LtvSystem) -> float:
+    """need = h_max ||A||_inf, the largest grid gap times A's bound from its data."""
+    return float(np.max(np.diff(sys.grid.nodes))) * sys.A.inf_norm_bound()
+
+
 def rk4_substeps(sys: LtvSystem) -> int:
-    """RK4 substeps per interval for sys: K = max(4, ceil(h_max * ||A||_inf)),
-    with ||A||_inf bounded from the coefficient data.
+    """K0 = max(4, ceil(need)) RK4 substeps per interval (need = substep_need(sys)), for
+    the Lyapunov sweep and the frozen pass, and the most the Propagator's steps take.
 
     Every eigenvalue z of -hA/K then has |z| <= 1, and those of the Lyapunov
     operator W -> -AW - WA* have |z| <= 2; RK4's |R(z)| <= 1 on the closed left
@@ -109,10 +117,9 @@ def rk4_substeps(sys: LtvSystem) -> int:
     Lyapunov ODE alike. A grid that would need more than MAX_SUBSTEPS (or a
     non-finite bound) is refused with NumericalRangeError.
     """
-    bound = sys.A.inf_norm_bound()
-    need = float(np.max(np.diff(sys.grid.nodes))) * bound
+    need = substep_need(sys)
     if not need <= MAX_SUBSTEPS:
-        uniform = sys.tau * bound / MAX_SUBSTEPS
+        uniform = sys.tau * sys.A.inf_norm_bound() / MAX_SUBSTEPS
         hint = (f"{math.floor(uniform) + 1} uniform steps would pass" if uniform < MAX_STEPS
                 else f"no grid of at most {MAX_STEPS} steps would pass")
         raise NumericalRangeError(
@@ -141,16 +148,18 @@ def rk4_steps(neg_a, h, substeps: int) -> np.ndarray:
 
 
 class Propagator:
-    """Discretized evolution family of one LtvSystem, held as its step matrices,
-    each integrated with rk4_substeps(sys) RK4 substeps, and its segment_products
-    U(e_s, t_sL) (None when S = 1, see segments).
+    """Discretized evolution family of one LtvSystem, held as its step matrices, each
+    integrated with max(1, min(K0, ceil(STEP_RESOLUTION need))) RK4 substeps (K0 =
+    rk4_substeps(sys), need = substep_need(sys)), and its segment_products U(e_s, t_sL)
+    (None when S = 1, see segments).
 
     Immutable after construction; all queries are pure.
     """
 
     def __init__(self, sys: LtvSystem):
         self.sys = sys
-        self.substeps = rk4_substeps(sys)
+        K0 = rk4_substeps(sys)  # refuses a grid too coarse for A: need is finite below
+        self.substeps = max(1, min(K0, math.ceil(STEP_RESOLUTION * substep_need(sys))))
 
         nodes, neg_a = sys.grid.nodes, -sys.A
         steps = np.empty((nodes.size - 1, sys.n, sys.n))

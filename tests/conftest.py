@@ -82,7 +82,8 @@ def kind_system(rng, n, kind, steps, nonuniform=False, quadrature="trapezoid", m
 
 def stiffened(sys, need):
     """sys with A scaled so that the largest grid gap times A's inf-norm bound is
-    need: the Propagator then takes max(4, ceil(need)) substeps per interval."""
+    need: the Propagator then takes max(1, min(K0, ceil(128 need))) substeps per interval,
+    with K0 = rk4_substeps = max(4, ceil(need))."""
     A = sys.A
     scale = need / (np.max(np.diff(sys.grid.nodes)) * A.inf_norm_bound())
     return dataclasses.replace(sys, A=CoeffMatrixFn(A.kind, A.data * scale, A.grid))

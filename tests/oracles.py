@@ -87,7 +87,7 @@ def frozen_gramian_oracle(sys, s0: float) -> np.ndarray:
     """The frozen Gramian int_0^tau e^{-A0* t} C0* C0 e^{-A0 t} dt, A0 = A(s0) and
     C0 = C(s0), summed by its own loop over the nodes and not symmetrized.
 
-    It takes the Propagator's step: E ~ e^{-A0 h} by K = rk4_substeps(sys) RK4
+    It takes the frozen pass's step: E ~ e^{-A0 h} by K0 = rk4_substeps(sys) RK4
     substeps, one substep at a time, and P <- E P with one E on a uniform grid, else
     one per gap.
     """

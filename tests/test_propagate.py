@@ -1,3 +1,6 @@
+import math
+import types
+
 import numpy as np
 import pytest
 
@@ -8,15 +11,21 @@ from ltvcontrol import (
     Propagator,
     cocycle_defect,
     ctrl_gramian_lyapunov,
+    ctrl_gramian_quadrature,
+    frozen_observability_constant,
+    gramian,
+    hautus,
     input_map_adjoint,
+    obs_gramian,
     sysmodel,
 )
 from ltvcontrol.gramian import lyapunov_segments
-from ltvcontrol.propagate import STACK_ELEMENTS
+from ltvcontrol.propagate import (STACK_ELEMENTS, STEP_RESOLUTION, rk4_steps, rk4_substeps,
+                                  stage_times, substep_need)
 from conftest import (BATCH_SIZES, kind_system, make_grid, make_system, random_poly_system,
                       scalar_system, segment_overflow_samples, stiffened)
-from oracles import (adjoint_sweep_oracle, expm_oracle, propagate_state_oracle,
-                     step_transitions_oracle, transitions_to_end_oracle)
+from oracles import (adjoint_sweep_oracle, ctrl_gramian_oracle, expm_oracle, obs_gramian_oracle,
+                     propagate_state_oracle, step_transitions_oracle, transitions_to_end_oracle)
 
 
 class TestTransition:
@@ -51,16 +60,18 @@ class TestBatchedStepBuild:
     @pytest.mark.parametrize("n, steps", BATCH_SIZES)
     @pytest.mark.parametrize("kind", ["constant", "poly", "samples"])
     @pytest.mark.parametrize("nonuniform", [False, True])
-    # no stiffening keeps the floor of 4; the others reach just past it, well past it
-    # and the cap of 64
-    @pytest.mark.parametrize("need, substeps", [(None, 4), (4.5, 5), (8.5, 9), (63.5, 64)])
+    # no stiffening takes the rule's K, 1 to 4 on these grids; the others reach one and
+    # three substeps of h ||A||_inf <= 1/128, just past 4, well past it and the cap of 64
+    @pytest.mark.parametrize("need, substeps", [
+        (None, None), (0.5 / STEP_RESOLUTION, 1), (2.5 / STEP_RESOLUTION, 3), (4.5, 5), (8.5, 9),
+        (63.5, 64)])
     def test_matches_per_interval_oracle_bitwise(self, rng, n, steps, kind, nonuniform,
                                                  need, substeps):
         sys = kind_system(rng, n, kind, steps, nonuniform)
         if need is not None:
             sys = stiffened(sys, need)
         p = Propagator(sys)
-        assert p.substeps == substeps
+        assert p.substeps == (substeps or min(4, math.ceil(STEP_RESOLUTION * substep_need(sys))))
         expect = step_transitions_oracle(sys, p.substeps)
         assert len(p.step_transitions) == steps
         assert all(np.array_equal(p.step_transitions[i], expect[i]) for i in range(steps))
@@ -76,17 +87,19 @@ class TestBatchedStepBuild:
         monkeypatch.setattr(sysmodel, "eval_coeff", counting)
         n, steps = 4, 2000
         sys = kind_system(rng, n, "poly", steps)
-        substeps = Propagator(sys).substeps
+        step_substeps = Propagator(sys).substeps
         ctrl_gramian_lyapunov(sys)
         # per stack: one call per distinct RK4 stage time (2K+1 per interval) in the
-        # step build, one for A and one for B in the Lyapunov sweep, whose stacks hold
-        # chunks of its L positions in every one of its S segments
+        # step build, at the Propagator's K, one for A and one for B in the Lyapunov
+        # sweep, at rk4_substeps(sys), whose stacks hold chunks of its L positions in
+        # every one of its S segments
         step_chunks = -(-steps // (STACK_ELEMENTS // n**2))
+        substeps = rk4_substeps(sys)
         segments = lyapunov_segments(sys, substeps)
         positions = -(-steps // segments)
         lyap_chunks = -(-positions // (STACK_ELEMENTS // ((2 * substeps + 1) * segments * n**2)))
-        assert (segments, positions, lyap_chunks) == (87, 23, 12)
-        assert len(calls) == (2 * substeps + 1) * step_chunks + 2 * lyap_chunks
+        assert (step_substeps, segments, positions, lyap_chunks) == (1, 87, 23, 12)
+        assert len(calls) == (2 * step_substeps + 1) * step_chunks + 2 * lyap_chunks
         assert len(calls) < steps  # the per-stage loops made 12 calls per substep of each interval
 
 
@@ -123,11 +136,12 @@ class TestNumericalRange:
 
 
 class TestStepPolicy:
-    """K = max(4, ceil(h_max * ||A||_inf)) RK4 substeps, at most 64."""
+    """The Propagator's K = max(1, min(K0, ceil(128 need))) RK4 substeps, with
+    need = h_max * ||A||_inf and K0 = rk4_substeps = max(4, ceil(need)), at most 64."""
 
     # linspace gaps exceed tau/N by ulps: 700 on 50 steps needs 14.000000000000012, so 15
     @pytest.mark.parametrize("a, steps, substeps", [
-        (1.0, 200, 4), (-799.0, 200, 4), (801.0, 200, 5), (690.0, 50, 14), (700.0, 50, 15),
+        (1.0, 200, 1), (-799.0, 200, 4), (801.0, 200, 5), (690.0, 50, 14), (700.0, 50, 15),
         (6399.0, 100, 64)])
     def test_substeps_from_the_bound(self, a, steps, substeps):
         assert Propagator(scalar_system(a=a, steps=steps)).substeps == substeps
@@ -167,10 +181,10 @@ class TestStepPolicy:
             ctrl_gramian_lyapunov(scalar_system(a=1e4, steps=100))
 
     def test_zero_padded_poly_on_a_long_horizon(self):
-        # tau^8 overflows, but zero coefficients bound nothing: A = 0, K = 4
+        # tau^8 overflows, but zero coefficients bound nothing: A = 0, K = 1
         A = CoeffMatrixFn.poly([[[0.0]]] * 9, make_grid(tau=1e40, steps=10))
         p = Propagator(make_system(A, [[1.0]], [[1.0]], grid=A.grid))
-        assert p.substeps == 4
+        assert p.substeps == 1
         assert np.array_equal(p.step_transitions, np.ones((10, 1, 1)))
 
     def test_non_finite_bound_is_refused(self):
@@ -179,6 +193,83 @@ class TestStepPolicy:
         sys = make_system(A, [[1.0]], [[1.0]], grid=A.grid)
         with pytest.raises(NumericalRangeError, match="no grid of at most 100000 steps"):
             Propagator(sys)
+
+    @staticmethod
+    def one_gap_system(need):
+        # gaps of exactly 1 on nodes 0, 1, 2: h_max ||A||_inf = |a| = need, and 128 need is exact
+        sys = make_system([[-need]], [[1.0]], [[1.0]], nodes=[0.0, 1.0, 2.0])
+        assert substep_need(sys) == need
+        return sys
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("ulps", [-3, -1, 0, 1, 3])
+    def test_substeps_at_a_multiple_of_the_resolution(self, k, ulps):
+        need = k / STEP_RESOLUTION
+        for _ in range(abs(ulps)):
+            need = math.nextafter(need, math.copysign(math.inf, ulps))
+        sys = self.one_gap_system(need)
+        # k substeps of h ||A||_inf <= 1/128 up to need = k/128, one more just past it
+        # (4 past 3/128, where K0 takes over)
+        assert Propagator(sys).substeps == (k if ulps <= 0 else k + 1)
+        assert rk4_substeps(sys) == 4
+
+    # past need = 3/128 the Propagator takes K0 = rk4_substeps: its floor of 4, its
+    # ceil(need) and its cap of 64
+    @pytest.mark.parametrize("need, substeps", [
+        (math.nextafter(3 / STEP_RESOLUTION, 1.0), 4), (0.5, 4), (1.0, 4), (4.0, 4),
+        (math.nextafter(4.0, 5.0), 5), (63.5, 64), (64.0, 64)])
+    def test_past_three_resolutions_the_rule_is_rk4_substeps(self, need, substeps):
+        sys = self.one_gap_system(need)
+        assert Propagator(sys).substeps == rk4_substeps(sys) == substeps
+
+    def test_past_the_cap_both_refuse(self):
+        sys = self.one_gap_system(math.nextafter(64.0, 65.0))
+        with pytest.raises(NumericalRangeError, match="more than 64 RK4 substeps"):
+            rk4_substeps(sys)
+        with pytest.raises(NumericalRangeError, match="more than 64 RK4 substeps"):
+            Propagator(sys)
+
+    @pytest.mark.parametrize("nonuniform", [False, True])
+    def test_lyapunov_sweep_and_frozen_pass_take_rk4_substeps(self, rng, monkeypatch,
+                                                              nonuniform):
+        # the step build takes one substep here; the Lyapunov sweep (stage_times) and the
+        # frozen pass (rk4_steps) keep K0 = 4
+        sys = stiffened(kind_system(rng, 3, "samples", 60, nonuniform), 0.5 / STEP_RESOLUTION)
+        assert Propagator(sys).substeps == 1
+        seen = []
+        monkeypatch.setattr(gramian, "stage_times",
+                            lambda nodes, K: seen.append(("lyapunov", K)) or stage_times(nodes, K))
+        monkeypatch.setattr(hautus, "rk4_steps",
+                            lambda a, h, K: seen.append(("frozen", K)) or rk4_steps(a, h, K))
+        ctrl_gramian_lyapunov(sys)
+        frozen_observability_constant(sys, np.array([0.0, 0.5]))
+        assert {name for name, _ in seen} == {"lyapunov", "frozen"}
+        assert {K for _, K in seen} == {4}
+
+
+class TestStepAccuracy:
+    """At need <= 1/128 the Propagator takes one substep. For a constant A its local error
+    is need^5/120 (e^z - R(z) = z^5/120 + ...), so W and Q, quadratic in U, are within
+    twice the sum of N of them of the W and Q of 32 substeps; a smooth A as well."""
+
+    @pytest.mark.parametrize("kind", ["constant", "poly", "samples"])
+    @pytest.mark.parametrize("nonuniform", [False, True])
+    @pytest.mark.parametrize("steps", [50, 200])
+    def test_one_substep_against_thirty_two(self, rng, kind, nonuniform, steps):
+        need = 0.99 / STEP_RESOLUTION
+        sys = stiffened(kind_system(rng, 3, kind, steps, nonuniform), need)
+        p = Propagator(sys)
+        assert p.substeps == 1
+        fine = types.SimpleNamespace(sys=sys, grid=sys.grid, steps=steps,
+                                     step_transitions=step_transitions_oracle(sys, 32))
+        # N need^5/120 is 1.2e-11 at N = 50 and 4.6e-11 at N = 200; the error measured up
+        # to 1.12 times it (n = 1, 40 seeds), within twice it. Samples jump by up to
+        # 2 ||A|| from node to node, so RK4's error terms in A' are as large as those in A:
+        # up to 3e-9 measured at one substep (1e-11 at four)
+        rtol = 1e-8 if kind == "samples" else steps * need**5 / 60
+        for got, expect in ((ctrl_gramian_quadrature(p).W, ctrl_gramian_oracle(fine)),
+                            (obs_gramian(p).W, obs_gramian_oracle(fine))):
+            assert np.linalg.norm(got - expect) <= rtol * np.linalg.norm(expect)
 
 
 class TestCocycle:

@@ -14,11 +14,13 @@ OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS.
 For each row of the ladder both trees build the same system from the same random
 coefficients; one untimed call each gives the two results (W, or the step matrices).
 Then --pairs alternating pairs of calls are timed (parent first in odd pairs, change
-first in even ones). A row prints S (the change tree's lyapunov_segments, or its
-Propagator's segments), both median times, their ratio parent / change (above 1: the
-change is faster), the pairs the change won, and how the results compare: the
-Frobenius distance of the two Ws relative to the parent's, or whether the two stacks
-of step matrices are np.array_equal.
+first in even ones). A row prints K, the RK4 substeps per interval of each tree as
+parent/change (rk4_substeps for lyapunov, the Propagator's substeps for build), S (the
+change tree's lyapunov_segments, or its Propagator's segments), both median times, their
+ratio parent / change (above 1: the change is faster), the pairs the change won, and how
+the results compare: the Frobenius distance of the two Ws relative to the parent's, or
+whether the two stacks of step matrices are np.array_equal. Where the two Ks differ the
+results differ by the change of method, and equality is not expected.
 """
 
 from __future__ import annotations
@@ -90,15 +92,24 @@ def _import_trees(parent: Path, change: Path, into: Path):
         sys.path.remove(str(into))
 
 
-# layer: (its result, the change tree's S, the results compared; that column's header)
+def _lyapunov_plan(pkg, system) -> tuple[int, int]:
+    substeps = pkg.propagate.rk4_substeps(system)
+    return substeps, pkg.gramian.lyapunov_segments(system, substeps)
+
+
+def _build_plan(pkg, system) -> tuple[int, int]:
+    p = pkg.Propagator(system)
+    return p.substeps, p.segments()[0]
+
+
+# layer: (its result, a tree's (K, S), the results compared; that column's header)
 LAYERS = {
     "lyapunov": (lambda pkg, system: pkg.ctrl_gramian_lyapunov(system).W,
-                 lambda pkg, system: pkg.gramian.lyapunov_segments(
-                     system, pkg.propagate.rk4_substeps(system)),
+                 _lyapunov_plan,
                  lambda Wp, Wc: f"{np.linalg.norm(Wc - Wp) / np.linalg.norm(Wp):10.1e}",
                  "W rel dist"),
     "build": (lambda pkg, system: pkg.Propagator(system).step_transitions,
-              lambda pkg, system: pkg.Propagator(system).segments()[0],
+              _build_plan,
               lambda Sp, Sc: f"{'yes' if np.array_equal(Sp, Sc) else 'no':>11}",
               "steps equal"),
 }
@@ -111,14 +122,15 @@ def _timed(call, pkg, system) -> float:
 
 
 def run_row(pkgs, build, pairs: int, layer: str = "lyapunov") -> dict:
-    call, segments, compare, _ = LAYERS[layer]
+    call, plan, compare, _ = LAYERS[layer]
     systems = [build(pkg) for pkg in pkgs]
     results = [call(pkg, s) for pkg, s in zip(pkgs, systems)]
+    (Kp, _), (Kc, S) = (plan(pkg, s) for pkg, s in zip(pkgs, systems))
     times = ([], [])
     for k in range(pairs):
         for side in ((0, 1) if k % 2 == 0 else (1, 0)):
             times[side].append(_timed(call, pkgs[side], systems[side]))
-    return {"S": segments(pkgs[1], systems[1]), "parent": statistics.median(times[0]),
+    return {"K": f"{Kp}/{Kc}", "S": S, "parent": statistics.median(times[0]),
             "change": statistics.median(times[1]),
             "won": sum(c < p for p, c in zip(*times)), "pairs": pairs,
             "compared": compare(*results)}
@@ -133,13 +145,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         pkgs = _import_trees(args.parent.resolve(), args.change.resolve(), Path(tmp))
-        print(f"{'row':32} {'S':>3} {'parent ms':>10} {'change ms':>10} {'ratio':>6} "
+        print(f"{'row':32} {'K':>5} {'S':>3} {'parent ms':>10} {'change ms':>10} {'ratio':>6} "
               f"{'won':>5} {LAYERS[args.layer][3]}")
         for label, build, cap in LADDER:
             r = run_row(pkgs, build, min(args.pairs, cap or args.pairs), args.layer)
-            print(f"{label:32} {r['S']:3d} {1e3 * r['parent']:10.1f} {1e3 * r['change']:10.1f} "
-                  f"{r['parent'] / r['change']:6.2f} {r['won']:2d}/{r['pairs']:<2d} "
-                  f"{r['compared']}", flush=True)
+            print(f"{label:32} {r['K']:>5} {r['S']:3d} {1e3 * r['parent']:10.1f} "
+                  f"{1e3 * r['change']:10.1f} {r['parent'] / r['change']:6.2f} "
+                  f"{r['won']:2d}/{r['pairs']:<2d} {r['compared']}", flush=True)
     return 0
 
 
