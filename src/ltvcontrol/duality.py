@@ -68,6 +68,21 @@ def key_identity_residual(p: Propagator, u: ControlSignal, z_tau) -> float:
     return float(abs(lhs - rhs))
 
 
+# window_bound's slack per dimension: eigvalsh's error p(n) eps ||Q||_2 (p(n) taken as 8n) in
+# both windows, and the roundoff of Q - Q_a, of the norms (33 n eps as n <= 64) and of the sum
+SLACK_PER_DIM = 64 * np.finfo(float).eps
+
+
+def window_bound(top_a, Q_a, Q):
+    """A bound that eigvalsh(Q)[..., -1] does not exceed, for stacks of symmetric Q, anchors
+    Q_a and top_a = eigvalsh(Q_a)[..., -1]: Weyl's lambda_max(Q) <= lambda_max(Q_a) +
+    ||Q - Q_a||_2, widened to top_a + (1 + delta) ||Q - Q_a||_F + delta ||Q_a||_F + 2^-530,
+    delta = SLACK_PER_DIM n; 2^-530 covers squares lost below 2^-1022 (n 2^-537 a norm)."""
+    delta = SLACK_PER_DIM * Q.shape[-1]
+    fro = [np.sqrt(np.einsum("...ij,...ij->...", X, X)) for X in (Q - Q_a, Q_a)]
+    return top_a + (1 + delta) * fro[0] + delta * fro[1] + 2.0**-530
+
+
 def admissibility_constant(p: Propagator) -> float:
     """Smallest M with int_s^tau ||C(t) U(t,s) x||^2 dt <= M^2 ||x||^2 for all x, s.
 
@@ -76,27 +91,42 @@ def admissibility_constant(p: Propagator) -> float:
     window integrated by the trapezoid rule on nodes s..N whatever the grid's
     own rule (windows generally have odd panel counts, so Simpson does not
     apply). All windows come from one backward pass over the step matrices,
-    in chunks whose windows are checked and diagonalized as one stack, by the
-    Gramian recursion with d_s = t_{s+1} - t_s and Q_N = 0:
+    in chunks of one stack checked at once, by the Gramian recursion with
+    d_s = t_{s+1} - t_s and Q_N = 0:
 
         Q_s = (d_s/2) C_s* C_s + Phi_s* (Q_{s+1} + (d_s/2) C_{s+1}* C_{s+1}) Phi_s.
+
+    Stacked eigvalsh solve each chunk's anchors, one amid each part of at most ceil(sqrt(N))
+    windows (sqrt(N) weighs anchor solves against the bound's distance to them), and from a pool
+    of one stack the windows whose window_bound passes the top so far: no other could give more.
     """
-    n = p.sys.n
-    half = (np.diff(p.grid.nodes) / 2).tolist()
-    C = p.sys.C(p.grid.nodes)
-    Q = np.zeros((n, n))
-    best = 0.0
-    for chunk in reversed(batches(p.steps, n * n)):
+    n, C = p.sys.n, p.sys.C(p.grid.nodes)
+    half = np.diff(p.grid.nodes)[:, None, None] / 2
+    chunks = batches(p.steps, n * n)
+    pool, pool_bound = np.empty((chunks[0].stop, n, n)), np.full(chunks[0].stop, -np.inf)
+    best, Q = 0.0, np.zeros((n, n))
+    for chunk in reversed(chunks):
         Cs = C[chunk.start:chunk.stop + 1]
         CtC = Cs.transpose(0, 2, 1) @ Cs
-        Qs = np.empty((chunk.stop - chunk.start, n, n))
-        for j, d, phi in zip(range(len(Qs) - 1, -1, -1), half[chunk][::-1],
-                             p.step_transitions[chunk][::-1]):
-            Q = d * CtC[j] + np.dot(np.dot(phi.T, Q + d * CtC[j + 1]), phi)
+        # Qs[j] holds (d_j/2) C_{j+1}* C_{j+1} until Q_j replaces it, CtC[j] (d_j/2) C_j* C_j
+        Qs, steps = half[chunk] * CtC[1:], p.step_transitions[chunk]
+        CtC[:-1] *= half[chunk]
+        for j in range(len(Qs) - 1, -1, -1):
+            Q = CtC[j] + np.dot(np.dot(steps[j].T, Q + Qs[j]), steps[j])
             Qs[j] = Q = 0.5 * (Q + Q.T)
         require_finite(Qs, "a windowed observability Gramian")
-        best = max(best, float(np.max(np.linalg.eigvalsh(Qs)[:, -1])))
-    return float(np.sqrt(max(best, 0.0)))
+        k, parts = len(Qs), -(-len(Qs) // (math.isqrt(p.steps - 1) + 1))
+        anchors = (2 * np.arange(parts) + 1) * k // (2 * parts)
+        top = np.linalg.eigvalsh(Qs[anchors])[:, -1]
+        best, part = max(best, float(top.max())), np.arange(k) * parts // k
+        bound = window_bound(top[part], Qs[anchors[part]], Qs)
+        new = np.flatnonzero((bound > best) & (anchors[part] != np.arange(k)))  # not anchors
+        solve = (pool_bound > best) & (np.count_nonzero(pool_bound > best) + len(new) > len(pool))
+        best = float(np.max(np.linalg.eigvalsh(pool[solve])[:, -1], initial=best))
+        pool_bound[solve], new = -np.inf, new[bound[new] > best]
+        free = np.flatnonzero(pool_bound <= best)[:len(new)]  # a free slot's bound <= best
+        pool[free], pool_bound[free] = Qs[new], bound[new]
+    return float(np.sqrt(np.max(np.linalg.eigvalsh(pool[pool_bound > best])[:, -1], initial=best)))
 
 
 def null_controllability_test(gram: GramianResult) -> tuple[bool, float]:

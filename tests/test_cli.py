@@ -390,7 +390,7 @@ class TestOneSpectrum:
     @pytest.mark.parametrize("command", ["analyze", "synthesize"])
     def test_one_eigh_of_w_and_no_eigvalsh(self, command, two_state_spec, tmp_path,
                                            monkeypatch):
-        # the stacked eigvalsh of the admissibility windows is (chunk, n, n), not counted
+        # admissibility's eigvalsh calls take 3-D stacks (anchors, pooled windows), not counted
         calls = []
 
         def counting(name, fn):
